@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .beam import top_k
 from .ioutil import InputError, read_jsonl, write_jsonl
 from .layers import GRUParams, TransformerEncoder, linear
 from .optim import AdamState, adam_step
@@ -190,13 +191,20 @@ class DistillerModel:
             raise ValueError("all slots must hold at least one object")
         return self.encoder(self.input_embeddings(seq))
 
-    def _attend(self, memory: Tensor, h: Tensor) -> Tensor:
-        scores = ad.tanh(linear(memory, self.attn_mem) + (linear(h, self.attn_hidden) + self.attn_bias))
-        weights = ad.softmax(ad.reshape(ad.matmul(scores, self.attn_v), (1, memory.shape[0])), axis=-1)
+    def _attend(self, keys: Tensor, memory: Tensor, h: Tensor) -> Tensor:
+        """Additive attention of each row of h (B, d) over memory (M, d); returns (B, d).
+
+        keys is the memory's projection through attn_mem, (M, a).
+        """
+        b, (m, a) = h.shape[0], keys.shape
+        query = ad.reshape(linear(h, self.attn_hidden) + self.attn_bias, (b, 1, a))
+        scores = ad.tanh(keys + query)  # (B, M, a)
+        weights = ad.softmax(ad.reshape(ad.matmul(scores, self.attn_v), (b, m)), axis=-1)
         return ad.matmul(weights, memory)
 
-    def _step(self, prev_embedding: Tensor, h: Tensor, memory: Tensor):
-        context = self._attend(memory, h)
+    def _step(self, prev_embedding: Tensor, h: Tensor, memory: Tensor, keys: Tensor | None = None):
+        """One decoder step for B rows; keys (memory through attn_mem) is computed when None."""
+        context = self._attend(linear(memory, self.attn_mem) if keys is None else keys, memory, h)
         u = ad.concat([prev_embedding, context], axis=1)
         h_next = self.cell(u, h)
         logits = linear(ad.concat([h_next, context], axis=1), self.w_out, self.b_out)
@@ -222,8 +230,7 @@ class DistillerModel:
             raise ValueError("term vocabulary holds only the end-of-set marker")
         if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        memory = self.encode_objects(seq)
-        memory = Tensor(memory.data)  # inference: drop the tape
+        memory = Tensor(self.encode_objects(seq).data)  # inference: drop the tape
         eos = self.token_to_id[END_OF_SET]
         out = []
         for slot in seq.slots:
@@ -232,34 +239,35 @@ class DistillerModel:
         return out
 
     def _decode_slot(self, memory: Tensor, image_index: int, beam_size: int, eos: int):
-        # hypothesis: (score, tokens, hidden state, used token ids)
-        start = self._slot_start(image_index)
-        live = [(0.0, (), Tensor(np.zeros((1, self.config.hidden_size))), frozenset())]
-        finished: list[tuple[float, tuple[int, ...]]] = []
+        """Beam search for one image; the live beam runs as one (B, .) batch."""
+        keys = Tensor(linear(memory, self.attn_mem).data)
+        v = len(self.vocab)
+        only_eos = np.zeros(v, dtype=bool)
+        only_eos[eos] = True
+        # live hypotheses, one row each; used never marks end-of-set
+        scores = np.zeros(1)
+        tokens = np.zeros((1, 0), dtype=np.int64)
+        h = np.zeros((1, self.config.hidden_size))
+        used = np.zeros((1, v), dtype=bool)
+        finished: list[tuple[float, list[int]]] = []
         for step in range(self.config.max_terms_per_image + 1):
-            candidates = []
-            for hyp_idx, (score, tokens, h, used) in enumerate(live):
-                prev = start if not tokens else ad.embed(self.term_embedding, [tokens[-1]])
-                logits, h_next = self._step(prev, h, memory)
-                h_next = Tensor(h_next.data)  # inference: keep hypotheses off the tape
-                logp = ad.log_softmax_values(logits.data)[0]
-                if step == self.config.max_terms_per_image:
-                    token_range = [eos]  # length bound reached, force end-of-set
-                else:
-                    token_range = range(len(self.vocab))
-                for tok in token_range:
-                    penalty = REPEAT_MASK if (tok in used and tok != eos) else 0.0
-                    candidates.append((score + logp[tok] - penalty, tok, hyp_idx, h_next))
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-            next_live = []
-            for cand_score, tok, hyp_idx, h_next in candidates[: beam_size]:
-                _, tokens, _, used = live[hyp_idx]
-                if tok == eos:
-                    finished.append((cand_score, tokens))
-                else:
-                    next_live.append((cand_score, tokens + (tok,), h_next, used | {tok}))
-            live = next_live
-            if not live:
+            prev = self._slot_start(image_index) if step == 0 else ad.embed(self.term_embedding, tokens[:, -1])
+            logits, h_next = self._step(prev, Tensor(h), memory, keys)
+            logp = ad.log_softmax_values(logits.data)
+            candidates = (scores[:, None] + logp) - np.where(used, REPEAT_MASK, 0.0)
+            if step == self.config.max_terms_per_image:
+                candidates = np.where(only_eos, candidates, -np.inf)  # length bound reached, force end-of-set
+            hyp, tok = top_k(candidates, beam_size)
+            ends = tok == eos
+            for i in np.flatnonzero(ends):
+                finished.append((float(candidates[hyp[i], tok[i]]), tokens[hyp[i]].tolist()))
+            hyp, tok = hyp[~ends], tok[~ends]
+            scores = candidates[hyp, tok]
+            tokens = np.concatenate([tokens[hyp], tok[:, None]], axis=1)
+            h = h_next.data[hyp]
+            used = used[hyp]
+            used[np.arange(tok.size), tok] = True
+            if not tok.size:
                 break
         best_score, best_tokens = max(enumerate(finished), key=lambda kv: (kv[1][0], -kv[0]))[1]
         return [self.vocab[t] for t in best_tokens], best_score
@@ -290,7 +298,7 @@ class DistillerModel:
         extra = meta["extra"]
         if extra.get("kind") != "distiller":
             raise ValueError(f"{path}: not a distiller checkpoint")
-        return cls(extra["vocab"], DistillerConfig(**extra["config"]), store)
+        return store.build_model(path, lambda: cls(extra["vocab"], DistillerConfig(**extra["config"]), store))
 
 
 def build_term_vocab(term_groups_per_story) -> list[str]:

@@ -119,6 +119,16 @@ class EnrichmentCandidate:
 BASE_GROUP_COUNT = 5
 
 
+def check_base_path(base: TermPath) -> None:
+    """Raise ValueError unless the path can be enriched: five nonempty groups, no bridge."""
+    if len(base.groups) != BASE_GROUP_COUNT:
+        raise ValueError(f"enrichment expects {BASE_GROUP_COUNT} groups, got {len(base.groups)}")
+    if any(not g for g in base.groups):
+        raise ValueError("every group of the base path must be nonempty")
+    if base.bridge is not None:
+        raise ValueError("base path already carries a bridge")
+
+
 def build_candidates(
     base: TermPath,
     index: RelationIndex,
@@ -130,12 +140,7 @@ def build_candidates(
     Enumeration is exhaustive per adjacent slot pair, ordered by slot then
     bridge (head, relations, tail), and truncated to ``cap`` paths total.
     """
-    if len(base.groups) != BASE_GROUP_COUNT:
-        raise ValueError(f"enrichment expects {BASE_GROUP_COUNT} groups, got {len(base.groups)}")
-    if any(not g for g in base.groups):
-        raise ValueError("every group of the base path must be nonempty")
-    if base.bridge is not None:
-        raise ValueError("base path already carries a bridge")
+    check_base_path(base)
     candidates = [base]
     for k in range(len(base.groups) - 1):
         for bridge in index.enumerate_bridges(set(base.groups[k]), set(base.groups[k + 1]), allow_two_hop):

@@ -11,6 +11,10 @@ where S holds the words of the sentence being written, R the words of
 finished sentences, and l is the number of tokens generated so far (at
 least 1). A sentence-boundary marker closes each sentence; the decode
 finishes when as many sentences exist as the path has term groups.
+
+Inference runs the whole beam as one batch over a key/value cache: an
+emitted position's LDPE vector and, by the causal mask, its hidden states
+never change, so each decode step computes only the new positions.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .layers import TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
+from .beam import top_k
+from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
 from .lm import BOS as PATH_BOS
 from .lm import EOS as PATH_EOS
 from .lm import SEP as GROUP_SEP
@@ -38,7 +43,8 @@ def ldpe(pos: int, length: int, d: int) -> np.ndarray:
     """Length-difference positional encoding of one position.
 
     Component 2i is sin((length - pos) / 10000^(2i/d)) and component 2i+1 is
-    the matching cosine, so the vector depends on the remaining length only.
+    the matching cosine: the sinusoidal table read at the remaining length,
+    so the vector depends on the remaining length only.
     """
     if d % 2 != 0:
         raise ValueError(f"ldpe: dimension {d} must be even")
@@ -46,18 +52,7 @@ def ldpe(pos: int, length: int, d: int) -> np.ndarray:
         raise ValueError(f"ldpe: need 0 <= pos and 1 <= len, got pos={pos}, len={length}")
     if pos > length:
         raise ValueError(f"ldpe: position {pos} exceeds the length budget {length}")
-    return ldpe_from_remaining(length - pos, d)
-
-
-def ldpe_from_remaining(remaining, d: int) -> np.ndarray:
-    """LDPE rows for an array of remaining-length values."""
-    rem = np.asarray(remaining, dtype=np.float64).reshape(-1, 1)
-    i2 = np.arange(0, d, 2, dtype=np.float64)
-    angles = rem / np.power(10000.0, i2 / d)
-    out = np.empty((rem.shape[0], d))
-    out[:, 0::2] = np.sin(angles)
-    out[:, 1::2] = np.cos(angles)
-    return out if np.ndim(remaining) else out[0]
+    return sinusoidal_encoding([length - pos], d)[0]
 
 
 @dataclass
@@ -79,7 +74,7 @@ class BeamPenaltyConfig:
 
 
 def beam_penalty_score(log_p: float, in_current: bool, in_previous: bool, alpha: float, gamma: float, story_len: int) -> float:
-    """The decode score of one candidate token."""
+    """The decode score of one candidate token; beam_decode applies it to the whole (B, V) table."""
     l = max(1, story_len)
     return log_p - (alpha if in_current else 0.0) - ((gamma / l) if in_previous else 0.0)
 
@@ -168,7 +163,7 @@ class GeneratorModel:
 
     def decoder_logits(self, memory: Tensor, input_ids: list[int], remaining: np.ndarray) -> Tensor:
         x = ad.embed(self.dec_embedding, input_ids)
-        x = ad.add(x, Tensor(ldpe_from_remaining(remaining, self.config.hidden_size)))
+        x = ad.add(x, Tensor(sinusoidal_encoding(remaining, self.config.hidden_size)))
         h = self.decoder(x, memory)
         return linear(h, self.w_out, self.b_out)
 
@@ -183,15 +178,30 @@ class GeneratorModel:
         return ad.softmax_cross_entropy(logits, target_ids)
 
     def step_log_probs_fn(self, groups, budget: int):
-        """Closure giving next-token log-probs for a decoder prefix (no tape)."""
-        memory = Tensor(self.encode_path(groups).data)
-        bos = self.token_to_id[BOS_STORY]
+        """Batched next-token log-probs for the live decoder prefixes (no tape).
 
-        def step(prefix_ids: tuple[int, ...]) -> np.ndarray:
-            input_ids = [bos] + list(prefix_ids)
-            remaining = np.maximum(budget - np.arange(len(input_ids)), 0)
-            logits = self.decoder_logits(memory, input_ids, remaining)
-            return ad.log_softmax_values(logits.data)[-1]
+        The returned step takes the B live prefixes (tuples of token ids)
+        and gives (B, V) log-probabilities. Each prefix must extend one
+        prefix of the previous call by one token (the first call takes only
+        the empty prefix), so the decoder runs just the B new positions over
+        a key/value cache; any other prefix raises ValueError.
+        """
+        cache = DecoderCache(self.decoder, self.encode_path(groups).data)
+        bos = self.token_to_id[BOS_STORY]
+        rows = {None: 0}  # prefix -> cache row; the empty prefix extends the root
+
+        def step(prefixes) -> np.ndarray:
+            nonlocal rows
+            try:
+                parents = [rows[p[:-1] if p else None] for p in prefixes]
+            except KeyError:
+                raise ValueError("each prefix must extend a prefix of the previous step by one token") from None
+            pos = len(prefixes[0])
+            ids = [p[-1] if p else bos for p in prefixes]
+            x = self.dec_embedding.data[ids] + sinusoidal_encoding([max(budget - pos, 0)], self.config.hidden_size)
+            h = cache.step(x, parents)
+            rows = {p: i for i, p in enumerate(prefixes)}
+            return ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
 
         return step
 
@@ -221,7 +231,9 @@ class GeneratorModel:
         extra = meta["extra"]
         if extra.get("kind") != "generator":
             raise ValueError(f"{path}: not a generator checkpoint")
-        return cls(extra["vocab"], GeneratorConfig(**extra["config"]), store, extra["sentence_budget"])
+        return store.build_model(
+            path, lambda: cls(extra["vocab"], GeneratorConfig(**extra["config"]), store, extra["sentence_budget"])
+        )
 
 
 def story_tokens(sentences) -> list[str]:
@@ -246,56 +258,61 @@ def beam_decode(
 ):
     """Beam search over token ids with inter/intra-sentence repetition penalties.
 
-    Structural rules: ids in excluded_ids are never emitted; a hypothesis
-    finishes at its group_count-th sentence boundary; a sentence hitting
-    max_sentence_tokens is closed by a forced boundary and flags the story
-    as truncated. Marker tokens stay out of the repetition sets. Exact score
-    ties resolve to the lower token id.
+    step_log_probs takes the live prefixes (tuples of token ids) and gives
+    their (B, V) next-token log-probabilities. Structural rules: ids in
+    excluded_ids are never emitted; a hypothesis finishes at its
+    group_count-th sentence boundary; a sentence hitting max_sentence_tokens
+    is closed by a forced boundary and flags the story as truncated. Marker
+    tokens stay out of the repetition sets S (current sentence) and R
+    (earlier sentences), both boolean (B, V) masks. Exact score ties resolve
+    to the lower token id, then the earlier hypothesis.
     """
-    excluded = frozenset(excluded_ids) | {sb_id}
-    # hypothesis: (score, tokens, S, R, boundaries, sentence_len, truncated)
-    live = [(0.0, (), frozenset(), frozenset(), 0, 0, False)]
-    done = []
-    while live:
-        candidates = []
-        for hyp_idx, (score, tokens, s_set, r_set, bounds, sent_len, trunc) in enumerate(live):
-            logp = step_log_probs(tokens)
-            if penalties.length_unit == "sentences":
-                story_len = bounds + 1
-            else:
-                story_len = max(1, len(tokens))
-            if sent_len >= max_sentence_tokens:
-                token_range = [sb_id]  # sentence budget exhausted, close it
-            else:
-                token_range = range(vocab_size)
-            for tok in token_range:
-                if tok != sb_id and tok in excluded:
-                    continue
-                step_score = beam_penalty_score(
-                    float(logp[tok]), tok in s_set, tok in r_set,
-                    penalties.alpha, penalties.gamma, story_len,
-                )
-                forced = sent_len >= max_sentence_tokens
-                candidates.append((score + step_score, tok, hyp_idx, trunc or forced))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live = []
-        for cand_score, tok, hyp_idx, trunc in candidates[: penalties.beam_size]:
-            _, tokens, s_set, r_set, bounds, sent_len, _ = live[hyp_idx]
-            new_tokens = tokens + (tok,)
-            if tok == sb_id:
-                new_bounds = bounds + 1
-                hyp = (cand_score, new_tokens, frozenset(), r_set | s_set, new_bounds, 0, trunc)
-                if new_bounds == group_count:
-                    done.append(hyp)
-                else:
-                    next_live.append(hyp)
-            else:
-                next_live.append((cand_score, new_tokens, s_set | {tok}, r_set, bounds, sent_len + 1, trunc))
-        live = next_live
+    allowed = np.ones(vocab_size, dtype=bool)
+    allowed[list(excluded_ids)] = False
+    allowed[sb_id] = True
+    only_sb = np.zeros(vocab_size, dtype=bool)
+    only_sb[sb_id] = True
+    # live hypotheses, one row each
+    scores = np.zeros(1)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    s_mask = np.zeros((1, vocab_size), dtype=bool)
+    r_mask = np.zeros((1, vocab_size), dtype=bool)
+    bounds = np.zeros(1, dtype=np.int64)
+    sent_len = np.zeros(1, dtype=np.int64)
+    trunc = np.zeros(1, dtype=bool)
+    done = []  # (score, tokens, truncated) in finishing order
+    while scores.size:
+        logp = np.asarray(step_log_probs([tuple(row) for row in tokens.tolist()]), dtype=np.float64)
+        if penalties.length_unit == "sentences":
+            story_len = bounds + 1
+        else:
+            story_len = np.full(scores.size, max(1, tokens.shape[1]))
+        gamma_l = penalties.gamma / story_len[:, None]
+        step_score = (logp - np.where(s_mask, penalties.alpha, 0.0)) - np.where(r_mask, gamma_l, 0.0)
+        forced = sent_len >= max_sentence_tokens
+        open_ids = np.where(forced[:, None], only_sb, allowed)
+        candidates = scores[:, None] + step_score
+        hyp, tok = top_k(np.where(open_ids, candidates, -np.inf), penalties.beam_size)
+        new_scores = candidates[hyp, tok]
+        is_sb = tok == sb_id
+        s_mask, r_mask = s_mask[hyp], r_mask[hyp]
+        r_mask[is_sb] |= s_mask[is_sb]
+        s_mask[is_sb] = False
+        s_mask[~is_sb, tok[~is_sb]] = True
+        bounds = bounds[hyp] + is_sb
+        sent_len = np.where(is_sb, 0, sent_len[hyp] + 1)
+        trunc = trunc[hyp] | forced[hyp]
+        tokens = np.concatenate([tokens[hyp], tok[:, None]], axis=1)
+        finished = is_sb & (bounds == group_count)
+        for i in np.flatnonzero(finished):
+            done.append((float(new_scores[i]), tokens[i].tolist(), bool(trunc[i])))
+        keep = ~finished
+        scores, tokens, s_mask, r_mask = new_scores[keep], tokens[keep], s_mask[keep], r_mask[keep]
+        bounds, sent_len, trunc = bounds[keep], sent_len[keep], trunc[keep]
         if len(done) >= penalties.beam_size:
             break
-    best = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
-    return list(best[1]), best[0], best[6]
+    score, token_ids, truncated = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
+    return token_ids, score, truncated
 
 
 def decode_story(path, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None, story_id: str = "") -> Story:

@@ -16,6 +16,11 @@ def canonical_dumps(obj) -> str:
 
 
 def read_jsonl(path: str) -> list[dict]:
+    return [rec for _lineno, rec in read_jsonl_lines(path)]
+
+
+def read_jsonl_lines(path: str) -> list[tuple[int, dict]]:
+    """(line number, record) for every nonblank line of a JSONL file."""
     if not os.path.exists(path):
         raise InputError(f"input file not found: {path}")
     records = []
@@ -25,7 +30,7 @@ def read_jsonl(path: str) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
     return records

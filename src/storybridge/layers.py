@@ -4,7 +4,8 @@ Linear maps, multi-head attention, transformer encoder/decoder stacks, a GRU
 cell, and the sinusoidal positional table. Parameters live in a
 ParameterStore and are addressed by dotted names, so a stack built twice
 from the same seed is bit-identical and a loaded checkpoint slots straight
-back in.
+back in. ``DecoderCache`` runs a trained decoder stack for inference in
+plain numpy, one new position per call, off the tape.
 """
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ class AttentionParams:
     def __call__(self, q, k, v, num_heads, mask=None):
         return multi_head_attention(q, k, v, num_heads=num_heads, mask=mask, **self.kw)
 
+    def project(self, x: np.ndarray, which: str, num_heads: int) -> np.ndarray:
+        """Rows x (N, D) through the named projection ("q", "k" or "v"), as (N, H, D/H)."""
+        y = x @ self.kw[f"w{which}"].data + self.kw[f"b{which}"].data
+        return y.reshape(x.shape[0], num_heads, -1)
+
+    def attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Numpy attention of queries (B, H, 1, Dh) over keys/values (.., H, T, Dh); returns (B, D)."""
+        scores = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+        ctx = _softmax_values(scores) @ values
+        return ctx.reshape(q.shape[0], -1) @ self.kw["wo"].data + self.kw["bo"].data
+
 
 class FeedForwardParams:
     def __init__(self, store: ParameterStore, prefix: str, d: int, d_ff: int):
@@ -134,6 +146,10 @@ class FeedForwardParams:
     def __call__(self, x):
         return linear(ad.relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        hidden = x @ self.w1.data + self.b1.data
+        return (hidden * (hidden > 0)) @ self.w2.data + self.b2.data
+
 
 class NormParams:
     def __init__(self, store: ParameterStore, prefix: str, d: int):
@@ -142,6 +158,11 @@ class NormParams:
 
     def __call__(self, x):
         return ad.layernorm(x, self.g, self.b)
+
+    def values(self, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mu) * (1.0 / np.sqrt(var + eps)) * self.g.data + self.b.data
 
 
 class TransformerEncoder:
@@ -194,6 +215,52 @@ class TransformerDecoder:
             x = norm2(x + cross(x, memory, memory, self.heads))
             x = norm3(x + ff(x))
         return x
+
+
+class DecoderCache:
+    """Incremental numpy inference over a TransformerDecoder, no tape.
+
+    The cross-attention keys and values of the memory are computed once.
+    Each layer keeps the self-attention keys and values of every position
+    already run, one row per hypothesis. ``step`` gathers those rows by
+    parent hypothesis, appends the new position and runs only the new rows.
+    Attention is causal, so an emitted position never changes and the
+    result equals recomputing each whole prefix, up to float reassociation.
+    """
+
+    def __init__(self, decoder: TransformerDecoder, memory: np.ndarray):
+        self.heads = decoder.heads
+        self.blocks = decoder.blocks
+        self.cross = [
+            tuple(np.swapaxes(cross.project(memory, which, self.heads), 0, 1) for which in "kv")
+            for _s, _n1, cross, _n2, _ff, _n3 in self.blocks
+        ]
+        self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer: (B, H, T, Dh) keys, values
+
+    def step(self, x: np.ndarray, parents) -> np.ndarray:
+        """Run new rows x (B, D); row b extends cached hypothesis parents[b]. Returns (B, D)."""
+        parents = np.asarray(parents, dtype=np.int64)
+        past = []
+        for i, (self_attn, norm1, cross, norm2, ff, norm3) in enumerate(self.blocks):
+            q = self_attn.project(x, "q", self.heads)[:, :, None, :]
+            k = self_attn.project(x, "k", self.heads)[:, :, None, :]
+            v = self_attn.project(x, "v", self.heads)[:, :, None, :]
+            if self.past:
+                k = np.concatenate([self.past[i][0][parents], k], axis=2)
+                v = np.concatenate([self.past[i][1][parents], v], axis=2)
+            past.append((k, v))
+            x = norm1.values(x + self_attn.attend(q, k, v))
+            q = cross.project(x, "q", self.heads)[:, :, None, :]
+            x = norm2.values(x + cross.attend(q, *self.cross[i]))
+            x = norm3.values(x + ff.values(x))
+        self.past = past
+        return x
+
+
+def _softmax_values(z: np.ndarray) -> np.ndarray:
+    """ad.softmax's arithmetic over the last axis, in plain numpy."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class GRUParams:

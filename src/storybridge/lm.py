@@ -180,7 +180,7 @@ class GRULanguageModel:
         extra = meta["extra"]
         if extra.get("kind") != "gru_lm":
             raise ValueError(f"{path}: not a recurrent LM checkpoint")
-        return cls(extra["vocab"], extra["hidden_size"], store)
+        return store.build_model(path, lambda: cls(extra["vocab"], extra["hidden_size"], store))
 
 
 def log_prob(model, seq) -> float:

@@ -9,6 +9,7 @@ import os
 import numpy as np
 
 from .autodiff import Tensor
+from .ioutil import InputError
 
 FORMAT_VERSION = 1
 
@@ -18,13 +19,15 @@ class ParameterStore:
 
     Creation order is deterministic for a fixed seed, so two stores built by
     the same code with the same seed hold bit-identical values. A store can
-    be frozen for inference; frozen stores refuse further allocation.
+    be frozen for inference; frozen stores refuse further allocation. Loaded
+    stores come back frozen.
     """
 
     def __init__(self, rng_seed: int):
         self.rng_seed = int(rng_seed)
         self._rng = np.random.Generator(np.random.PCG64(self.rng_seed))
         self._params: dict[str, Tensor] = {}
+        self._claimed: set[str] = set()  # names some caller has asked for
         self.frozen = False
 
     def __len__(self) -> int:
@@ -51,6 +54,7 @@ class ParameterStore:
             t = self._params[name]
             if t.shape != tuple(shape):
                 raise ValueError(f"parameter '{name}' exists with shape {t.shape}, wanted {tuple(shape)}")
+            self._claimed.add(name)
             return t
         if self.frozen:
             raise ValueError(f"store is frozen; cannot allocate parameter '{name}'")
@@ -68,11 +72,27 @@ class ParameterStore:
             raise ValueError(f"unknown init '{init}'")
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
+        self._claimed.add(name)
         return t
 
     def freeze(self) -> "ParameterStore":
         self.frozen = True
         return self
+
+    def build_model(self, where: str, build):
+        """Build a model on this loaded store; it must hold exactly the model's parameters.
+
+        A missing name, a wrong shape, a name the model never asks for, or a
+        build that rejects the checkpoint's metadata raises InputError.
+        """
+        try:
+            model = build()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{where}: checkpoint does not fit the model ({exc})") from None
+        unused = [name for name in self._params if name not in self._claimed]
+        if unused:
+            raise InputError(f"{where}: checkpoint holds parameters the model does not use: {unused}")
+        return model
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -104,19 +124,24 @@ class ParameterStore:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_payload(cls, payload: dict) -> tuple["ParameterStore", dict]:
+    def from_payload(cls, payload: dict, where: str = "checkpoint") -> tuple["ParameterStore", dict]:
+        """A frozen store from a checkpoint payload; every value must be finite."""
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format_version {version!r}")
         store = cls(payload["rng_seed"])
         for name, entry in payload["params"].items():
-            shape = tuple(entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+            try:
+                data = np.asarray(entry["data"], dtype=np.float64).reshape(tuple(entry["shape"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"{where}: malformed parameter '{name}' ({exc})") from None
+            if not np.isfinite(data).all():
+                raise InputError(f"{where}: parameter '{name}' holds non-finite values")
             store._params[name] = Tensor(data, requires_grad=True)
-        return store, {"schedule": payload.get("schedule"), "extra": payload.get("extra", {})}
+        return store.freeze(), {"schedule": payload.get("schedule"), "extra": payload.get("extra", {})}
 
     @classmethod
     def load(cls, path: str) -> tuple["ParameterStore", dict]:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return cls.from_payload(payload)
+        return cls.from_payload(payload, where=path)

@@ -13,7 +13,7 @@ import os
 from .config import RunConfig
 from .corpus import build_training_pairs, load_corpus
 from .distill import DistillerConfig, DistillerModel, DistillerTrainConfig, load_feature_file, train_distiller
-from .enrich import TermPath, build_candidates, select_best
+from .enrich import TermPath, build_candidates, check_base_path, select_best
 from .generate import (
     BeamPenaltyConfig,
     GeneratorConfig,
@@ -22,7 +22,7 @@ from .generate import (
     decode_story,
     train_generator,
 )
-from .ioutil import InputError, read_json, read_jsonl, sha256_file, write_json, write_jsonl
+from .ioutil import InputError, read_json, read_jsonl, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
 from .lm import LMTrainConfig, load_lm, load_term_sequences, train_lm
 from .metrics import bleu_n, distinct_n
@@ -158,12 +158,19 @@ def stage_distill(config: RunConfig, out_path: str) -> list[dict]:
 
 
 def stage_enrich(config: RunConfig, terms_path: str, out_path: str) -> list[dict]:
-    records = read_jsonl(_require(terms_path, "enrich", "term-path file"))
+    bases = []
+    for lineno, rec in read_jsonl_lines(_require(terms_path, "enrich", "term-path file")):
+        where = f"{terms_path}:{lineno}"
+        base = TermPath.from_record(rec, where=where)
+        try:
+            check_base_path(base)
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        bases.append(base)
     index = load_kg_index(config)
     lm = load_lm(_require(config.lm_model, "enrich", "term LM checkpoint (lm_model)"))
     out = []
-    for rec in records:
-        base = TermPath.from_record(rec, where=terms_path)
+    for base in bases:
         candidates = build_candidates(base, index, cap=config.candidate_cap, allow_two_hop=config.two_hop)
         choice = select_best(candidates, lm)
         selected = choice.path.to_record()

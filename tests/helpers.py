@@ -32,3 +32,103 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     # floor keeps finite-difference noise from dominating genuinely zero grads
     denom = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-6)
     return float(np.max(np.abs(analytic - numeric)) / denom)
+
+
+# ------------------------------------------------------------ decode references
+
+
+def batched(step):
+    """Lift a per-prefix step (prefix tuple -> (V,) log-probs) to beam_decode's batched contract."""
+    return lambda prefixes: np.stack([np.asarray(step(p), dtype=np.float64) for p in prefixes])
+
+
+def recompute_step(model, groups, budget: int):
+    """Per-prefix next-token log-probs by a full decoder recompute (the training path)."""
+    from storybridge import autodiff as ad
+    from storybridge.generate import BOS_STORY
+
+    memory = model.encode_path(groups)
+    bos = model.token_to_id[BOS_STORY]
+
+    def step(prefix):
+        input_ids = [bos] + list(prefix)
+        remaining = np.maximum(budget - np.arange(len(input_ids)), 0)
+        return ad.log_softmax_values(model.decoder_logits(memory, input_ids, remaining).data)[-1]
+
+    return step
+
+
+def reference_term_beam(model, memory, image_index: int, beam_size: int, eos: int):
+    """The term beam search one hypothesis at a time, with per-token Python bookkeeping."""
+    from storybridge import autodiff as ad
+    from storybridge.autodiff import Tensor
+    from storybridge.distill import REPEAT_MASK
+    from storybridge.layers import linear
+
+    keys = linear(memory, model.attn_mem)
+    start = ad.embed(model.order_embedding, [image_index])
+    live = [(0.0, (), Tensor(np.zeros((1, model.config.hidden_size))), frozenset())]
+    finished = []
+    for step in range(model.config.max_terms_per_image + 1):
+        candidates = []
+        for hyp_idx, (score, tokens, h, used) in enumerate(live):
+            prev = start if not tokens else ad.embed(model.term_embedding, [tokens[-1]])
+            logits, h_next = model._step(prev, h, memory, keys)
+            logp = ad.log_softmax_values(logits.data)[0]
+            token_range = [eos] if step == model.config.max_terms_per_image else range(len(model.vocab))
+            for tok in token_range:
+                penalty = REPEAT_MASK if (tok in used and tok != eos) else 0.0
+                candidates.append((score + logp[tok] - penalty, tok, hyp_idx, Tensor(h_next.data)))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_live = []
+        for cand_score, tok, hyp_idx, h_next in candidates[:beam_size]:
+            _, tokens, _, used = live[hyp_idx]
+            if tok == eos:
+                finished.append((cand_score, tokens))
+            else:
+                next_live.append((cand_score, tokens + (tok,), h_next, used | {tok}))
+        live = next_live
+        if not live:
+            break
+    best_score, best_tokens = max(enumerate(finished), key=lambda kv: (kv[1][0], -kv[0]))[1]
+    return [model.vocab[t] for t in best_tokens], best_score
+
+
+def reference_story_beam(step, *, vocab_size, sb_id, group_count, penalties, max_sentence_tokens, excluded_ids=()):
+    """The penalized story beam search one hypothesis and one token at a time.
+
+    step takes one prefix tuple; returns (token ids, score, truncated) like beam_decode.
+    """
+    from storybridge.generate import beam_penalty_score
+
+    excluded = frozenset(excluded_ids) - {sb_id}
+    # hypothesis: (score, tokens, S, R, boundaries, sentence_len, truncated)
+    live = [(0.0, (), frozenset(), frozenset(), 0, 0, False)]
+    done = []
+    while live:
+        candidates = []
+        for hyp_idx, (score, tokens, s_set, r_set, bounds, sent_len, trunc) in enumerate(live):
+            logp = step(tokens)
+            story_len = bounds + 1 if penalties.length_unit == "sentences" else max(1, len(tokens))
+            forced = sent_len >= max_sentence_tokens
+            for tok in [sb_id] if forced else range(vocab_size):
+                if tok in excluded:
+                    continue
+                step_score = beam_penalty_score(
+                    float(logp[tok]), tok in s_set, tok in r_set, penalties.alpha, penalties.gamma, story_len
+                )
+                candidates.append((score + step_score, tok, hyp_idx, trunc or forced))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_live = []
+        for cand_score, tok, hyp_idx, trunc in candidates[: penalties.beam_size]:
+            _, tokens, s_set, r_set, bounds, sent_len, _ = live[hyp_idx]
+            if tok == sb_id:
+                hyp = (cand_score, tokens + (tok,), frozenset(), r_set | s_set, bounds + 1, 0, trunc)
+                (done if bounds + 1 == group_count else next_live).append(hyp)
+            else:
+                next_live.append((cand_score, tokens + (tok,), s_set | {tok}, r_set, bounds, sent_len + 1, trunc))
+        live = next_live
+        if len(done) >= penalties.beam_size:
+            break
+    best = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
+    return list(best[1]), best[0], best[6]

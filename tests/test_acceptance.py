@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err
+from helpers import batched, numeric_grad, rel_err
 from storybridge import autodiff as ad
 from storybridge.autodiff import Tensor
 from storybridge.corpus import (
@@ -158,7 +158,7 @@ EXC = 21
 
 def _stub_beam(step, groups, alpha, gamma, beam=3, max_sentence_tokens=5):
     return beam_decode(
-        step,
+        batched(step),
         vocab_size=V,
         sb_id=SB,
         group_count=groups,

@@ -215,3 +215,21 @@ def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_enrich_bad_term_path_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
+    from storybridge.enrich import TermPath
+    from storybridge.ioutil import write_jsonl
+
+    six = str(tmp_path / "six.jsonl")
+    write_jsonl(six, [TermPath.from_groups([[f"t{i}"] for i in range(6)], story_id="six").to_record()])
+    code, _, err = run_cli(
+        capsys,
+        "enrich",
+        "--terms", six,
+        "--kg", f"{pipeline_run['world']['kg_scene']}:scene:twohop",
+        "--lm", pipeline_run["world"]["lm_model"],
+        "--out", str(tmp_path / "o.jsonl"),
+    )
+    assert code == EXIT_INPUT
+    assert f"{six}:1" in err and "got 6" in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_term_beam
 from storybridge import autodiff as ad
 from storybridge.autodiff import Tensor
 from storybridge.distill import (
@@ -205,3 +206,31 @@ def test_feature_file_roundtrip(tmp_path):
     assert [s.story_id for s in loaded] == ["a", "b"]
     np.testing.assert_allclose(loaded[0].slots[0].features, seqs[0].slots[0].features)
     np.testing.assert_allclose(loaded[1].slots[1].confidences, seqs[1].slots[1].confidences)
+
+
+def assert_terms_match_reference(model, seq, beam_size):
+    memory = Tensor(model.encode_objects(seq).data)
+    eos = model.token_to_id[END_OF_SET]
+    want = [reference_term_beam(model, memory, slot.image_index, beam_size, eos)[0] for slot in seq.slots]
+    assert model.predict_terms(seq, beam_size=beam_size) == want
+    return want
+
+
+def test_batched_term_beam_matches_per_hypothesis_reference():
+    vocab = [END_OF_SET] + [f"t{i}" for i in range(12)]
+    config = DistillerConfig(hidden_size=16, heads=2, layers=1, ff_multiple=2, num_slots=3, max_terms_per_image=4, seed=8)
+    model = DistillerModel.build(vocab, config)
+    # a large output bias on a few terms makes repeats tempting and runs to the length bound
+    model.b_out.data[1:4] += 6.0
+    lengths = set()
+    for k in range(4):
+        seq = ImageSequence(f"r{k}", [make_slot(i, 3) for i in range(3)])
+        for beam in (1, 2, 3, 5):
+            lengths.update(len(terms) for terms in assert_terms_match_reference(model, seq, beam))
+    assert max(lengths) == config.max_terms_per_image
+
+
+def test_batched_term_beam_matches_reference_on_trained_fixture(trained_world):
+    model = DistillerModel.load(trained_world["distiller_model"])
+    for seq in load_feature_file(trained_world["features"])[:6]:
+        assert_terms_match_reference(model, seq, 3)

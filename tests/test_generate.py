@@ -1,9 +1,12 @@
+import json
 import math
 import zlib
 
 import numpy as np
 import pytest
 
+from helpers import batched, recompute_step, reference_story_beam
+from storybridge.beam import top_k
 from storybridge.enrich import TermPath
 from storybridge.generate import (
     BOS_STORY,
@@ -19,7 +22,6 @@ from storybridge.generate import (
     build_generator_vocab,
     decode_story,
     ldpe,
-    ldpe_from_remaining,
     story_tokens,
     train_generator,
 )
@@ -29,6 +31,7 @@ from storybridge.corpus import (
     StoryRecord,
     build_training_pairs,
 )
+from storybridge.layers import sinusoidal_encoding
 
 SMALL_GEN = GeneratorConfig(
     hidden_size=24, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=2, seed=9
@@ -72,10 +75,10 @@ def test_ldpe_rejects_bad_arguments():
         ldpe(0, 10, 5)
 
 
-def test_ldpe_from_remaining_rows():
-    rows = ldpe_from_remaining([3, 0], 6)
-    np.testing.assert_allclose(rows[0], ldpe(0, 3, 6))
-    np.testing.assert_allclose(rows[1], ldpe(3, 3, 6))
+def test_ldpe_is_sinusoidal_encoding_of_remaining_length():
+    rows = sinusoidal_encoding([3, 0], 6)
+    np.testing.assert_array_equal(rows[0], ldpe(0, 3, 6))
+    np.testing.assert_array_equal(rows[1], ldpe(3, 3, 6))
 
 
 # ------------------------------------------------------- penalty arithmetic
@@ -129,7 +132,7 @@ def test_sentence_length_unit_changes_inter_sentence_penalty():
 
     def decode(length_unit):
         tokens, _, _ = beam_decode(
-            step,
+            batched(step),
             vocab_size=V,
             sb_id=SB,
             group_count=2,
@@ -154,7 +157,7 @@ EXC = 21
 
 def run_stub_beam(step, groups=2, alpha=20.0, gamma=5.0, beam=3, max_sentence_tokens=5):
     return beam_decode(
-        step,
+        batched(step),
         vocab_size=V,
         sb_id=SB,
         group_count=groups,
@@ -336,14 +339,14 @@ def test_zero_penalty_decode_on_trained_model_matches_reference(memorized):
     model, _, pairs = memorized
     groups = pairs[0].term_groups
     budget = len(groups) * (model.sentence_budget + 1) + 1
-    step = model.step_log_probs_fn(groups, budget)
+    step = recompute_step(model, groups, budget)
     excluded = (
         model.token_to_id[BOS_STORY],
         model.token_to_id[EOS_STORY],
         model.token_to_id["<unk>"],
     )
     got_ids, got_score, _ = beam_decode(
-        step,
+        model.step_log_probs_fn(groups, budget),
         vocab_size=len(model.vocab),
         sb_id=model.token_to_id[SENTENCE_BOUNDARY],
         group_count=len(groups),
@@ -435,3 +438,148 @@ def test_story_tokens_layout():
         SENTENCE_BOUNDARY,
         EOS_STORY,
     ]
+
+
+# ------------------------------------- batched core against per-hypothesis references
+
+
+def assert_same_decode(got, want):
+    got_ids, got_score, got_trunc = got
+    want_ids, want_score, want_trunc = want
+    assert got_ids == want_ids
+    assert got_trunc == want_trunc
+    assert abs(got_score - want_score) <= 1e-9
+
+
+def stub_case(step, groups, penalties, max_sentence_tokens):
+    kwargs = dict(
+        vocab_size=V,
+        sb_id=SB,
+        group_count=groups,
+        penalties=penalties,
+        max_sentence_tokens=max_sentence_tokens,
+        excluded_ids=(EXC,),
+    )
+    return beam_decode(batched(step), **kwargs), reference_story_beam(step, **kwargs)
+
+
+def tied_step(prefix):
+    """Log-probs rounded to whole nats: many exact ties across tokens and hypotheses."""
+    return np.round(hashed_step(prefix) * 2.0) - 3.0
+
+
+@pytest.mark.parametrize("length_unit", ["tokens", "sentences"])
+@pytest.mark.parametrize("step", [hashed_step, tied_step], ids=["hashed", "tied"])
+def test_batched_beam_equals_per_hypothesis_reference(step, length_unit):
+    for groups in (1, 2, 3):
+        for beam in (1, 2, 3, 5):
+            for alpha, gamma in ((20.0, 5.0), (1.0, 3.0), (0.0, 0.0)):
+                for cap in (2, 5):
+                    penalties = BeamPenaltyConfig(alpha=alpha, gamma=gamma, beam_size=beam, length_unit=length_unit)
+                    got, want = stub_case(step, groups, penalties, cap)
+                    assert got[0] == want[0] and got[2] == want[2], (groups, beam, alpha, cap)
+                    assert got[1] == want[1]
+
+
+def test_exact_ties_at_the_kth_slot_resolve_to_lower_token_then_hypothesis():
+    # rows are hypotheses, columns tokens; five candidates tie at the top score
+    table = np.array([[0.0, 1.0, 1.0, -np.inf], [1.0, -2.0, 1.0, 1.0]])
+    rows, cols = top_k(table, 3)
+    assert list(zip(rows.tolist(), cols.tolist())) == [(1, 0), (0, 1), (0, 2)]
+    rows, cols = top_k(table, 5)
+    assert list(zip(rows.tolist(), cols.tolist())) == [(1, 0), (0, 1), (0, 2), (1, 2), (1, 3)]
+    # masked entries are never selected, even when fewer than k remain
+    rows, cols = top_k(np.array([[-np.inf, -5.0], [-np.inf, -np.inf]]), 3)
+    assert rows.tolist() == [0] and cols.tolist() == [1]
+
+    # in a decode: every word ties, so only the lowest ids and the earliest hypotheses survive
+    def flat_step(prefix):
+        logp = np.full(V, -3.0)
+        logp[SB] = -40.0
+        return logp
+
+    got, want = stub_case(flat_step, 2, BeamPenaltyConfig(alpha=20.0, gamma=5.0, beam_size=3), 3)
+    assert_same_decode(got, want)
+    assert sorted(got[0][:3]) == [0, 1, 2] and got[0][3] == SB
+
+
+def test_forced_sentence_close_matches_reference():
+    def never_ending(prefix):
+        logp = hashed_step(prefix)
+        logp[SB] = -60.0
+        return logp
+
+    for cap in (1, 2, 4):
+        got, want = stub_case(never_ending, 3, BeamPenaltyConfig(beam_size=3), cap)
+        assert_same_decode(got, want)
+        assert got[2]
+        assert got[0].count(SB) == 3 and len(got[0]) == 3 * (cap + 1)
+
+
+def small_random_generator(seed=5):
+    vocab = [BOS_STORY, EOS_STORY, SENTENCE_BOUNDARY, "<unk>", "<s>", "</s>", "<sep>"] + [f"w{i}" for i in range(40)]
+    config = GeneratorConfig(
+        hidden_size=16, heads=2, encoder_layers=2, decoder_layers=2, ff_multiple=2, max_sentence_tokens=4, seed=seed
+    )
+    return GeneratorModel.build(vocab, config, sentence_budget=3)
+
+
+def assert_story_matches_recompute(model, groups, penalties, per_sentence=None):
+    budget = len(groups) * ((per_sentence or model.sentence_budget) + 1) + 1
+    story = decode_story(TermPath.from_groups(groups), model, penalties, target_len_per_sentence=per_sentence)
+    excluded = tuple(model.token_to_id[t] for t in (BOS_STORY, EOS_STORY, "<unk>"))
+    want_ids, want_score, want_trunc = reference_story_beam(
+        recompute_step(model, groups, budget),
+        vocab_size=len(model.vocab),
+        sb_id=model.token_to_id[SENTENCE_BOUNDARY],
+        group_count=len(groups),
+        penalties=penalties,
+        max_sentence_tokens=model.config.max_sentence_tokens,
+        excluded_ids=excluded,
+    )
+    assert story.tokens == [model.vocab[t] for t in want_ids]
+    assert story.truncated == want_trunc
+    assert abs(story.score - want_score) <= 1e-9
+    return story
+
+
+def test_kv_cached_decode_matches_full_recompute_on_random_generator():
+    model = small_random_generator()
+    rng = np.random.default_rng(4)
+    truncated = 0
+    for trial in range(6):
+        groups = [[f"w{i}" for i in rng.integers(0, 40, size=2)] for _ in range(1 + trial % 4)]
+        for penalties in (
+            BeamPenaltyConfig(),
+            BeamPenaltyConfig(alpha=0.5, gamma=2.0, beam_size=4, length_unit="sentences"),
+        ):
+            truncated += assert_story_matches_recompute(model, groups, penalties).truncated
+    assert truncated  # random weights hit the sentence cap, so forced closes are covered
+
+
+def test_kv_cached_decode_matches_full_recompute_on_trained_models(memorized, pipeline_run):
+    model, _, pairs = memorized
+    assert_story_matches_recompute(model, pairs[0].term_groups, BeamPenaltyConfig())
+    assert_story_matches_recompute(model, pairs[0].term_groups, BeamPenaltyConfig(length_unit="sentences"), per_sentence=7)
+    fixture_model = GeneratorModel.load(pipeline_run["world"]["generator_model"])
+    with open(f"{pipeline_run['out_dir']}/paths.jsonl", "r", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    for rec in records[:8]:
+        assert_story_matches_recompute(fixture_model, rec["groups"], BeamPenaltyConfig())
+
+
+def test_step_rejects_a_prefix_whose_parent_was_not_in_the_previous_call():
+    model = small_random_generator()
+    groups = [["w1", "w2"], ["w3"]]
+    step = model.step_log_probs_fn(groups, 9)
+    with pytest.raises(ValueError, match="previous step"):
+        step([(8,)])  # the first call must start from the empty prefix
+    step = model.step_log_probs_fn(groups, 9)
+    first = step([()])
+    assert first.shape == (1, len(model.vocab))
+    second = step([(8,), (9,)])
+    np.testing.assert_allclose(second[1], recompute_step(model, groups, 9)((9,)), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="previous step"):
+        step([(8, 8), (7, 8)])  # (7,) was not a live prefix
+    with pytest.raises(ValueError, match="previous step"):
+        step([()])

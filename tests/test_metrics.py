@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storybridge.metrics import bleu_n, distinct_n
@@ -53,9 +53,22 @@ def test_bleu_rejects_bad_input():
         bleu_n([["a"]], [["a"]], 5)
 
 
+def clipped_precision(cands, refs, k):
+    """Clipped k-gram precision counted directly, independent of metrics.py."""
+    matched = total = 0
+    for cand, ref in zip(cands, refs):
+        ref_grams = [tuple(ref[i : i + k]) for i in range(len(ref) - k + 1)]
+        cand_grams = [tuple(cand[i : i + k]) for i in range(len(cand) - k + 1)]
+        for gram in set(cand_grams):
+            matched += min(cand_grams.count(gram), ref_grams.count(gram))
+        total += len(cand_grams)
+    return matched / total if total else 0.0
+
+
 @given(st.integers(min_value=0, max_value=10**6))
+@example(289716)  # BLEU-2 exceeds BLEU-1 on this draw: BLEU-n need not fall with n
 @settings(max_examples=40, deadline=None)
-def test_bleu_bounded_and_monotone_without_brevity_penalty(seed):
+def test_bleu_is_geometric_mean_of_clipped_precisions_without_brevity_penalty(seed):
     rng = np.random.default_rng(seed)
     vocab = ["a", "b", "c", "d"]
     refs, cands = [], []
@@ -65,9 +78,24 @@ def test_bleu_bounded_and_monotone_without_brevity_penalty(seed):
         # candidate at least as long as its reference, so brevity penalty is 1
         cand = [vocab[i] for i in rng.integers(0, 4, size=len(ref) + rng.integers(0, 3))]
         cands.append(cand)
-    scores = [bleu_n(cands, refs, n) for n in range(1, 5)]
-    assert all(0.0 <= s <= 1.0 for s in scores)
-    assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
+    check_bleu_laws(cands, refs)
+
+
+def check_bleu_laws(cands, refs):
+    for n in range(1, 5):
+        score = bleu_n(cands, refs, n)
+        precisions = [clipped_precision(cands, refs, k) for k in range(1, n + 1)]
+        want = math.prod(precisions) ** (1.0 / n)  # BP is 1: candidates are never shorter
+        assert score == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert 0.0 <= score <= max(precisions) + 1e-12
+
+
+def test_bleu_can_rise_with_order():
+    # the one-token pair adds an unmatched unigram but no bigram, so p2 > p1
+    cands, refs = [["x"], ["a", "b"]], [["y"], ["a", "b"]]
+    check_bleu_laws(cands, refs)
+    assert bleu_n(cands, refs, 1) == pytest.approx(2 / 3)
+    assert bleu_n(cands, refs, 2) == pytest.approx(math.sqrt(2 / 3))
 
 
 def test_distinct_counts_directly():

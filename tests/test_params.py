@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storybridge.ioutil import InputError
 from storybridge.params import ParameterStore
 
 
@@ -72,3 +73,92 @@ def test_collect_grads_fills_zeros():
     grads = store.collect_grads()
     np.testing.assert_allclose(grads["a"], [1.0, 2.0])
     np.testing.assert_allclose(grads["b"], np.zeros(3))
+
+
+# ------------------------------------------------------------ strict model loading
+
+
+def tiny_models():
+    from storybridge.distill import END_OF_SET, DistillerConfig, DistillerModel
+    from storybridge.generate import GeneratorConfig, GeneratorModel
+    from storybridge.lm import GRULanguageModel
+
+    gen_vocab = ["<bos>", "<eos>", "<sb>", "<unk>", "<s>", "</s>", "<sep>", "w"]
+    return {
+        "generator": (
+            GeneratorModel.build(gen_vocab, GeneratorConfig(hidden_size=4, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=1)),
+            GeneratorModel.load,
+            "dec.b_out",
+        ),
+        "distiller": (
+            DistillerModel.build([END_OF_SET, "t"], DistillerConfig(hidden_size=4, heads=2, layers=1, ff_multiple=1)),
+            DistillerModel.load,
+            "decoder.b_out",
+        ),
+        "gru_lm": (GRULanguageModel.build(["<s>", "</s>", "t"], hidden_size=4), GRULanguageModel.load, "lm.b_out"),
+    }
+
+
+def corrupt_checkpoint(tmp_path, kind, edit):
+    import json
+
+    model, load, name = tiny_models()[kind]
+    path = tmp_path / f"{kind}.json"
+    model.save(str(path))
+    payload = json.loads(path.read_text())
+    edit(payload["params"], name)
+    path.write_text(json.dumps(payload))
+    return load, str(path)
+
+
+def test_loaded_store_is_frozen_and_loads_cleanly(tmp_path):
+    for kind in ("generator", "distiller", "gru_lm"):
+        load, path = corrupt_checkpoint(tmp_path, kind, lambda params, name: None)
+        assert load(path).store.frozen
+
+
+@pytest.mark.parametrize("kind", ["generator", "distiller", "gru_lm"])
+def test_missing_parameter_is_an_input_error(tmp_path, kind):
+    load, path = corrupt_checkpoint(tmp_path, kind, lambda params, name: params.pop(name))
+    with pytest.raises(InputError, match="b_out"):
+        load(path)
+
+
+def test_extra_parameter_is_an_input_error(tmp_path):
+    def add(params, name):
+        params["dec.stray"] = {"shape": [1], "data": [0.0]}
+
+    load, path = corrupt_checkpoint(tmp_path, "generator", add)
+    with pytest.raises(InputError, match="dec.stray"):
+        load(path)
+
+
+def test_wrong_shape_is_an_input_error(tmp_path):
+    def reshape(params, name):
+        params[name] = {"shape": [len(params[name]["data"]) + 1], "data": params[name]["data"] + [0.0]}
+
+    load, path = corrupt_checkpoint(tmp_path, "generator", reshape)
+    with pytest.raises(InputError, match="dec.b_out"):
+        load(path)
+
+
+def test_non_finite_value_is_an_input_error(tmp_path):
+    def poison(params, name):
+        params[name]["data"][0] = float("nan")
+
+    load, path = corrupt_checkpoint(tmp_path, "generator", poison)
+    with pytest.raises(InputError, match="non-finite"):
+        load(path)
+
+
+def test_strict_load_errors_exit_two(tmp_path, capsys):
+    from storybridge.cli import EXIT_INPUT, main
+    from storybridge.enrich import TermPath
+    from storybridge.ioutil import write_jsonl
+
+    _load, path = corrupt_checkpoint(tmp_path, "generator", lambda params, name: params.pop(name))
+    paths = str(tmp_path / "paths.jsonl")
+    write_jsonl(paths, [TermPath.from_groups([["w"]], story_id="s").to_record()])
+    code = main(["generate", "--path", paths, "--model", path, "--out", str(tmp_path / "s.jsonl")])
+    assert code == EXIT_INPUT
+    assert path in capsys.readouterr().err
