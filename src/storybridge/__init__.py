@@ -19,7 +19,7 @@ from .generate import (
     train_generator,
 )
 from .kg import Bridge, KGTuple, RelationIndex, load_tuples
-from .lm import GRULanguageModel, NGramLM, linearize_groups, log_prob, perplexity, train_lm
+from .lm import GRULanguageModel, NGramLM, linearize_groups, log_prob, perplexities, perplexity, train_lm
 from .metrics import bleu_n, distinct_n
 from .pipeline import evaluate_stories, rerun_from_manifest, run_pipeline
 
@@ -51,6 +51,7 @@ __all__ = [
     "linearize_groups",
     "load_tuples",
     "log_prob",
+    "perplexities",
     "perplexity",
     "rerun_from_manifest",
     "run_pipeline",

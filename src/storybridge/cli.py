@@ -79,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("make-fixtures", help="write the synthetic fixture suite"))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--variants", type=int, default=5, help="stories per archetype")
+    p.add_argument("--bridged-copies", type=int, default=2, help="copies of each bridged six-sentence text story")
 
     return parser
 
@@ -152,7 +154,7 @@ def run(args) -> int:
         scores = evaluate_stories(args.candidates, args.references)
         print(json.dumps(scores, sort_keys=True))
     elif args.command == "make-fixtures":
-        paths = write_fixtures(args.out_dir, seed=args.seed)
+        paths = write_fixtures(args.out_dir, seed=args.seed, variants=args.variants, bridged_copies=args.bridged_copies)
         print(json.dumps(paths, sort_keys=True))
     else:  # pragma: no cover
         raise InputError(f"unknown command {args.command!r}")

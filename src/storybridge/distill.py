@@ -297,7 +297,7 @@ class DistillerModel:
         store, meta = ParameterStore.load(path)
         extra = meta["extra"]
         if extra.get("kind") != "distiller":
-            raise ValueError(f"{path}: not a distiller checkpoint")
+            raise InputError(f"{path}: not a distiller checkpoint")
         return store.build_model(path, lambda: cls(extra["vocab"], DistillerConfig(**extra["config"]), store))
 
 

@@ -2,17 +2,20 @@
 
 Every bridge between terms of adjacent images becomes a candidate path with
 the bridge's terms as an extra group; the unenriched path always competes.
-Candidates are scored by term-LM perplexity of their linearization and the
-lowest wins, earlier construction order breaking exact ties.
+Candidates are scored by term-LM perplexity of their linearization, all in
+one batched call, and the lowest wins, earlier construction order breaking
+exact ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ioutil import InputError
 from .kg import Bridge, RelationIndex
-from .lm import linearize_groups, perplexity
+from .lm import linearize_groups, perplexities
 
 
 @dataclass(frozen=True)
@@ -157,12 +160,9 @@ def select_best(candidates, lm) -> EnrichmentCandidate:
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidates to select from")
-    best_path, best_ppl = None, None
-    for path in candidates:
-        ppl = perplexity(lm, path.linearized())
-        if best_ppl is None or ppl < best_ppl:
-            best_path, best_ppl = path, ppl
-    return EnrichmentCandidate(best_path, best_ppl)
+    scores = perplexities(lm, [path.linearized() for path in candidates])
+    best = int(np.argmin(scores))  # the first of equal minima
+    return EnrichmentCandidate(candidates[best], float(scores[best]))
 
 
 def enrich_path(base: TermPath, index: RelationIndex, lm, cap: int | None = 500, allow_two_hop: bool = True) -> EnrichmentCandidate:

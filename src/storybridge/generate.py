@@ -26,6 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .beam import top_k
+from .ioutil import InputError
 from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
 from .lm import BOS as PATH_BOS
 from .lm import EOS as PATH_EOS
@@ -230,7 +231,7 @@ class GeneratorModel:
         store, meta = ParameterStore.load(path)
         extra = meta["extra"]
         if extra.get("kind") != "generator":
-            raise ValueError(f"{path}: not a generator checkpoint")
+            raise InputError(f"{path}: not a generator checkpoint")
         return store.build_model(
             path, lambda: cls(extra["vocab"], GeneratorConfig(**extra["config"]), store, extra["sentence_budget"])
         )

@@ -1,10 +1,12 @@
-"""Shared file plumbing: canonical JSON lines, hashing, input errors."""
+"""Shared file plumbing: canonical JSON lines, atomic writes, hashing, input errors."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import secrets
 
 
 class InputError(Exception):
@@ -36,10 +38,28 @@ def read_jsonl_lines(path: str) -> list[tuple[int, dict]]:
     return records
 
 
-def write_jsonl(path: str, records) -> None:
+@contextlib.contextmanager
+def atomic_writer(path: str):
+    """Text handle on a temp file beside path; path is replaced only once the block completes.
+
+    If the block raises, the temp file is removed and any previous file at
+    path is left as it was.
+    """
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_jsonl(path: str, records) -> None:
+    with atomic_writer(path) as fh:
         for rec in records:
             fh.write(canonical_dumps(rec))
             fh.write("\n")
@@ -56,9 +76,7 @@ def read_json(path: str) -> dict:
 
 
 def write_json(path: str, obj) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2))
         fh.write("\n")
 

@@ -81,7 +81,7 @@ def gru_cell(
     w_hn: Tensor,
     b_nh: Tensor,
 ) -> Tensor:
-    """One gated recurrent step; x is (1, Din), h is (1, D), returns (1, D)."""
+    """One gated recurrent step over N rows; x is (N, Din), h is (N, D), returns (N, D)."""
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_cell: expected matching 2-d inputs, got {x.shape} and {h.shape}")
     r = ad.sigmoid(linear(x, w_xr) + linear(h, w_hr) + b_r)
@@ -281,22 +281,3 @@ class GRUParams:
     def __call__(self, x, h):
         return gru_cell(x, h, **self.kw)
 
-
-_PRIMITIVES = {
-    "matmul": ad.matmul,
-    "add": ad.add,
-    "softmax": ad.softmax,
-    "layernorm": ad.layernorm,
-    "embed": ad.embed,
-    "gru_cell": gru_cell,
-    "multi_head_attention": multi_head_attention,
-}
-
-
-def forward_primitive(op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch one named primitive; unknown kinds and bad shapes raise."""
-    try:
-        op = _PRIMITIVES[op_kind]
-    except KeyError:
-        raise ShapeError(f"unknown primitive op_kind '{op_kind}'") from None
-    return op(*inputs, **kwargs)

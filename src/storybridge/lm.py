@@ -3,20 +3,21 @@
 Two interchangeable scorers: a deterministic add-k n-gram model and a GRU
 model trained with the neural core. Both score a sequence as the sum of
 conditional log-probabilities of every token after the first, and report
-perplexity normalized by that token count.
+perplexity normalized by that token count. The GRU model scores a list of
+sequences as padded batches, ``SCORE_BLOCK_ROWS`` rows per pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .ioutil import InputError, atomic_writer, read_json
 from .layers import GRUParams, linear
 from .optim import AdamState, adam_step
 from .params import ParameterStore
@@ -25,6 +26,9 @@ BOS = "<s>"
 EOS = "</s>"
 SEP = "<sep>"
 UNK = "<unk>"
+
+# Rows per batched GRU scoring pass: bounds the (rows, vocabulary) temporaries.
+SCORE_BLOCK_ROWS = 512
 
 
 def linearize_groups(groups) -> list[str]:
@@ -105,19 +109,23 @@ class NGramLM:
             "counts": [[list(ctx), dict(ws)] for ctx, ws in sorted(self.counts.items())],
             "context_counts": [[list(ctx), n] for ctx, n in sorted(self.context_counts.items())],
         }
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_writer(path) as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def load(cls, path: str) -> "NGramLM":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("kind") != "ngram":
-            raise ValueError(f"{path}: not an n-gram checkpoint")
-        counts = {tuple(ctx): ws for ctx, ws in payload["counts"]}
-        context_counts = {tuple(ctx): n for ctx, n in payload["context_counts"]}
-        return cls(payload["order"], payload["vocab"], counts, context_counts, payload["smoothing_k"])
+        return cls.from_payload(read_json(path), path)
+
+    @classmethod
+    def from_payload(cls, payload, where: str) -> "NGramLM":
+        if not isinstance(payload, dict) or payload.get("kind") != "ngram":
+            raise InputError(f"{where}: not an n-gram checkpoint")
+        try:
+            counts = {tuple(ctx): ws for ctx, ws in payload["counts"]}
+            context_counts = {tuple(ctx): n for ctx, n in payload["context_counts"]}
+            return cls(payload["order"], payload["vocab"], counts, context_counts, payload["smoothing_k"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{where}: malformed n-gram checkpoint ({exc})") from None
 
 
 class GRULanguageModel:
@@ -126,6 +134,7 @@ class GRULanguageModel:
     def __init__(self, vocab, hidden_size: int, store: ParameterStore):
         self.vocab = list(vocab)
         self.token_to_id = {t: i for i, t in enumerate(self.vocab)}
+        self._vocab_set = set(self.vocab)
         self.hidden_size = hidden_size
         self.store = store
         d = hidden_size
@@ -139,8 +148,7 @@ class GRULanguageModel:
         return cls(vocab, hidden_size, ParameterStore(seed))
 
     def _ids(self, tokens) -> list[int]:
-        vocab_set = set(self.vocab)
-        return [self.token_to_id[_map_token(t, vocab_set)] for t in tokens]
+        return [self.token_to_id[_map_token(t, self._vocab_set)] for t in tokens]
 
     def sequence_logits(self, tokens) -> Tensor:
         """Logit rows predicting tokens[1:] from their prefixes."""
@@ -153,19 +161,42 @@ class GRULanguageModel:
             rows.append(linear(h, self.w_out, self.b_out))
         return ad.concat(rows, axis=0)
 
-    def step_log_probs(self, prefix_tokens) -> np.ndarray:
-        """Next-token log-probabilities given a prefix (no tape)."""
-        ids = self._ids(prefix_tokens)
-        h = Tensor(np.zeros((1, self.hidden_size)))
-        for tok_id in ids:
-            x = ad.embed(self.embedding, [tok_id])
-            h = self.cell(x, h)
-        logits = linear(h, self.w_out, self.b_out)
-        return ad.log_softmax_values(logits.data)[0]
+    def _forward(self, ids: np.ndarray):
+        """Next-token log-probabilities (N, V) after each column of an id matrix (N, T), off the tape."""
+        h = np.zeros((ids.shape[0], self.hidden_size))
+        for j in range(ids.shape[1]):
+            h = self.cell(Tensor(self.embedding.data[ids[:, j]]), Tensor(h)).data
+            yield ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
 
     def next_token_distribution(self, context) -> dict[str, float]:
-        logp = self.step_log_probs(context)
-        return {t: float(np.exp(logp[i])) for i, t in enumerate(self.vocab)}
+        *_, logp = self._forward(np.array([self._ids(context)]))
+        return {t: float(np.exp(logp[0, i])) for i, t in enumerate(self.vocab)}
+
+    def log_probs(self, seqs) -> np.ndarray:
+        """Summed log-probabilities of each sequence's tokens after the first.
+
+        Each distinct id sequence is scored once, so sequences that map to
+        the same ids (say, through <unk>) get the very same float. Distinct
+        sequences run through the GRU cell as padded (rows, d) batches of at
+        most SCORE_BLOCK_ROWS rows.
+        """
+        first: dict[tuple, int] = {}
+        owner = [first.setdefault(tuple(self._ids(seq)), len(first)) for seq in seqs]
+        distinct = list(first)
+        totals = np.empty(len(distinct))
+        for lo in range(0, len(distinct), SCORE_BLOCK_ROWS):
+            block = distinct[lo : lo + SCORE_BLOCK_ROWS]
+            lengths = np.array([len(ids) for ids in block])
+            ids = np.zeros((len(block), lengths.max()), dtype=np.int64)
+            for row, seq_ids in enumerate(block):
+                ids[row, : len(seq_ids)] = seq_ids
+            rows = np.arange(len(block))
+            gathered = np.zeros((len(block), ids.shape[1] - 1))
+            for j, logp in enumerate(self._forward(ids[:, :-1])):
+                live = j + 1 < lengths
+                gathered[live, j] = logp[rows[live], ids[live, j + 1]]
+            totals[lo : lo + len(block)] = gathered.sum(axis=1)
+        return totals[owner]
 
     def save(self, path: str) -> None:
         self.store.save(
@@ -176,36 +207,53 @@ class GRULanguageModel:
 
     @classmethod
     def load(cls, path: str) -> "GRULanguageModel":
-        store, meta = ParameterStore.load(path)
+        return cls.from_payload(read_json(path), path)
+
+    @classmethod
+    def from_payload(cls, payload, where: str) -> "GRULanguageModel":
+        store, meta = ParameterStore.from_payload(payload, where)
         extra = meta["extra"]
         if extra.get("kind") != "gru_lm":
-            raise ValueError(f"{path}: not a recurrent LM checkpoint")
-        return store.build_model(path, lambda: cls(extra["vocab"], extra["hidden_size"], store))
+            raise InputError(f"{where}: not a recurrent LM checkpoint")
+        return store.build_model(where, lambda: cls(extra["vocab"], extra["hidden_size"], store))
+
+
+def _ngram_log_prob(model: NGramLM, seq) -> float:
+    total = 0.0
+    for i in range(1, len(seq)):
+        p = model.prob(seq[i], seq[:i])
+        total += math.log(p) if p > 0 else -math.inf
+    return total
+
+
+def log_probs(model, seqs) -> np.ndarray:
+    """Sum of conditional log-probabilities of seq[1:] for each sequence; always <= 0.
+
+    A GRU model scores all sequences in batched passes; an n-gram model
+    scores them one at a time.
+    """
+    seqs = [list(seq) for seq in seqs]
+    if any(len(seq) < 2 for seq in seqs):
+        raise ValueError("sequence must hold at least a begin and an end token")
+    if isinstance(model, NGramLM):
+        return np.array([_ngram_log_prob(model, seq) for seq in seqs], dtype=np.float64)
+    return model.log_probs(seqs)
 
 
 def log_prob(model, seq) -> float:
     """Sum of conditional log-probabilities of seq[1:]; always <= 0."""
-    seq = list(seq)
-    if len(seq) < 2:
-        raise ValueError("sequence must hold at least a begin and an end token")
-    if isinstance(model, NGramLM):
-        total = 0.0
-        for i in range(1, len(seq)):
-            p = model.prob(seq[i], seq[:i])
-            total += math.log(p) if p > 0 else -math.inf
-        return total
-    vocab_set = set(model.vocab)
-    ids = [model.token_to_id[_map_token(t, vocab_set)] for t in seq]
-    logits = model.sequence_logits(seq)
-    logp = ad.log_softmax_values(logits.data)
-    return float(logp[np.arange(len(ids) - 1), ids[1:]].sum())
+    return float(log_probs(model, [seq])[0])
+
+
+def perplexities(model, seqs) -> np.ndarray:
+    """exp(-log_prob / scored token count) per sequence; the first token is not scored."""
+    seqs = [list(seq) for seq in seqs]
+    return np.array([math.exp(-lp / (len(seq) - 1)) for lp, seq in zip(log_probs(model, seqs), seqs)])
 
 
 def perplexity(model, seq) -> float:
     """exp(-log_prob / scored token count); the first token is not scored."""
-    seq = list(seq)
-    lp = log_prob(model, seq)
-    return float(math.exp(-lp / (len(seq) - 1)))
+    return float(perplexities(model, [seq])[0])
 
 
 @dataclass
@@ -253,7 +301,7 @@ def train_lm(corpus, config: LMTrainConfig | None = None):
             ad.backward(loss)
             adam_step(model.store, model.store.collect_grads(), state)
             model.store.zero_grads()
-        ppl = float(np.mean([perplexity(model, seq) for seq in holdout]))
+        ppl = float(np.mean(perplexities(model, holdout)))
         history.append(ppl)
         if config.log:
             config.log(f"epoch {epoch + 1}: holdout perplexity {ppl:.4f}")
@@ -263,7 +311,7 @@ def train_lm(corpus, config: LMTrainConfig | None = None):
 
 def load_term_sequences(path: str) -> list[list[str]]:
     """Read an LM corpus file: one {"tokens": [...]} record per line."""
-    from .ioutil import InputError, read_jsonl
+    from .ioutil import read_jsonl
 
     sequences = []
     for i, rec in enumerate(read_jsonl(path), start=1):
@@ -280,9 +328,8 @@ def save_term_sequences(path: str, sequences) -> None:
 
 
 def load_lm(path: str):
-    """Load either LM kind by sniffing the checkpoint."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") == "ngram":
-        return NGramLM.load(path)
-    return GRULanguageModel.load(path)
+    """Load either LM kind from one parse of the checkpoint."""
+    payload = read_json(path)
+    if isinstance(payload, dict) and payload.get("kind") == "ngram":
+        return NGramLM.from_payload(payload, path)
+    return GRULanguageModel.from_payload(payload, path)

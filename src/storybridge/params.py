@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
 from .autodiff import Tensor
-from .ioutil import InputError
+from .ioutil import InputError, atomic_writer, read_json
 
 FORMAT_VERSION = 1
 
@@ -119,18 +118,29 @@ class ParameterStore:
 
     def save(self, path: str, schedule: dict | None = None, extra: dict | None = None) -> None:
         payload = self.to_payload(schedule=schedule, extra=extra)
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_writer(path) as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_payload(cls, payload: dict, where: str = "checkpoint") -> tuple["ParameterStore", dict]:
-        """A frozen store from a checkpoint payload; every value must be finite."""
+        """A frozen store from a checkpoint payload; every value must be finite.
+
+        A payload that is not a checkpoint of this format raises InputError
+        naming ``where``.
+        """
+        if not isinstance(payload, dict):
+            raise InputError(f"{where}: not a checkpoint (top level is not a JSON object)")
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format_version {version!r}")
-        store = cls(payload["rng_seed"])
-        for name, entry in payload["params"].items():
+            raise InputError(f"{where}: unsupported checkpoint format_version {version!r}")
+        params, extra = payload.get("params"), payload.get("extra", {})
+        if not isinstance(params, dict) or not isinstance(extra, dict):
+            raise InputError(f"{where}: checkpoint needs a 'params' object and an 'extra' object")
+        try:
+            store = cls(payload["rng_seed"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{where}: checkpoint has no usable rng_seed ({exc})") from None
+        for name, entry in params.items():
             try:
                 data = np.asarray(entry["data"], dtype=np.float64).reshape(tuple(entry["shape"]))
             except (KeyError, TypeError, ValueError) as exc:
@@ -138,10 +148,8 @@ class ParameterStore:
             if not np.isfinite(data).all():
                 raise InputError(f"{where}: parameter '{name}' holds non-finite values")
             store._params[name] = Tensor(data, requires_grad=True)
-        return store.freeze(), {"schedule": payload.get("schedule"), "extra": payload.get("extra", {})}
+        return store.freeze(), {"schedule": payload.get("schedule"), "extra": extra}
 
     @classmethod
     def load(cls, path: str) -> tuple["ParameterStore", dict]:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls.from_payload(payload, where=path)
+        return cls.from_payload(read_json(path), where=path)

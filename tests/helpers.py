@@ -132,3 +132,24 @@ def reference_story_beam(step, *, vocab_size, sb_id, group_count, penalties, max
             break
     best = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
     return list(best[1]), best[0], best[6]
+
+
+# ------------------------------------------------------------ LM scoring references
+
+
+def reference_perplexity(model, seq) -> float:
+    """GRU perplexity of one sequence through the training path's sequence_logits."""
+    import math
+
+    from storybridge import autodiff as ad
+
+    ids = model._ids(seq)
+    logp = ad.log_softmax_values(model.sequence_logits(seq).data)
+    return math.exp(-float(logp[np.arange(len(ids) - 1), ids[1:]].sum()) / (len(seq) - 1))
+
+
+def reference_select(candidates, model):
+    """Index and perplexity of the first lowest-perplexity candidate, scored one at a time."""
+    scores = [reference_perplexity(model, path.linearized()) for path in candidates]
+    best = int(np.argmin(scores))
+    return best, scores[best]

@@ -22,6 +22,21 @@ def test_make_fixtures_subcommand(tmp_path, capsys):
         assert os.path.exists(paths[role]), role
 
 
+def test_make_fixtures_variants_and_bridged_copies(tmp_path, capsys):
+    out_dir = str(tmp_path / "world")
+    code, out, _ = run_cli(
+        capsys, "make-fixtures", "--out-dir", out_dir, "--variants", "2", "--bridged-copies", "3"
+    )
+    assert code == EXIT_OK
+    paths = json.loads(out)
+    vision = read_jsonl(paths["corpus"])
+    text_ids = [r["story_id"] for r in read_jsonl(paths["text_corpus"])]
+    assert len(vision) == 8  # four archetypes, two variants each
+    assert sorted(sid for sid in text_ids if sid.startswith("txt-picnic")) == [
+        f"txt-picnic{v}-{c}" for v in range(2) for c in range(3)
+    ]
+
+
 def test_enrich_and_generate_subcommands(pipeline_run, tmp_path, capsys):
     world = pipeline_run["world"]
     terms = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
@@ -202,10 +217,40 @@ def test_bad_kg_flag_exits_two(pipeline_run, tmp_path, capsys):
     assert "onehop" in err
 
 
-def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys):
-    # a corrupt checkpoint is a runtime failure, not an input-shape error
+def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys, monkeypatch):
+    import storybridge.cli
+
+    def fail(*_args, **_kwargs):
+        raise RuntimeError("decoder blew up")
+
+    monkeypatch.setattr(storybridge.cli, "stage_generate", fail)
+    code, _, err = run_cli(
+        capsys,
+        "generate",
+        "--path", os.path.join(pipeline_run["out_dir"], "paths.jsonl"),
+        "--model", pipeline_run["world"]["generator_model"],
+        "--out", str(tmp_path / "s.jsonl"),
+    )
+    assert code == 1
+    assert "RuntimeError: decoder blew up" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        json.dumps([1, 2]),
+        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}}),
+        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": {"kind": "gru_lm"}}),
+        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": []}),
+        json.dumps({"format_version": 7, "rng_seed": 0, "params": {}, "extra": {"kind": "generator"}}),
+    ],
+    ids=["not-json", "json-list", "no-kind", "wrong-kind", "extra-not-object", "wrong-version"],
+)
+def test_bad_generator_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, content):
     broken = str(tmp_path / "broken.json")
-    write_json(broken, {"format_version": 1, "rng_seed": 0, "params": {}})
+    with open(broken, "w", encoding="utf-8") as fh:
+        fh.write(content)
     code, _, err = run_cli(
         capsys,
         "generate",
@@ -213,8 +258,33 @@ def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys):
         "--model", broken,
         "--out", str(tmp_path / "s.jsonl"),
     )
-    assert code == 1
-    assert "error" in err
+    assert code == EXIT_INPUT
+    assert broken in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": {"kind": "generator"}}),
+        json.dumps({"kind": "ngram", "order": 2}),
+    ],
+    ids=["not-json", "wrong-kind", "ngram-missing-counts"],
+)
+def test_bad_lm_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, content):
+    broken = str(tmp_path / "broken_lm.json")
+    with open(broken, "w", encoding="utf-8") as fh:
+        fh.write(content)
+    code, _, err = run_cli(
+        capsys,
+        "enrich",
+        "--terms", os.path.join(pipeline_run["out_dir"], "terms.jsonl"),
+        "--kg", f"{pipeline_run['world']['kg_scene']}:scene:twohop",
+        "--lm", broken,
+        "--out", str(tmp_path / "o.jsonl"),
+    )
+    assert code == EXIT_INPUT
+    assert broken in err
 
 
 def test_enrich_bad_term_path_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):

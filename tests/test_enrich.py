@@ -1,9 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
+from helpers import reference_select
+from storybridge import lm as lm_module
 from storybridge.enrich import EnrichmentCandidate, TermPath, build_candidates, enrich_path, select_best
+from storybridge.ioutil import read_jsonl
 from storybridge.kg import Bridge, KGTuple, RelationIndex
-from storybridge.lm import NGramLM, linearize_groups, perplexity
+from storybridge.lm import BOS, EOS, SEP, UNK, GRULanguageModel, NGramLM, linearize_groups, perplexities, perplexity
+from storybridge.pipeline import load_kg_index
 
 
 def base_path(groups=None, sid="s"):
@@ -143,3 +149,60 @@ def test_term_path_record_roundtrip():
 def test_candidate_perplexity_floor_enforced():
     with pytest.raises(ValueError, match="never below 1"):
         EnrichmentCandidate(base_path(), 0.5)
+
+
+def test_select_best_matches_per_candidate_rescoring_on_published_shaped_lm(monkeypatch):
+    # hidden 64 and about 2000 terms, like the published term LM; blocks smaller than the list
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_ROWS", 16)
+    rng = np.random.default_rng(21)
+    terms = [f"w{i}" for i in range(1990)]
+    relations = [f"r{i}" for i in range(6)]
+    model = GRULanguageModel.build(terms + relations + [BOS, EOS, SEP, UNK], hidden_size=64, seed=5)
+    groups = [list(rng.choice(terms[:40], size=8, replace=False)) for _ in range(5)]
+    index = RelationIndex()
+    for _ in range(150):
+        a, b = rng.integers(5, size=2)
+        index.add(KGTuple(str(rng.choice(groups[a])), str(rng.choice(relations)), str(rng.choice(groups[b])), "g"))
+    index.add(KGTuple(groups[0][0], "r0", "outside_vocab", "g"))
+    index.add(KGTuple("outside_vocab", "r1", groups[1][0], "g"))
+    cands = build_candidates(base_path(groups), index, cap=60)
+    assert len(cands) == 60
+    choice = select_best(cands, model)
+    best, best_ppl = reference_select(cands, model)
+    assert choice.path == cands[best]
+    assert choice.perplexity == pytest.approx(best_ppl, rel=1e-12)
+
+
+def test_bridges_with_equal_ids_tie_bitwise_and_the_earlier_wins():
+    vocab = ["a1", "b1", "b2", "c1", "d1", "e1", "r1", "r2", BOS, EOS, SEP, UNK]
+    model = GRULanguageModel.build(vocab, hidden_size=12, seed=2)
+    base = base_path()
+    # both middles are out of vocabulary, so both bridges linearize to the same ids
+    first = base.with_bridge(1, Bridge("b1", ("r1", "r2"), "middle_one", "c1"))
+    second = base.with_bridge(1, Bridge("b1", ("r1", "r2"), "middle_two", "c1"))
+    others = [base.with_bridge(k, Bridge(h, ("r1",), None, t)) for k, h, t in ((0, "a1", "b2"), (2, "c1", "d1"), (3, "d1", "e1"))]
+    cands = [base] + others + [first, second]
+    scores = perplexities(model, [c.linearized() for c in cands])
+    assert scores[-2].tobytes() == scores[-1].tobytes()
+    assert select_best([first, second], model).path.bridge.middle == "middle_one"
+    assert select_best([second, first], model).path.bridge.middle == "middle_two"
+    assert select_best(cands, model).path == cands[int(np.argmin(scores))]
+
+
+def test_fixture_pipeline_selection_matches_per_candidate_rescoring(pipeline_run):
+    config = pipeline_run["config"]
+    out_dir = pipeline_run["out_dir"]
+    model = lm_module.load_lm(config.lm_model)
+    index = load_kg_index(config)
+    selected = read_jsonl(os.path.join(out_dir, "paths.jsonl"))
+    bases = [TermPath.from_record(rec) for rec in read_jsonl(os.path.join(out_dir, "terms.jsonl"))]
+    assert len(selected) == len(bases) > 0
+    bridged = 0
+    for base, rec in zip(bases, selected):
+        cands = build_candidates(base, index, cap=config.candidate_cap, allow_two_hop=config.two_hop)
+        best, best_ppl = reference_select(cands, model)
+        chosen = TermPath.from_record(rec)
+        assert (chosen.groups, chosen.origins, chosen.bridge) == (cands[best].groups, cands[best].origins, cands[best].bridge)
+        assert rec["perplexity"] == pytest.approx(best_ppl, rel=1e-12)
+        bridged += chosen.bridge is not None
+    assert bridged > 0

@@ -9,7 +9,6 @@ from storybridge.layers import (
     TransformerDecoder,
     TransformerEncoder,
     causal_mask,
-    forward_primitive,
     gru_cell,
     multi_head_attention,
     sinusoidal_encoding,
@@ -112,33 +111,40 @@ def test_sinusoidal_encoding_shape_and_range():
     np.testing.assert_allclose(pe[0, 1::2], 1.0)
 
 
-def test_forward_primitive_dispatch_and_errors():
-    out = forward_primitive("softmax", Tensor([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
-    with pytest.raises(ShapeError, match="op_kind 'conv2d'"):
-        forward_primitive("conv2d", Tensor([1.0]))
-    with pytest.raises(ShapeError, match="matmul"):
-        forward_primitive("matmul", Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-
-def test_forward_primitive_gru_and_attention_kinds():
-    store = ParameterStore(33)
-    cell = GRUParams(store, "g", d_in=3, d=4)
-    out = forward_primitive("gru_cell", Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), **cell.kw)
-    assert out.shape == (1, 4)
-    attn = ParameterStore(34)
-    kw = dict(
-        wq=attn.param("wq", (4, 4)),
-        bq=attn.param("bq", (4,), init="zeros"),
-        wk=attn.param("wk", (4, 4)),
-        bk=attn.param("bk", (4,), init="zeros"),
-        wv=attn.param("wv", (4, 4)),
-        bv=attn.param("bv", (4,), init="zeros"),
-        wo=attn.param("wo", (4, 4)),
-        bo=attn.param("bo", (4,), init="zeros"),
+def _attention_kw(seed, d):
+    store = ParameterStore(seed)
+    return dict(
+        wq=store.param("wq", (d, d)),
+        bq=store.param("bq", (d,), init="zeros"),
+        wk=store.param("wk", (d, d)),
+        bk=store.param("bk", (d,), init="zeros"),
+        wv=store.param("wv", (d, d)),
+        bv=store.param("bv", (d,), init="zeros"),
+        wo=store.param("wo", (d, d)),
+        bo=store.param("bo", (d,), init="zeros"),
     )
+
+
+def test_layer_ops_raise_shape_errors():
+    with pytest.raises(ShapeError, match="matmul"):
+        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    cell = GRUParams(ParameterStore(33), "g", d_in=3, d=4)
+    with pytest.raises(ShapeError, match="gru_cell"):
+        gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 4))), **cell.kw)
     x = Tensor(np.ones((2, 4)))
-    out = forward_primitive("multi_head_attention", x, x, x, num_heads=2, **kw)
-    assert out.shape == (2, 4)
     with pytest.raises(ShapeError, match="multi_head_attention"):
-        forward_primitive("multi_head_attention", x, x, x, num_heads=3, **kw)
+        multi_head_attention(x, x, x, num_heads=3, **_attention_kw(34, 4))
+
+
+def test_gru_cell_rows_and_attention_shapes():
+    cell = GRUParams(ParameterStore(33), "g", d_in=3, d=4)
+    rng = np.random.default_rng(5)
+    x, h = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
+    batched = gru_cell(Tensor(x), Tensor(h), **cell.kw).data
+    assert batched.shape == (6, 4)
+    for row in range(6):
+        single = cell(Tensor(x[row : row + 1]), Tensor(h[row : row + 1])).data
+        np.testing.assert_allclose(batched[row : row + 1], single, rtol=1e-12, atol=1e-15)
+    x = Tensor(np.ones((2, 4)))
+    out = multi_head_attention(x, x, x, num_heads=2, **_attention_kw(34, 4))
+    assert out.shape == (2, 4)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_perplexity
+from storybridge import autodiff as ad
+from storybridge import lm as lm_module
 from storybridge.lm import (
     BOS,
     EOS,
@@ -16,6 +19,7 @@ from storybridge.lm import (
     linearize_groups,
     load_lm,
     log_prob,
+    perplexities,
     perplexity,
     train_lm,
 )
@@ -174,3 +178,67 @@ def test_lm_checkpoints_roundtrip(tmp_path):
     loaded_gru = load_lm(gpath)
     assert isinstance(loaded_gru, GRULanguageModel)
     assert log_prob(loaded_gru, corpus[0]) == pytest.approx(log_prob(gru, corpus[0]), rel=1e-12)
+
+
+def _random_gru(seed, vocab_size=30, hidden=16):
+    vocab = [f"t{i}" for i in range(vocab_size)] + [BOS, EOS, SEP, UNK]
+    return GRULanguageModel.build(vocab, hidden_size=hidden, seed=seed)
+
+
+def _random_sequences(rng, count, vocab_size=30, max_len=60):
+    # token ids past the vocabulary are out-of-vocabulary words that map to <unk>
+    seqs = []
+    for _ in range(count):
+        length = int(rng.integers(2, max_len + 1))
+        inner = [f"t{rng.integers(vocab_size + 5)}" for _ in range(length - 2)]
+        seqs.append([BOS] + inner + [EOS])
+    return seqs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("block_rows", [1, 4, 512])
+def test_batched_perplexities_match_per_sequence_reference(seed, block_rows, monkeypatch):
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(seed)
+    model = _random_gru(seed, hidden=int(rng.integers(4, 25)))
+    seqs = _random_sequences(rng, 23) + [[BOS, EOS], [BOS, "t3", EOS]]
+    got = perplexities(model, seqs)
+    want = np.array([reference_perplexity(model, seq) for seq in seqs])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for seq, ppl in zip(seqs[:3], got[:3]):
+        assert perplexity(model, seq) == pytest.approx(ppl, rel=1e-12)
+        assert log_prob(model, seq) == pytest.approx(-math.log(ppl) * (len(seq) - 1), rel=1e-12)
+
+
+def test_sequences_with_equal_ids_share_one_float(monkeypatch):
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_ROWS", 2)
+    model = _random_gru(7)
+    rng = np.random.default_rng(7)
+    twin_a = [BOS, "t1", "never_seen", SEP, "t2", EOS]
+    twin_b = [BOS, "t1", "also_unknown", SEP, "t2", EOS]
+    seqs = _random_sequences(rng, 5) + [twin_a] + _random_sequences(rng, 4) + [twin_b]
+    got = perplexities(model, seqs)
+    assert got[5].tobytes() == got[10].tobytes()
+    assert got[5] == pytest.approx(reference_perplexity(model, twin_a), rel=1e-12)
+
+
+def test_perplexities_reject_short_sequences_and_accept_none():
+    model = _random_gru(0)
+    assert perplexities(model, []).shape == (0,)
+    with pytest.raises(ValueError, match="begin and an end"):
+        perplexities(model, [[BOS, EOS], [BOS]])
+
+
+def test_ngram_perplexities_equal_per_sequence_calls():
+    corpus = [[BOS, "a", "b", SEP, "c", EOS], [BOS, "b", "b", SEP, "a", EOS]]
+    model = NGramLM.train(corpus, order=2, smoothing_k=0.5)
+    seqs = corpus + [[BOS, "q", EOS]]
+    assert perplexities(model, seqs).tolist() == [perplexity(model, seq) for seq in seqs]
+
+
+def test_gru_next_token_distribution_is_last_forward_row():
+    model = _random_gru(3)
+    context = [BOS, "t4", "unseen", SEP]
+    want = ad.log_softmax_values(model.sequence_logits(context + [EOS]).data)[-1]
+    got = model.next_token_distribution(context)
+    np.testing.assert_allclose([got[t] for t in model.vocab], np.exp(want), rtol=1e-12, atol=1e-300)

@@ -61,7 +61,7 @@ def test_unsupported_format_version_rejected(tmp_path):
     import json
 
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="format_version"):
+    with pytest.raises(InputError, match="ckpt.json: unsupported checkpoint format_version 99"):
         ParameterStore.load(str(path))
 
 
