@@ -12,7 +12,7 @@ makes within-image repeats effectively impossible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .beam import top_k
 from .ioutil import InputError, read_jsonl, write_jsonl
 from .layers import GRUParams, TransformerEncoder, linear
-from .optim import AdamState, adam_step
+from .optim import TrainConfig, fit
 from .params import ParameterStore
 
 FEATURE_DIM = 2048
@@ -132,14 +132,6 @@ class DistillerConfig:
     seed: int = 0
 
 
-@dataclass
-class DistillerTrainConfig:
-    epochs: int = 60
-    learning_rate: float = 1e-3
-    warmup_steps: int = 100
-    log: object = None
-
-
 class DistillerModel:
     """Transformer encoder over order-embedded objects, GRU+attention decoder."""
 
@@ -150,6 +142,7 @@ class DistillerModel:
         self.token_to_id = {t: i for i, t in enumerate(self.vocab)}
         self.config = config
         self.store = store
+        self.schedule = None  # the optimizer schedule of the last training run
         d = config.hidden_size
         a = config.attention_size or d
         self.w_proj = store.param("proj.w", (FEATURE_DIM, d))
@@ -273,31 +266,13 @@ class DistillerModel:
         return [self.vocab[t] for t in best_tokens], best_score
 
     def save(self, path: str) -> None:
-        self.store.save(
-            path,
-            schedule=getattr(self, "trained_schedule", None),
-            extra={
-                "kind": "distiller",
-                "vocab": self.vocab,
-                "config": {
-                    "hidden_size": self.config.hidden_size,
-                    "heads": self.config.heads,
-                    "layers": self.config.layers,
-                    "ff_multiple": self.config.ff_multiple,
-                    "num_slots": self.config.num_slots,
-                    "max_terms_per_image": self.config.max_terms_per_image,
-                    "attention_size": self.config.attention_size,
-                    "seed": self.config.seed,
-                },
-            },
-        )
+        extra = {"kind": "distiller", "vocab": self.vocab, "config": asdict(self.config)}
+        self.store.save(path, schedule=self.schedule, extra=extra)
 
     @classmethod
     def load(cls, path: str) -> "DistillerModel":
-        store, meta = ParameterStore.load(path)
+        store, meta = ParameterStore.load(path, kind="distiller")
         extra = meta["extra"]
-        if extra.get("kind") != "distiller":
-            raise InputError(f"{path}: not a distiller checkpoint")
         return store.build_model(path, lambda: cls(extra["vocab"], DistillerConfig(**extra["config"]), store))
 
 
@@ -309,20 +284,23 @@ def build_term_vocab(term_groups_per_story) -> list[str]:
 def train_distiller(
     pairs,
     config: DistillerConfig | None = None,
-    train: DistillerTrainConfig | None = None,
+    train: TrainConfig | None = None,
     vocab: list[str] | None = None,
 ):
     """Train on (ImageSequence, per-image gold term lists) pairs.
 
     Returns (model, per-epoch mean token cross-entropy). The vocabulary
     defaults to the gold terms; with an explicit vocabulary, gold terms
-    outside it abort before any training step.
+    outside it abort before any training step, as does a pair whose group
+    count differs from its image count.
     """
     config = config or DistillerConfig()
-    train = train or DistillerTrainConfig()
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot train the distiller on an empty pair set")
+    for seq, groups in pairs:
+        if len(groups) != len(seq.slots):
+            raise ValueError(f"story {seq.story_id!r}: {len(groups)} gold groups for {len(seq.slots)} image slots")
     if vocab is None:
         vocab = build_term_vocab(groups for _, groups in pairs)
     model = DistillerModel.build(vocab, config)
@@ -333,29 +311,16 @@ def train_distiller(
         raise ValueError(f"gold terms missing from vocabulary: {oov}")
 
     eos = model.token_to_id[END_OF_SET]
-    state = AdamState(base_lr=train.learning_rate, warmup_steps=train.warmup_steps)
-    history = []
-    for epoch in range(train.epochs):
-        total, count = 0.0, 0
-        for seq, groups in pairs:
-            if len(groups) != len(seq.slots):
-                raise ValueError(
-                    f"story {seq.story_id!r}: {len(groups)} gold groups for {len(seq.slots)} image slots"
-                )
-            memory = model.encode_objects(seq)
-            all_logits, all_targets = [], []
-            for slot, gold in zip(seq.slots, groups):
-                target_ids = [model.token_to_id[t] for t in gold] + [eos]
-                all_logits.append(model.slot_logits(memory, slot.image_index, target_ids))
-                all_targets.extend(target_ids)
-            loss = ad.softmax_cross_entropy(ad.concat(all_logits, axis=0), all_targets)
-            ad.backward(loss)
-            adam_step(model.store, model.store.collect_grads(), state)
-            model.store.zero_grads()
-            total += loss.item() * len(all_targets)
-            count += len(all_targets)
-        history.append(total / count)
-        if train.log:
-            train.log(f"epoch {epoch + 1}: token cross-entropy {history[-1]:.4f}")
-    model.trained_schedule = state.schedule()
+
+    def loss_fn(pair):
+        seq, groups = pair
+        memory = model.encode_objects(seq)
+        all_logits, all_targets = [], []
+        for slot, gold in zip(seq.slots, groups):
+            target_ids = [model.token_to_id[t] for t in gold] + [eos]
+            all_logits.append(model.slot_logits(memory, slot.image_index, target_ids))
+            all_targets.extend(target_ids)
+        return ad.softmax_cross_entropy(ad.concat(all_logits, axis=0), all_targets), len(all_targets)
+
+    history, model.schedule = fit(model.store, pairs, loss_fn, train or TrainConfig(), metric="token cross-entropy")
     return model, history

@@ -123,11 +123,13 @@ BASE_GROUP_COUNT = 5
 
 
 def check_base_path(base: TermPath) -> None:
-    """Raise ValueError unless the path can be enriched: five nonempty groups, no bridge."""
+    """Raise ValueError unless the path can be enriched: five groups, no bridge.
+
+    A group may be empty (the distiller can predict no term for an image);
+    no bridge then touches it.
+    """
     if len(base.groups) != BASE_GROUP_COUNT:
         raise ValueError(f"enrichment expects {BASE_GROUP_COUNT} groups, got {len(base.groups)}")
-    if any(not g for g in base.groups):
-        raise ValueError("every group of the base path must be nonempty")
     if base.bridge is not None:
         raise ValueError("base path already carries a bridge")
 

@@ -19,20 +19,19 @@ never change, so each decode step computes only the new positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .beam import top_k
-from .ioutil import InputError
 from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
 from .lm import BOS as PATH_BOS
 from .lm import EOS as PATH_EOS
 from .lm import SEP as GROUP_SEP
 from .lm import UNK, linearize_groups
-from .optim import AdamState, adam_step
+from .optim import TrainConfig, fit
 from .params import ParameterStore
 
 BOS_STORY = "<bos>"
@@ -110,14 +109,6 @@ class GeneratorConfig:
     seed: int = 0
 
 
-@dataclass
-class GeneratorTrainConfig:
-    epochs: int = 60
-    learning_rate: float = 1e-3
-    warmup_steps: int = 100
-    log: object = None
-
-
 class GeneratorModel:
     """Encoder over linearized term paths, LDPE decoder over story tokens."""
 
@@ -130,6 +121,7 @@ class GeneratorModel:
         self.config = config
         self.store = store
         self.sentence_budget = sentence_budget  # default decode length budget per sentence
+        self.schedule = None  # the optimizer schedule of the last training run
         d = config.hidden_size
         v = len(self.vocab)
         self.enc_embedding = store.param("enc.embedding", (v, d))
@@ -207,31 +199,18 @@ class GeneratorModel:
         return step
 
     def save(self, path: str) -> None:
-        self.store.save(
-            path,
-            schedule=getattr(self, "trained_schedule", None),
-            extra={
-                "kind": "generator",
-                "vocab": self.vocab,
-                "sentence_budget": self.sentence_budget,
-                "config": {
-                    "hidden_size": self.config.hidden_size,
-                    "heads": self.config.heads,
-                    "encoder_layers": self.config.encoder_layers,
-                    "decoder_layers": self.config.decoder_layers,
-                    "ff_multiple": self.config.ff_multiple,
-                    "max_sentence_tokens": self.config.max_sentence_tokens,
-                    "seed": self.config.seed,
-                },
-            },
-        )
+        extra = {
+            "kind": "generator",
+            "vocab": self.vocab,
+            "sentence_budget": self.sentence_budget,
+            "config": asdict(self.config),
+        }
+        self.store.save(path, schedule=self.schedule, extra=extra)
 
     @classmethod
     def load(cls, path: str) -> "GeneratorModel":
-        store, meta = ParameterStore.load(path)
+        store, meta = ParameterStore.load(path, kind="generator")
         extra = meta["extra"]
-        if extra.get("kind") != "generator":
-            raise InputError(f"{path}: not a generator checkpoint")
         return store.build_model(
             path, lambda: cls(extra["vocab"], GeneratorConfig(**extra["config"]), store, extra["sentence_budget"])
         )
@@ -378,7 +357,7 @@ def mean_sentence_budget(pairs) -> int:
 def train_generator(
     pairs,
     config: GeneratorConfig | None = None,
-    train: GeneratorTrainConfig | None = None,
+    train: TrainConfig | None = None,
     model: GeneratorModel | None = None,
 ):
     """Teacher-forced training over (term path, story) pairs.
@@ -387,7 +366,6 @@ def train_generator(
     per-epoch mean cross-entropy).
     """
     config = config or GeneratorConfig()
-    train = train or GeneratorTrainConfig()
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot train the generator on an empty pair set")
@@ -399,18 +377,11 @@ def train_generator(
     if model is None:
         model = GeneratorModel.build(build_generator_vocab(pairs), config, sentence_budget=mean_sentence_budget(pairs))
 
-    state = AdamState(base_lr=train.learning_rate, warmup_steps=train.warmup_steps)
-    history = []
-    for epoch in range(train.epochs):
-        total = 0.0
-        for ex in pairs:
-            loss = model.training_loss(ex.term_groups, ex.sentences)
-            ad.backward(loss)
-            adam_step(model.store, model.store.collect_grads(), state)
-            model.store.zero_grads()
-            total += loss.item()
-        history.append(total / len(pairs))
-        if train.log:
-            train.log(f"epoch {epoch + 1}: cross-entropy {history[-1]:.4f}")
-    model.trained_schedule = state.schedule()
+    history, model.schedule = fit(
+        model.store,
+        pairs,
+        lambda ex: (model.training_loss(ex.term_groups, ex.sentences), 1),
+        train or TrainConfig(),
+        metric="cross-entropy",
+    )
     return model, history

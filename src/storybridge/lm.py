@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .ioutil import InputError, atomic_writer, read_json
 from .layers import GRUParams, linear
-from .optim import AdamState, adam_step
+from .optim import TrainConfig, fit
 from .params import ParameterStore
 
 BOS = "<s>"
@@ -137,6 +137,7 @@ class GRULanguageModel:
         self._vocab_set = set(self.vocab)
         self.hidden_size = hidden_size
         self.store = store
+        self.schedule = None  # the optimizer schedule of the last training run
         d = hidden_size
         self.embedding = store.param("lm.embedding", (len(self.vocab), d))
         self.cell = GRUParams(store, "lm.gru", d_in=d, d=d)
@@ -201,7 +202,7 @@ class GRULanguageModel:
     def save(self, path: str) -> None:
         self.store.save(
             path,
-            schedule=getattr(self, "trained_schedule", None),
+            schedule=self.schedule,
             extra={"kind": "gru_lm", "vocab": self.vocab, "hidden_size": self.hidden_size},
         )
 
@@ -211,10 +212,8 @@ class GRULanguageModel:
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "GRULanguageModel":
-        store, meta = ParameterStore.from_payload(payload, where)
+        store, meta = ParameterStore.from_payload(payload, where, kind="gru_lm")
         extra = meta["extra"]
-        if extra.get("kind") != "gru_lm":
-            raise InputError(f"{where}: not a recurrent LM checkpoint")
         return store.build_model(where, lambda: cls(extra["vocab"], extra["hidden_size"], store))
 
 
@@ -257,26 +256,22 @@ def perplexity(model, seq) -> float:
 
 
 @dataclass
-class LMTrainConfig:
-    kind: str = "gru"
+class LMConfig:
+    kind: str = "gru"  # "gru" or "ngram"
     order: int = 2
     smoothing_k: float = 1.0
     hidden_size: int = 64
-    epochs: int = 30
-    learning_rate: float = 1e-3
-    warmup_steps: int = 100
     seed: int = 0
     holdout_fraction: float = 0.1
-    log: object = None
-    extra_vocab: tuple = field(default_factory=tuple)
 
 
-def train_lm(corpus, config: LMTrainConfig | None = None):
+def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None = None):
     """Train a term LM; returns (model, per-epoch held-out perplexity history).
 
-    The n-gram variant trains in one counting pass and has an empty history.
+    The n-gram variant trains in one counting pass, ignores ``train`` and has
+    an empty history.
     """
-    config = config or LMTrainConfig()
+    config = config or LMConfig()
     corpus = [list(seq) for seq in corpus]
     if not corpus:
         raise ValueError("cannot train a language model on an empty corpus")
@@ -285,27 +280,20 @@ def train_lm(corpus, config: LMTrainConfig | None = None):
     if config.kind != "gru":
         raise ValueError(f"unknown language model kind {config.kind!r}")
 
-    vocab = sorted({tok for seq in corpus for tok in seq} | {BOS, EOS, SEP, UNK} | set(config.extra_vocab))
+    vocab = sorted({tok for seq in corpus for tok in seq} | {BOS, EOS, SEP, UNK})
     model = GRULanguageModel.build(vocab, hidden_size=config.hidden_size, seed=config.seed)
     n_holdout = max(1, int(round(len(corpus) * config.holdout_fraction)))
     holdout = corpus[-n_holdout:]
     train_split = corpus[:-n_holdout] or corpus
 
-    state = AdamState(base_lr=config.learning_rate, warmup_steps=config.warmup_steps)
-    history = []
-    for epoch in range(config.epochs):
-        for seq in train_split:
-            logits = model.sequence_logits(seq)
-            targets = model._ids(seq)[1:]
-            loss = ad.softmax_cross_entropy(logits, targets)
-            ad.backward(loss)
-            adam_step(model.store, model.store.collect_grads(), state)
-            model.store.zero_grads()
-        ppl = float(np.mean(perplexities(model, holdout)))
-        history.append(ppl)
-        if config.log:
-            config.log(f"epoch {epoch + 1}: holdout perplexity {ppl:.4f}")
-    model.trained_schedule = state.schedule()
+    history, model.schedule = fit(
+        model.store,
+        train_split,
+        lambda seq: (ad.softmax_cross_entropy(model.sequence_logits(seq), model._ids(seq)[1:]), 1),
+        train or TrainConfig(),
+        measure=lambda: float(np.mean(perplexities(model, holdout))),
+        metric="holdout perplexity",
+    )
     return model, history
 
 

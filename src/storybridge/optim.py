@@ -1,4 +1,4 @@
-"""Adam with a warmup then inverse-square-root learning-rate decay."""
+"""Adam with a warmup then inverse-square-root learning-rate decay, and the one training loop."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .params import ParameterStore
 
 
@@ -73,3 +74,38 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> float:
         update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
         tensor.data = tensor.data - lr * update
     return lr
+
+
+@dataclass
+class TrainConfig:
+    """Optimizer settings shared by the three trainers."""
+
+    epochs: int = 60
+    learning_rate: float = 1e-3
+    warmup_steps: int = 100
+    log: object = None  # called with one line per epoch
+
+
+def fit(store: ParameterStore, examples, loss_fn, train: TrainConfig, measure=None, metric: str = "loss"):
+    """Adam epochs over examples in order; returns (per-epoch history, schedule).
+
+    loss_fn(example) gives (scalar loss, weight); every example takes one
+    backward pass and one Adam step. An epoch's history entry is measure()
+    when given, otherwise the weight-averaged loss of the epoch. train.log
+    gets one line per epoch, naming the value ``metric``.
+    """
+    state = AdamState(base_lr=train.learning_rate, warmup_steps=train.warmup_steps)
+    history = []
+    for epoch in range(train.epochs):
+        total, count = 0.0, 0
+        for example in examples:
+            loss, weight = loss_fn(example)
+            ad.backward(loss)
+            adam_step(store, store.collect_grads(), state)
+            store.zero_grads()
+            total += loss.item() * weight
+            count += weight
+        history.append(measure() if measure else total / count)
+        if train.log:
+            train.log(f"epoch {epoch + 1}: {metric} {history[-1]:.4f}")
+    return history, state.schedule()

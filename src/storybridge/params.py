@@ -122,11 +122,14 @@ class ParameterStore:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_payload(cls, payload: dict, where: str = "checkpoint") -> tuple["ParameterStore", dict]:
+    def from_payload(
+        cls, payload: dict, where: str = "checkpoint", kind: str | None = None
+    ) -> tuple["ParameterStore", dict]:
         """A frozen store from a checkpoint payload; every value must be finite.
 
-        A payload that is not a checkpoint of this format raises InputError
-        naming ``where``.
+        A payload that is not a checkpoint of this format, or whose
+        ``extra.kind`` is not ``kind`` (when given), raises InputError naming
+        ``where``.
         """
         if not isinstance(payload, dict):
             raise InputError(f"{where}: not a checkpoint (top level is not a JSON object)")
@@ -136,6 +139,8 @@ class ParameterStore:
         params, extra = payload.get("params"), payload.get("extra", {})
         if not isinstance(params, dict) or not isinstance(extra, dict):
             raise InputError(f"{where}: checkpoint needs a 'params' object and an 'extra' object")
+        if kind is not None and extra.get("kind") != kind:
+            raise InputError(f"{where}: not a {kind} checkpoint")
         try:
             store = cls(payload["rng_seed"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -151,5 +156,5 @@ class ParameterStore:
         return store.freeze(), {"schedule": payload.get("schedule"), "extra": extra}
 
     @classmethod
-    def load(cls, path: str) -> tuple["ParameterStore", dict]:
-        return cls.from_payload(read_json(path), where=path)
+    def load(cls, path: str, kind: str | None = None) -> tuple["ParameterStore", dict]:
+        return cls.from_payload(read_json(path), where=path, kind=kind)

@@ -12,20 +12,14 @@ import os
 
 from .config import RunConfig
 from .corpus import build_training_pairs, load_corpus
-from .distill import DistillerConfig, DistillerModel, DistillerTrainConfig, load_feature_file, train_distiller
+from .distill import DistillerConfig, DistillerModel, load_feature_file, train_distiller
 from .enrich import TermPath, build_candidates, check_base_path, select_best
-from .generate import (
-    BeamPenaltyConfig,
-    GeneratorConfig,
-    GeneratorModel,
-    GeneratorTrainConfig,
-    decode_story,
-    train_generator,
-)
+from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, decode_story, train_generator
 from .ioutil import InputError, read_json, read_jsonl, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
-from .lm import LMTrainConfig, load_lm, load_term_sequences, train_lm
+from .lm import LMConfig, load_lm, load_term_sequences, train_lm
 from .metrics import bleu_n, distinct_n
+from .optim import TrainConfig
 
 MANIFEST_VERSION = 1
 STAGES = ("distill", "enrich", "generate")
@@ -44,6 +38,13 @@ def _load_stories(config: RunConfig, include_text: bool = True):
     if include_text and config.text_corpus_path:
         stories = stories + load_corpus(config.text_corpus_path)
     return stories
+
+
+def _train_config(config: RunConfig, log) -> TrainConfig:
+    """The optimizer settings every train_*_command shares."""
+    return TrainConfig(
+        epochs=config.epochs, learning_rate=config.learning_rate, warmup_steps=config.warmup_steps, log=log
+    )
 
 
 def train_distiller_command(config: RunConfig, log=None) -> str:
@@ -66,12 +67,7 @@ def train_distiller_command(config: RunConfig, log=None) -> str:
             max_terms_per_image=config.max_terms_per_image,
             seed=config.seed,
         ),
-        DistillerTrainConfig(
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            warmup_steps=config.warmup_steps,
-            log=log,
-        ),
+        _train_config(config, log),
     )
     out = config.distiller_model or os.path.join(config.out_dir, "distiller.json")
     model.save(out)
@@ -86,18 +82,15 @@ def train_lm_command(config: RunConfig, log=None) -> str:
         corpus = build_training_pairs(_load_stories(config), mode="lm")
     model, _ = train_lm(
         corpus,
-        LMTrainConfig(
+        LMConfig(
             kind=config.lm_kind,
             order=config.ngram_order,
             smoothing_k=config.smoothing_k,
             hidden_size=config.lm_hidden_size,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            warmup_steps=config.warmup_steps,
             seed=config.seed,
             holdout_fraction=config.holdout_fraction,
-            log=log,
         ),
+        _train_config(config, log),
     )
     out = config.lm_model or os.path.join(config.out_dir, "term_lm.json")
     model.save(out)
@@ -119,12 +112,7 @@ def train_generator_command(config: RunConfig, log=None, finetune_from: str = ""
             max_sentence_tokens=config.max_sentence_tokens,
             seed=config.seed,
         ),
-        GeneratorTrainConfig(
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            warmup_steps=config.warmup_steps,
-            log=log,
-        ),
+        _train_config(config, log),
         model=base_model,
     )
     out = config.generator_model or os.path.join(config.out_dir, "generator.json")

@@ -12,11 +12,12 @@ import pytest
 
 from storybridge.config import RunConfig
 from storybridge.corpus import build_training_pairs, load_corpus
-from storybridge.distill import DistillerConfig, DistillerTrainConfig, load_feature_file, train_distiller
+from storybridge.distill import DistillerConfig, load_feature_file, train_distiller
 from storybridge.fixtures import write_fixtures
-from storybridge.generate import GeneratorConfig, GeneratorTrainConfig, train_generator
+from storybridge.generate import GeneratorConfig, train_generator
 from storybridge.ioutil import write_json
-from storybridge.lm import LMTrainConfig, train_lm
+from storybridge.lm import LMConfig, train_lm
+from storybridge.optim import TrainConfig
 from storybridge.pipeline import run_pipeline
 
 
@@ -41,7 +42,7 @@ def trained_world(fixture_world, tmp_path_factory):
     distiller, _ = train_distiller(
         [(ex.image_sequence, ex.term_groups) for ex in examples],
         DistillerConfig(hidden_size=32, heads=2, layers=2, ff_multiple=2, num_slots=5, seed=0),
-        DistillerTrainConfig(epochs=80, learning_rate=3e-3, warmup_steps=50),
+        TrainConfig(epochs=80, learning_rate=3e-3, warmup_steps=50),
     )
     distiller_seconds = time.time() - t0
     distiller_path = str(model_dir / "distiller.json")
@@ -49,7 +50,8 @@ def trained_world(fixture_world, tmp_path_factory):
 
     lm, _ = train_lm(
         build_training_pairs(vision + text, mode="lm"),
-        LMTrainConfig(kind="gru", hidden_size=32, epochs=60, learning_rate=3e-3, warmup_steps=50, seed=0),
+        LMConfig(kind="gru", hidden_size=32, seed=0),
+        TrainConfig(epochs=60, learning_rate=3e-3, warmup_steps=50),
     )
     lm_path = str(model_dir / "term_lm.json")
     lm.save(lm_path)
@@ -58,7 +60,7 @@ def trained_world(fixture_world, tmp_path_factory):
     generator, _ = train_generator(
         build_training_pairs(vision + text, mode="generator"),
         GeneratorConfig(hidden_size=32, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=2, seed=0),
-        GeneratorTrainConfig(epochs=100, learning_rate=3e-3, warmup_steps=50),
+        TrainConfig(epochs=100, learning_rate=3e-3, warmup_steps=50),
     )
     generator_seconds = time.time() - t0
     generator_path = str(model_dir / "generator.json")

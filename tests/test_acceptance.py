@@ -28,7 +28,6 @@ from storybridge.corpus import (
 from storybridge.distill import (
     FEATURE_DIM,
     DistillerConfig,
-    DistillerTrainConfig,
     ImageSequence,
     ObjectFeatureSet,
     train_distiller,
@@ -37,7 +36,6 @@ from storybridge.enrich import TermPath, build_candidates, select_best
 from storybridge.generate import (
     BeamPenaltyConfig,
     GeneratorConfig,
-    GeneratorTrainConfig,
     beam_decode,
     beam_penalty_score,
     decode_story,
@@ -47,8 +45,9 @@ from storybridge.generate import (
 from storybridge.ioutil import sha256_file
 from storybridge.kg import Bridge, KGTuple, RelationIndex
 from storybridge.layers import GRUParams, TransformerEncoder
-from storybridge.lm import LMTrainConfig, NGramLM, linearize_groups, perplexity, train_lm
+from storybridge.lm import LMConfig, NGramLM, linearize_groups, perplexity, train_lm
 from storybridge.metrics import bleu_n
+from storybridge.optim import TrainConfig
 from storybridge.params import ParameterStore
 from storybridge.pipeline import rerun_from_manifest
 
@@ -342,7 +341,8 @@ def test_criterion_6_lm_correctness():
     seq = ["<s>", "dog", "park", "<sep>", "ball", "dog", "</s>"]
     gru, _ = train_lm(
         [seq] * 4,
-        LMTrainConfig(kind="gru", hidden_size=24, epochs=150, learning_rate=3e-3, warmup_steps=20, seed=3),
+        LMConfig(kind="gru", hidden_size=24, seed=3),
+        TrainConfig(epochs=150, learning_rate=3e-3, warmup_steps=20),
     )
     ppl = perplexity(gru, seq)
     assert ppl <= 1.05
@@ -386,7 +386,7 @@ def test_criterion_7_memorization_and_printed_example():
     distiller, _ = train_distiller(
         [(seq, gold)],
         DistillerConfig(hidden_size=16, heads=2, layers=1, ff_multiple=2, num_slots=2, seed=1),
-        DistillerTrainConfig(epochs=300, learning_rate=5e-3, warmup_steps=20),
+        TrainConfig(epochs=300, learning_rate=5e-3, warmup_steps=20),
     )
     distiller_steps = 300
     assert distiller.predict_terms(seq, beam_size=3) == gold
@@ -414,7 +414,7 @@ def test_criterion_7_memorization_and_printed_example():
     generator, history = train_generator(
         pairs,
         GeneratorConfig(hidden_size=24, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=2, seed=9),
-        GeneratorTrainConfig(epochs=400, learning_rate=5e-3, warmup_steps=20),
+        TrainConfig(epochs=400, learning_rate=5e-3, warmup_steps=20),
     )
     generator_steps = 400
     out = decode_story(TermPath.from_groups(pairs[0].term_groups), generator, BeamPenaltyConfig())

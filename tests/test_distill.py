@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from storybridge.distill import (
     FEATURE_DIM,
     DistillerConfig,
     DistillerModel,
-    DistillerTrainConfig,
     ImageSequence,
     ObjectFeatureSet,
     load_feature_file,
     save_feature_file,
     train_distiller,
 )
+from storybridge.optim import TrainConfig
+from storybridge.params import ParameterStore
 
 RNG = np.random.default_rng(123)
 
@@ -138,7 +141,7 @@ def test_overfit_single_pair_reproduces_table_terms():
     model, history = train_distiller(
         [(seq, gold)],
         DistillerConfig(hidden_size=16, heads=2, layers=1, ff_multiple=2, num_slots=2, seed=1),
-        DistillerTrainConfig(epochs=300, learning_rate=5e-3, warmup_steps=20),
+        TrainConfig(epochs=300, learning_rate=5e-3, warmup_steps=20),
     )
     assert history[-1] < 0.1
     assert model.predict_terms(seq, beam_size=3) == gold
@@ -157,7 +160,7 @@ def test_empty_gold_list_learns_immediate_end_of_set():
     model, _ = train_distiller(
         [(seq, gold)],
         DistillerConfig(hidden_size=16, heads=2, layers=1, ff_multiple=2, num_slots=2, seed=2),
-        DistillerTrainConfig(epochs=150, learning_rate=5e-3, warmup_steps=20),
+        TrainConfig(epochs=150, learning_rate=5e-3, warmup_steps=20),
     )
     assert model.predict_terms(seq)[1] == []
 
@@ -171,7 +174,7 @@ def test_identical_seeds_identical_loss_curves():
         [ObjectFeatureSet(i, feats[i], np.array([0.9])) for i in range(2)],
     )
     cfg = DistillerConfig(hidden_size=12, heads=2, layers=1, ff_multiple=2, num_slots=2, seed=7)
-    tr = DistillerTrainConfig(epochs=5, learning_rate=1e-3)
+    tr = TrainConfig(epochs=5, learning_rate=1e-3)
     _, h1 = train_distiller([(seq, gold)], cfg, tr)
     _, h2 = train_distiller([(seq, gold)], cfg, tr)
     assert h1 == h2
@@ -181,7 +184,31 @@ def test_oov_gold_term_listed_in_error():
     seq = make_sequence()
     gold = [["Known_Noun"], ["Mystery_Noun"]]
     with pytest.raises(ValueError, match="Mystery_Noun"):
-        train_distiller([(seq, gold)], SMALL, DistillerTrainConfig(epochs=1), vocab=[END_OF_SET, "Known_Noun"])
+        train_distiller([(seq, gold)], SMALL, TrainConfig(epochs=1), vocab=[END_OF_SET, "Known_Noun"])
+
+
+def test_group_count_mismatch_rejected_before_any_step(monkeypatch):
+    steps, lines = [], []
+    collect = ParameterStore.collect_grads
+    monkeypatch.setattr(ParameterStore, "collect_grads", lambda store: steps.append(store) or collect(store))
+    good = (make_sequence(sid="a"), [["X_Noun"], ["Y_Noun"]])
+    bad = (make_sequence(sid="b"), [["X_Noun"]])
+    with pytest.raises(ValueError, match="'b': 1 gold groups for 2 image slots"):
+        train_distiller([good, good, bad], SMALL, TrainConfig(epochs=2, log=lines.append))
+    assert steps == [] and lines == []
+
+
+def test_checkpoint_config_round_trip(tmp_path):
+    config = DistillerConfig(
+        hidden_size=8, heads=4, layers=2, ff_multiple=3, num_slots=3, max_terms_per_image=5, attention_size=6, seed=11
+    )
+    assert all(getattr(config, f.name) != f.default for f in fields(DistillerConfig))
+    model = DistillerModel.build([END_OF_SET, "a", "b"], config)
+    path = str(tmp_path / "distiller.json")
+    model.save(path)
+    loaded = DistillerModel.load(path)
+    assert loaded.config == config
+    assert loaded.vocab == model.vocab
 
 
 def test_beam_scores_are_log_probability_sums():

@@ -66,8 +66,12 @@ def test_cap_truncates_but_keeps_base():
 def test_build_candidates_validates_base():
     with pytest.raises(ValueError, match="5 groups"):
         build_candidates(TermPath.from_groups([["a"], ["b"]]), RelationIndex())
-    with pytest.raises(ValueError, match="nonempty"):
-        build_candidates(TermPath.from_groups([["a"], [], ["c"], ["d"], ["e"]]), RelationIndex())
+    # an empty group is allowed and gets no bridge on either side
+    index = RelationIndex()
+    for head, tail in [("a", "c"), ("c", "a"), ("c", "d")]:
+        index.add(KGTuple(head, "r", tail, "g"))
+    base = TermPath.from_groups([["a"], [], ["c"], ["d"], ["e"]])
+    assert build_candidates(base, index) == [base, base.with_bridge(2, Bridge("c", ("r",), None, "d"))]
 
 
 def test_two_hop_flag_controls_bridge_kinds():

@@ -1,6 +1,7 @@
 import json
 import math
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from storybridge.generate import (
     BeamPenaltyConfig,
     GeneratorConfig,
     GeneratorModel,
-    GeneratorTrainConfig,
     Story,
     beam_decode,
     beam_penalty_score,
@@ -32,6 +32,7 @@ from storybridge.corpus import (
     build_training_pairs,
 )
 from storybridge.layers import sinusoidal_encoding
+from storybridge.optim import TrainConfig
 
 SMALL_GEN = GeneratorConfig(
     hidden_size=24, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=2, seed=9
@@ -320,7 +321,7 @@ def memorized():
     model, history = train_generator(
         pairs,
         SMALL_GEN,
-        GeneratorTrainConfig(epochs=400, learning_rate=5e-3, warmup_steps=20),
+        TrainConfig(epochs=400, learning_rate=5e-3, warmup_steps=20),
     )
     return model, history, pairs
 
@@ -383,7 +384,7 @@ def test_finetune_continues_without_loss_blowup(memorized):
     _, more = train_generator(
         pairs,
         model=model,
-        train=GeneratorTrainConfig(epochs=3, learning_rate=1e-4, warmup_steps=20),
+        train=TrainConfig(epochs=3, learning_rate=1e-4, warmup_steps=20),
     )
     assert more[0] < 10 * history[-1]
 
@@ -391,7 +392,7 @@ def test_finetune_continues_without_loss_blowup(memorized):
 def test_identical_seed_identical_checkpoints():
     pairs = build_training_pairs([overfit_story()], mode="generator")
     cfg = GeneratorConfig(hidden_size=16, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=2, seed=4)
-    tr = GeneratorTrainConfig(epochs=4, learning_rate=1e-3)
+    tr = TrainConfig(epochs=4, learning_rate=1e-3)
     m1, _ = train_generator(pairs, cfg, tr)
     m2, _ = train_generator(pairs, cfg, tr)
     assert m1.store.to_payload() == m2.store.to_payload()
@@ -401,7 +402,7 @@ def test_group_sentence_mismatch_error_names_record():
     pairs = build_training_pairs([overfit_story()], mode="generator")
     pairs[0].term_groups.append(["Extra_Noun"])
     with pytest.raises(ValueError, match="overfit"):
-        train_generator(pairs, SMALL_GEN, GeneratorTrainConfig(epochs=1))
+        train_generator(pairs, SMALL_GEN, TrainConfig(epochs=1))
 
 
 def test_story_token_vocab_errors_are_loud():
@@ -422,6 +423,20 @@ def test_model_checkpoint_roundtrip(tmp_path, memorized):
     story_b = decode_story(TermPath.from_groups(pairs[0].term_groups), loaded)
     assert story_a.tokens == story_b.tokens
     assert story_a.score == pytest.approx(story_b.score, rel=1e-12)
+
+
+def test_checkpoint_config_round_trip(tmp_path):
+    config = GeneratorConfig(
+        hidden_size=8, heads=4, encoder_layers=2, decoder_layers=3, ff_multiple=3, max_sentence_tokens=7, seed=13
+    )
+    assert all(getattr(config, f.name) != f.default for f in fields(GeneratorConfig))
+    model = GeneratorModel.build([BOS_STORY, EOS_STORY, SENTENCE_BOUNDARY, "<unk>", "dog"], config, sentence_budget=4)
+    path = str(tmp_path / "generator.json")
+    model.save(path)
+    loaded = GeneratorModel.load(path)
+    assert loaded.config == config
+    assert loaded.sentence_budget == 4
+    assert loaded.vocab == model.vocab
 
 
 def test_story_sentence_spans():

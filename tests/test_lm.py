@@ -14,7 +14,7 @@ from storybridge.lm import (
     SEP,
     UNK,
     GRULanguageModel,
-    LMTrainConfig,
+    LMConfig,
     NGramLM,
     linearize_groups,
     load_lm,
@@ -23,6 +23,7 @@ from storybridge.lm import (
     perplexity,
     train_lm,
 )
+from storybridge.optim import TrainConfig
 
 
 def test_linearize_groups_markers():
@@ -90,7 +91,7 @@ def test_ngram_normalization_sums_to_one():
 
 def test_gru_normalization_sums_to_one():
     corpus = [[BOS, "a", "b", EOS]]
-    model, _ = train_lm(corpus, LMTrainConfig(kind="gru", hidden_size=8, epochs=2, seed=1))
+    model, _ = train_lm(corpus, LMConfig(kind="gru", hidden_size=8, seed=1), TrainConfig(epochs=2))
     total = sum(model.next_token_distribution([BOS, "a"]).values())
     assert abs(total - 1.0) < 1e-9
 
@@ -115,15 +116,15 @@ def test_unknown_tokens_map_to_unk_never_dropped():
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty corpus"):
-        train_lm([], LMTrainConfig(kind="ngram"))
+        train_lm([], LMConfig(kind="ngram"))
     with pytest.raises(ValueError, match="empty corpus"):
         NGramLM.train([])
 
 
 def test_gru_overfits_single_sequence_to_low_perplexity():
     seq = [BOS, "dog", "park", SEP, "ball", "dog", EOS]
-    cfg = LMTrainConfig(kind="gru", hidden_size=24, epochs=150, learning_rate=3e-3, warmup_steps=20, seed=3)
-    model, history = train_lm([seq] * 4, cfg)
+    cfg = LMConfig(kind="gru", hidden_size=24, seed=3)
+    model, history = train_lm([seq] * 4, cfg, TrainConfig(epochs=150, learning_rate=3e-3, warmup_steps=20))
     assert history[-1] < history[0]
     assert perplexity(model, seq) <= 1.05
 
@@ -132,7 +133,11 @@ def test_gru_ranking_agrees_with_ngram_oracle_after_convergence():
     liked = [BOS, "a", "b", SEP, "c", EOS]
     disliked = [BOS, "c", "a", SEP, "b", EOS]
     corpus = [liked] * 6
-    gru, _ = train_lm(corpus, LMTrainConfig(kind="gru", hidden_size=16, epochs=120, learning_rate=3e-3, warmup_steps=20, seed=0))
+    gru, _ = train_lm(
+        corpus,
+        LMConfig(kind="gru", hidden_size=16, seed=0),
+        TrainConfig(epochs=120, learning_rate=3e-3, warmup_steps=20),
+    )
     ngram = NGramLM.train(corpus, order=2, smoothing_k=0.1)
     assert perplexity(gru, liked) < perplexity(gru, disliked)
     assert perplexity(ngram, liked) < perplexity(ngram, disliked)
@@ -153,7 +158,7 @@ def test_term_sequence_file_roundtrip(tmp_path):
 
 def test_trained_gru_checkpoint_records_schedule(tmp_path):
     corpus = [[BOS, "a", "b", EOS]]
-    model, _ = train_lm(corpus, LMTrainConfig(kind="gru", hidden_size=8, epochs=2, seed=1))
+    model, _ = train_lm(corpus, LMConfig(kind="gru", hidden_size=8, seed=1), TrainConfig(epochs=2))
     path = str(tmp_path / "lm.json")
     model.save(path)
     import json
@@ -172,7 +177,7 @@ def test_lm_checkpoints_roundtrip(tmp_path):
     assert isinstance(loaded, NGramLM)
     assert log_prob(loaded, corpus[0]) == pytest.approx(log_prob(ngram, corpus[0]))
 
-    gru, _ = train_lm(corpus, LMTrainConfig(kind="gru", hidden_size=8, epochs=3, seed=2))
+    gru, _ = train_lm(corpus, LMConfig(kind="gru", hidden_size=8, seed=2), TrainConfig(epochs=3))
     gpath = str(tmp_path / "gru.json")
     gru.save(gpath)
     loaded_gru = load_lm(gpath)

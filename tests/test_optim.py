@@ -3,7 +3,7 @@ import pytest
 
 from storybridge import autodiff as ad
 from storybridge.autodiff import Tensor
-from storybridge.optim import AdamState, adam_step, schedule_scale
+from storybridge.optim import AdamState, TrainConfig, adam_step, fit, schedule_scale
 from storybridge.params import ParameterStore
 
 
@@ -84,3 +84,46 @@ def test_identical_seeds_give_bit_identical_training():
 
     a, b = run(), run()
     assert (a == b).all()
+
+
+def tiny_fit(measure=None):
+    """fit on a two-parameter store with three weighted examples; returns (history, schedule, losses, lines)."""
+    store = ParameterStore(0)
+    w = store.param("w", (2,))
+    examples = [(np.array([1.0, -2.0]), 1), (np.array([0.5, 3.0]), 3), (np.array([-1.0, 1.0]), 2)]
+    losses, lines = [], []
+
+    def loss_fn(example):
+        x, weight = example
+        loss = ad.reduce_sum(ad.mul(ad.mul(w, w), Tensor(x)))
+        losses.append((loss.item(), weight))
+        return loss, weight
+
+    train = TrainConfig(epochs=3, learning_rate=0.05, warmup_steps=2, log=lines.append)
+    history, schedule = fit(store, examples, loss_fn, train, measure=measure)
+    return history, schedule, losses, lines
+
+
+def test_fit_history_is_the_weighted_mean_loss_logged_once_per_epoch():
+    history, schedule, losses, lines = tiny_fit()
+    assert len(lines) == 3
+    for epoch, line in enumerate(lines):
+        epoch_losses = losses[3 * epoch : 3 * epoch + 3]
+        want = sum(loss * weight for loss, weight in epoch_losses) / sum(weight for _, weight in epoch_losses)
+        assert history[epoch] == pytest.approx(want, rel=1e-15)
+        assert line == f"epoch {epoch + 1}: loss {history[epoch]:.4f}"
+    assert schedule["step_count"] == 3 * 3
+    assert len(set(history)) == 3  # the Adam steps moved the parameters
+
+
+def test_fit_history_is_the_measure_when_given():
+    measured = []
+
+    def measure():
+        measured.append(float(len(measured) + 10))
+        return measured[-1]
+
+    history, schedule, _, lines = tiny_fit(measure)
+    assert history == measured == [10.0, 11.0, 12.0]
+    assert lines == [f"epoch {i + 1}: loss {v:.4f}" for i, v in enumerate(measured)]
+    assert schedule["step_count"] == 9

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import pipeline_config
 from storybridge.config import RunConfig, apply_overrides
-from storybridge.ioutil import InputError, sha256_file, write_jsonl
+from storybridge.ioutil import InputError, read_jsonl, sha256_file, write_jsonl
 from storybridge.pipeline import (
     evaluate_stories,
     rerun_from_manifest,
     run_pipeline,
+    stage_enrich,
     stage_generate,
 )
 
@@ -100,6 +101,23 @@ def test_generate_only_stage_runs_from_provided_paths(pipeline_run, tmp_path):
     assert list(manifest["outputs"]) == ["stories.jsonl"]
     out = os.path.join(str(tmp_path / "gen_only"), "stories.jsonl")
     assert sha256_file(out) == sha256_file(os.path.join(pipeline_run["out_dir"], "stories.jsonl"))
+
+
+def test_enrich_and_generate_accept_a_path_with_an_empty_group(pipeline_run, tmp_path):
+    # the distiller may predict no term for an image; the path still enriches and generates
+    out_dir = pipeline_run["out_dir"]
+    bridged = next(rec for rec in read_jsonl(os.path.join(out_dir, "paths.jsonl")) if rec["bridge_slot"] == 2)
+    terms = read_jsonl(os.path.join(out_dir, "terms.jsonl"))
+    base = next(rec for rec in terms if rec["story_id"] == bridged["story_id"])
+    base["groups"][3] = []  # the group that held the bridge's tail
+    terms_path, paths_path = str(tmp_path / "terms.jsonl"), str(tmp_path / "paths.jsonl")
+    write_jsonl(terms_path, [base])
+    config = pipeline_config(pipeline_run["world"], str(tmp_path))
+    [selected] = stage_enrich(config, terms_path, paths_path)
+    assert selected["bridge_slot"] not in (2, 3)
+    assert [] in selected["groups"]
+    [story] = stage_generate(config, paths_path, str(tmp_path / "stories.jsonl"))
+    assert len(story["sentences"]) == len(selected["groups"])
 
 
 def test_missing_stage_inputs_name_stage_and_file(pipeline_run, tmp_path):
