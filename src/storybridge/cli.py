@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every subcommand reads one declarative JSON config (--config) and accepts
-generic --set key=value overrides plus a few dedicated flags. Exit codes:
-0 success, 2 bad or missing input, 1 runtime failure.
+generic --set key=value overrides plus a few dedicated flags, each of which
+is shorthand for one --set (SETTING_FLAGS). Exit codes: 0 success, 2 bad
+or missing input, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, apply_overrides, parse_flag_bool
+from .config import RunConfig, apply_overrides
 from .fixtures import write_fixtures
 from .ioutil import InputError
 from .pipeline import (
@@ -30,6 +31,28 @@ EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 
 
+# Dedicated flags per command: (flag, RunConfig field, help). Each is shorthand
+# for --set <field>=<value> and wins over a --set of the same field.
+SETTING_FLAGS = {
+    "train-distiller": [("--out", "distiller_model", "checkpoint path to write")],
+    "train-lm": [("--out", "lm_model", "checkpoint path to write")],
+    "train-generator": [("--out", "generator_model", "checkpoint path to write")],
+    "enrich": [
+        ("--terms", "terms_path", "term-path JSONL from the distill stage"),
+        ("--lm", "lm_model", "term LM checkpoint"),
+        ("--cap", "candidate_cap", "candidate cap"),
+        ("--two-hop", "two_hop", "on or off"),
+    ],
+    "generate": [
+        ("--path", "terms_path", "term-path JSONL"),
+        ("--model", "generator_model", "generator checkpoint"),
+        ("--alpha", "alpha", "intra-sentence repetition penalty"),
+        ("--gamma", "gamma", "inter-sentence repetition penalty"),
+        ("--beam", "beam_size", "beam size"),
+    ],
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storybridge",
@@ -37,46 +60,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (RunConfig fields)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override one config field")
+        for flag, dest, flag_help in SETTING_FLAGS.get(name, ()):
+            p.add_argument(flag, dest=dest, help=f"{flag_help} (--set {dest}=...)")
         return p
 
-    for name, help_text in (
-        ("train-distiller", "train the image-to-term model"),
-        ("train-lm", "train the term language model"),
-        ("train-generator", "train the term-to-story model"),
-    ):
-        p = common(sub.add_parser(name, help=help_text))
-        p.add_argument("--out", help="checkpoint path to write")
-        if name == "train-generator":
-            p.add_argument("--finetune-from", default="", help="continue from this checkpoint")
+    common("train-distiller", "train the image-to-term model")
+    common("train-lm", "train the term language model")
+    p = common("train-generator", "train the term-to-story model")
+    p.add_argument("--finetune-from", default="", help="continue from this checkpoint")
 
-    p = common(sub.add_parser("enrich", help="insert knowledge-graph bridges into term paths"))
-    p.add_argument("--terms", help="term-path JSONL from the distill stage")
+    p = common("enrich", "insert knowledge-graph bridges into term paths")
     p.add_argument("--kg", action="append", default=[], metavar="TSV[:SOURCE[:onehop]]", help="tuple file; repeatable")
-    p.add_argument("--lm", help="term LM checkpoint")
-    p.add_argument("--cap", type=int, help="candidate cap")
-    p.add_argument("--two-hop", dest="two_hop", help="on or off")
     p.add_argument("--out", help="output JSONL of selected paths")
 
-    p = common(sub.add_parser("generate", help="decode stories from term paths"))
-    p.add_argument("--path", help="term-path JSONL")
-    p.add_argument("--model", help="generator checkpoint")
-    p.add_argument("--alpha", type=float, help="intra-sentence repetition penalty")
-    p.add_argument("--gamma", type=float, help="inter-sentence repetition penalty")
-    p.add_argument("--beam", type=int, help="beam size")
+    p = common("generate", "decode stories from term paths")
     p.add_argument("--out", help="output JSONL of stories")
 
-    p = common(sub.add_parser("pipeline", help="run distill, enrich, and generate end to end"))
+    p = common("pipeline", "run distill, enrich, and generate end to end")
     p.add_argument("--out-dir", help="output directory")
     p.add_argument("--from-manifest", help="re-execute a recorded run")
 
-    p = common(sub.add_parser("eval", help="score generated stories against references"))
+    p = common("eval", "score generated stories against references")
     p.add_argument("--candidates", required=True, help="stories JSONL")
     p.add_argument("--references", required=True, help="reference corpus JSONL")
 
-    p = common(sub.add_parser("make-fixtures", help="write the synthetic fixture suite"))
+    p = common("make-fixtures", "write the synthetic fixture suite")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", type=int, default=5, help="stories per archetype")
@@ -86,8 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> RunConfig:
+    """The config file, then every --set item, then the dedicated flags given, through one apply_overrides."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    return apply_overrides(config, args.set)
+    flags = [
+        f"{dest}={getattr(args, dest)}"
+        for _flag, dest, _help in SETTING_FLAGS.get(args.command, ())
+        if getattr(args, dest) is not None
+    ]
+    return apply_overrides(config, args.set + flags)
 
 
 def _parse_kg_flag(value: str) -> dict:
@@ -107,42 +125,20 @@ def run(args) -> int:
     log = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
 
     if args.command == "train-distiller":
-        if args.out:
-            config.distiller_model = args.out
         print(train_distiller_command(config, log=log))
     elif args.command == "train-lm":
-        if args.out:
-            config.lm_model = args.out
         print(train_lm_command(config, log=log))
     elif args.command == "train-generator":
-        if args.out:
-            config.generator_model = args.out
         print(train_generator_command(config, log=log, finetune_from=args.finetune_from))
     elif args.command == "enrich":
         if args.kg:
             config.kg = [_parse_kg_flag(v) for v in args.kg]
-        if args.lm:
-            config.lm_model = args.lm
-        if args.cap is not None:
-            config.candidate_cap = args.cap
-        if args.two_hop is not None:
-            config.two_hop = parse_flag_bool(args.two_hop, "--two-hop")
-        terms = args.terms or config.terms_path
         out = args.out or "paths.jsonl"
-        stage_enrich(config, terms, out)
+        stage_enrich(config, config.terms_path, out)
         print(out)
     elif args.command == "generate":
-        if args.model:
-            config.generator_model = args.model
-        if args.alpha is not None:
-            config.alpha = args.alpha
-        if args.gamma is not None:
-            config.gamma = args.gamma
-        if args.beam is not None:
-            config.beam_size = args.beam
-        paths = args.path or config.terms_path
         out = args.out or "stories.jsonl"
-        stage_generate(config, paths, out)
+        stage_generate(config, config.terms_path, out)
         print(out)
     elif args.command == "pipeline":
         if args.from_manifest:

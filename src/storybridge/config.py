@@ -1,15 +1,16 @@
 """Declarative run configuration shared by every CLI subcommand.
 
-One flat dataclass; a JSON config file sets fields, command-line flags
-override them. Model hyperparameter defaults are the published ones
-(hidden 512, 2 heads, 4 encoder layers, beam 3, learning rate 1e-3,
-penalties 20 and 5, top 25 objects per image).
+One flat dataclass; a JSON config file sets fields, and command-line
+overrides (--set and the dedicated flags) replace them. Model
+hyperparameter defaults are the published ones (hidden 512, 2 heads, 4
+encoder layers, beam 3, learning rate 1e-3, penalties 20 and 5, top 25
+objects per image).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .ioutil import InputError, canonical_dumps, read_json, sha256_text
 
@@ -62,10 +63,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "config") -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise InputError(f"{where}: unknown config keys {unknown}")
+        """A config from JSON data; an unknown key or an ill-typed value raises InputError.
+
+        The error names ``where`` and the key. Values are checked, never
+        converted: a JSON int in a float field stays an int, so a config and
+        its manifest hash as written.
+        """
+        _check(data, _SCHEMA, "", where)
         return cls(**data)
 
     @classmethod
@@ -76,36 +80,60 @@ class RunConfig:
         return sha256_text(canonical_dumps(self.to_dict()))
 
 
+# A field's declared type is the type of its RunConfig() default. A list
+# holds one example item, whose type every item must have.
+_SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source": "", "two_hop": True}]}
+_KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True, "false": False, "off": False, "0": False, "no": False}
 
 
-def parse_flag_bool(text: str, flag: str) -> bool:
+def _check(value, schema, key: str, where: str) -> None:
+    """Raise InputError unless value has the schema's type, recursing into lists and objects."""
+    label = key or "config"
+    if isinstance(schema, bool) or isinstance(value, bool):
+        fits = isinstance(value, bool) and isinstance(schema, bool)
+    elif isinstance(schema, float):
+        fits = isinstance(value, (int, float))
+    else:
+        fits = isinstance(value, type(schema))
+    if not fits:
+        raise InputError(f"{where}: {label} must be {_KIND[type(schema)]}, got {value!r}")
+    if isinstance(schema, list):
+        for i, item in enumerate(value):
+            _check(item, schema[0], f"{key}[{i}]", where)
+    elif isinstance(schema, dict):
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            raise InputError(f"{where}: unknown {label} keys {unknown}")
+        for name, item in value.items():
+            _check(item, schema[name], f"{key}.{name}" if key else name, where)
+
+
+def _parse(key: str, raw: str, schema):
+    """One override value, parsed by the field's declared type."""
+    if isinstance(schema, list):
+        return [part for part in raw.split(",") if part]
     try:
-        return _BOOL_WORDS[text.strip().lower()]
-    except KeyError:
-        raise InputError(f"{flag}: expected on/off, got {text!r}") from None
+        if isinstance(schema, bool):
+            return _BOOL_WORDS[raw.strip().lower()]
+        return type(schema)(raw)
+    except (KeyError, ValueError):
+        raise InputError(f"{key}: expected {_KIND[type(schema)]}, got {raw!r}") from None
 
 
 def apply_overrides(config: RunConfig, overrides) -> RunConfig:
-    """Apply "field=value" strings, coercing values to the field's type."""
-    by_name = {f.name: f for f in fields(RunConfig)}
+    """Apply "field=value" strings in order; a later value for a field wins.
+
+    Each value is parsed by the field's declared type, and one that does not
+    parse raises InputError naming the field.
+    """
     data = config.to_dict()
-    for item in overrides or ():
-        if "=" not in item:
-            raise InputError(f"override {item!r} is not of the form key=value")
-        key, _, raw = item.partition("=")
+    for item in overrides:
+        key, sep, raw = item.partition("=")
         key = key.strip()
-        if key not in by_name:
+        if not sep:
+            raise InputError(f"override {item!r} is not of the form key=value")
+        if key not in _SCHEMA:
             raise InputError(f"unknown config key {key!r}")
-        current = data[key]
-        if isinstance(current, bool):
-            data[key] = parse_flag_bool(raw, key)
-        elif isinstance(current, int):
-            data[key] = int(raw)
-        elif isinstance(current, float):
-            data[key] = float(raw)
-        elif isinstance(current, list):
-            data[key] = [part for part in raw.split(",") if part]
-        else:
-            data[key] = raw
-    return RunConfig.from_dict(data)
+        data[key] = _parse(key, raw, _SCHEMA[key])
+    return RunConfig.from_dict(data, where="override")

@@ -142,7 +142,6 @@ class DistillerModel:
         self.token_to_id = {t: i for i, t in enumerate(self.vocab)}
         self.config = config
         self.store = store
-        self.schedule = None  # the optimizer schedule of the last training run
         d = config.hidden_size
         a = config.attention_size or d
         self.w_proj = store.param("proj.w", (FEATURE_DIM, d))
@@ -267,12 +266,11 @@ class DistillerModel:
 
     def save(self, path: str) -> None:
         extra = {"kind": "distiller", "vocab": self.vocab, "config": asdict(self.config)}
-        self.store.save(path, schedule=self.schedule, extra=extra)
+        self.store.save(path, extra=extra)
 
     @classmethod
     def load(cls, path: str) -> "DistillerModel":
-        store, meta = ParameterStore.load(path, kind="distiller")
-        extra = meta["extra"]
+        store, extra = ParameterStore.load(path, kind="distiller")
         return store.build_model(path, lambda: cls(extra["vocab"], DistillerConfig(**extra["config"]), store))
 
 
@@ -322,5 +320,5 @@ def train_distiller(
             all_targets.extend(target_ids)
         return ad.softmax_cross_entropy(ad.concat(all_logits, axis=0), all_targets), len(all_targets)
 
-    history, model.schedule = fit(model.store, pairs, loss_fn, train or TrainConfig(), metric="token cross-entropy")
+    history = fit(model.store, pairs, loss_fn, train or TrainConfig(), metric="token cross-entropy")
     return model, history

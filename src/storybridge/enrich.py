@@ -66,17 +66,6 @@ class TermPath:
         origins.insert(k + 1, ("bridge", k))
         return TermPath(tuple(groups), tuple(origins), bridge, self.story_id)
 
-    def without_bridge(self) -> "TermPath":
-        if self.bridge is None:
-            return self
-        keep = [i for i, o in enumerate(self.origins) if o[0] != "bridge"]
-        return TermPath(
-            tuple(self.groups[i] for i in keep),
-            tuple(self.origins[i] for i in keep),
-            None,
-            self.story_id,
-        )
-
     @property
     def bridge_slot(self) -> int | None:
         for origin in self.origins:

@@ -129,7 +129,7 @@ def build_text_stories(variants: int = 5, bridged_copies: int = 2) -> list[Story
     return stories
 
 
-def kg_rows(variants: int = 5) -> tuple[list[str], list[str]]:
+def kg_rows() -> tuple[list[str], list[str]]:
     """(scene-graph rows, open-IE rows); rows are head<TAB>relation<TAB>tail."""
     scene = ["Dog_Noun\tDesiring_Frame\tCake_Noun"]
     # distractor bridging a pair the LM never saw as a six-group pattern
@@ -181,7 +181,7 @@ def write_fixtures(out_dir: str, seed: int = 0, variants: int = 5, bridged_copie
     save_corpus(paths["corpus"], vision)
     save_corpus(paths["text_corpus"], text)
     save_feature_file(paths["features"], build_feature_sequences(vision, seed))
-    scene, textrel = kg_rows(variants)
+    scene, textrel = kg_rows()
     with open(paths["kg_scene"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(scene) + "\n")
     with open(paths["kg_textrel"], "w", encoding="utf-8") as fh:

@@ -121,7 +121,6 @@ class GeneratorModel:
         self.config = config
         self.store = store
         self.sentence_budget = sentence_budget  # default decode length budget per sentence
-        self.schedule = None  # the optimizer schedule of the last training run
         d = config.hidden_size
         v = len(self.vocab)
         self.enc_embedding = store.param("enc.embedding", (v, d))
@@ -205,12 +204,11 @@ class GeneratorModel:
             "sentence_budget": self.sentence_budget,
             "config": asdict(self.config),
         }
-        self.store.save(path, schedule=self.schedule, extra=extra)
+        self.store.save(path, extra=extra)
 
     @classmethod
     def load(cls, path: str) -> "GeneratorModel":
-        store, meta = ParameterStore.load(path, kind="generator")
-        extra = meta["extra"]
+        store, extra = ParameterStore.load(path, kind="generator")
         return store.build_model(
             path, lambda: cls(extra["vocab"], GeneratorConfig(**extra["config"]), store, extra["sentence_budget"])
         )
@@ -377,7 +375,7 @@ def train_generator(
     if model is None:
         model = GeneratorModel.build(build_generator_vocab(pairs), config, sentence_budget=mean_sentence_budget(pairs))
 
-    history, model.schedule = fit(
+    history = fit(
         model.store,
         pairs,
         lambda ex: (model.training_loss(ex.term_groups, ex.sentences), 1),

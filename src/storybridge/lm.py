@@ -97,9 +97,6 @@ class NGramLM:
             return 0.0
         return (c + k) / denom
 
-    def next_token_distribution(self, context) -> dict[str, float]:
-        return {w: self.prob(w, context) for w in self.vocab}
-
     def save(self, path: str) -> None:
         payload = {
             "kind": "ngram",
@@ -137,7 +134,6 @@ class GRULanguageModel:
         self._vocab_set = set(self.vocab)
         self.hidden_size = hidden_size
         self.store = store
-        self.schedule = None  # the optimizer schedule of the last training run
         d = hidden_size
         self.embedding = store.param("lm.embedding", (len(self.vocab), d))
         self.cell = GRUParams(store, "lm.gru", d_in=d, d=d)
@@ -169,10 +165,6 @@ class GRULanguageModel:
             h = self.cell(Tensor(self.embedding.data[ids[:, j]]), Tensor(h)).data
             yield ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
 
-    def next_token_distribution(self, context) -> dict[str, float]:
-        *_, logp = self._forward(np.array([self._ids(context)]))
-        return {t: float(np.exp(logp[0, i])) for i, t in enumerate(self.vocab)}
-
     def log_probs(self, seqs) -> np.ndarray:
         """Summed log-probabilities of each sequence's tokens after the first.
 
@@ -200,11 +192,7 @@ class GRULanguageModel:
         return totals[owner]
 
     def save(self, path: str) -> None:
-        self.store.save(
-            path,
-            schedule=self.schedule,
-            extra={"kind": "gru_lm", "vocab": self.vocab, "hidden_size": self.hidden_size},
-        )
+        self.store.save(path, extra={"kind": "gru_lm", "vocab": self.vocab, "hidden_size": self.hidden_size})
 
     @classmethod
     def load(cls, path: str) -> "GRULanguageModel":
@@ -212,8 +200,7 @@ class GRULanguageModel:
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "GRULanguageModel":
-        store, meta = ParameterStore.from_payload(payload, where, kind="gru_lm")
-        extra = meta["extra"]
+        store, extra = ParameterStore.from_payload(payload, where, kind="gru_lm")
         return store.build_model(where, lambda: cls(extra["vocab"], extra["hidden_size"], store))
 
 
@@ -286,7 +273,7 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
     holdout = corpus[-n_holdout:]
     train_split = corpus[:-n_holdout] or corpus
 
-    history, model.schedule = fit(
+    history = fit(
         model.store,
         train_split,
         lambda seq: (ad.softmax_cross_entropy(model.sequence_logits(seq), model._ids(seq)[1:]), 1),
@@ -307,12 +294,6 @@ def load_term_sequences(path: str) -> list[list[str]]:
             raise InputError(f"{path}:{i}: term-sequence record needs a 'tokens' list")
         sequences.append([str(t) for t in rec["tokens"]])
     return sequences
-
-
-def save_term_sequences(path: str, sequences) -> None:
-    from .ioutil import write_jsonl
-
-    write_jsonl(path, ({"tokens": list(seq)} for seq in sequences))
 
 
 def load_lm(path: str):

@@ -87,12 +87,13 @@ class TrainConfig:
 
 
 def fit(store: ParameterStore, examples, loss_fn, train: TrainConfig, measure=None, metric: str = "loss"):
-    """Adam epochs over examples in order; returns (per-epoch history, schedule).
+    """Adam epochs over examples in order; returns the per-epoch history.
 
     loss_fn(example) gives (scalar loss, weight); every example takes one
     backward pass and one Adam step. An epoch's history entry is measure()
     when given, otherwise the weight-averaged loss of the epoch. train.log
-    gets one line per epoch, naming the value ``metric``.
+    gets one line per epoch, naming the value ``metric``. The store records
+    the final Adam schedule as ``store.schedule``.
     """
     state = AdamState(base_lr=train.learning_rate, warmup_steps=train.warmup_steps)
     history = []
@@ -108,4 +109,5 @@ def fit(store: ParameterStore, examples, loss_fn, train: TrainConfig, measure=No
         history.append(measure() if measure else total / count)
         if train.log:
             train.log(f"epoch {epoch + 1}: {metric} {history[-1]:.4f}")
-    return history, state.schedule()
+    store.schedule = state.schedule()
+    return history

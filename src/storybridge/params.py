@@ -19,7 +19,8 @@ class ParameterStore:
     Creation order is deterministic for a fixed seed, so two stores built by
     the same code with the same seed hold bit-identical values. A store can
     be frozen for inference; frozen stores refuse further allocation. Loaded
-    stores come back frozen.
+    stores come back frozen. ``schedule`` is the optimizer schedule of the
+    last training run (None before any); checkpoints save and restore it.
     """
 
     def __init__(self, rng_seed: int):
@@ -28,6 +29,7 @@ class ParameterStore:
         self._params: dict[str, Tensor] = {}
         self._claimed: set[str] = set()  # names some caller has asked for
         self.frozen = False
+        self.schedule: dict | None = None
 
     def __len__(self) -> int:
         return len(self._params)
@@ -59,9 +61,7 @@ class ParameterStore:
             raise ValueError(f"store is frozen; cannot allocate parameter '{name}'")
         shape = tuple(int(s) for s in shape)
         if init == "xavier":
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
-            fan_out = shape[-1]
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            limit = math.sqrt(6.0 / (shape[0] + shape[-1]))
             data = self._rng.uniform(-limit, limit, size=shape)
         elif init == "zeros":
             data = np.zeros(shape)
@@ -104,11 +104,11 @@ class ParameterStore:
             for name, t in self._params.items()
         }
 
-    def to_payload(self, schedule: dict | None = None, extra: dict | None = None) -> dict:
+    def to_payload(self, extra: dict | None = None) -> dict:
         return {
             "format_version": FORMAT_VERSION,
             "rng_seed": self.rng_seed,
-            "schedule": schedule,
+            "schedule": self.schedule,
             "extra": extra or {},
             "params": {
                 name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
@@ -116,8 +116,8 @@ class ParameterStore:
             },
         }
 
-    def save(self, path: str, schedule: dict | None = None, extra: dict | None = None) -> None:
-        payload = self.to_payload(schedule=schedule, extra=extra)
+    def save(self, path: str, extra: dict | None = None) -> None:
+        payload = self.to_payload(extra=extra)
         with atomic_writer(path) as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
@@ -125,7 +125,7 @@ class ParameterStore:
     def from_payload(
         cls, payload: dict, where: str = "checkpoint", kind: str | None = None
     ) -> tuple["ParameterStore", dict]:
-        """A frozen store from a checkpoint payload; every value must be finite.
+        """A frozen store and the checkpoint's ``extra`` from a payload; every value must be finite.
 
         A payload that is not a checkpoint of this format, or whose
         ``extra.kind`` is not ``kind`` (when given), raises InputError naming
@@ -136,15 +136,18 @@ class ParameterStore:
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
             raise InputError(f"{where}: unsupported checkpoint format_version {version!r}")
-        params, extra = payload.get("params"), payload.get("extra", {})
+        params, extra, schedule = payload.get("params"), payload.get("extra", {}), payload.get("schedule")
         if not isinstance(params, dict) or not isinstance(extra, dict):
             raise InputError(f"{where}: checkpoint needs a 'params' object and an 'extra' object")
+        if schedule is not None and not isinstance(schedule, dict):
+            raise InputError(f"{where}: checkpoint 'schedule' must be an object or null")
         if kind is not None and extra.get("kind") != kind:
             raise InputError(f"{where}: not a {kind} checkpoint")
         try:
             store = cls(payload["rng_seed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{where}: checkpoint has no usable rng_seed ({exc})") from None
+        store.schedule = schedule
         for name, entry in params.items():
             try:
                 data = np.asarray(entry["data"], dtype=np.float64).reshape(tuple(entry["shape"]))
@@ -153,7 +156,7 @@ class ParameterStore:
             if not np.isfinite(data).all():
                 raise InputError(f"{where}: parameter '{name}' holds non-finite values")
             store._params[name] = Tensor(data, requires_grad=True)
-        return store.freeze(), {"schedule": payload.get("schedule"), "extra": extra}
+        return store.freeze(), extra
 
     @classmethod
     def load(cls, path: str, kind: str | None = None) -> tuple["ParameterStore", dict]:

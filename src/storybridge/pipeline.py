@@ -127,7 +127,7 @@ def load_kg_index(config: RunConfig, stage: str = "enrich") -> RelationIndex:
     for entry in config.kg:
         path = _require(entry.get("path", ""), stage, "knowledge-graph tuple file")
         source = entry.get("source") or os.path.splitext(os.path.basename(path))[0]
-        load_tuples(path, source, two_hop_ok=bool(entry.get("two_hop", True)), into=index)
+        load_tuples(path, source, two_hop_ok=entry.get("two_hop", True), into=index)
     return index
 
 

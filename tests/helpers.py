@@ -153,3 +153,33 @@ def reference_select(candidates, model):
     scores = [reference_perplexity(model, path.linearized()) for path in candidates]
     best = int(np.argmin(scores))
     return best, scores[best]
+
+
+def next_token_distribution(model, context) -> dict[str, float]:
+    """Next-token probabilities after context, keyed by vocabulary entry, for either LM kind."""
+    from storybridge.lm import NGramLM
+
+    if isinstance(model, NGramLM):
+        return {w: model.prob(w, context) for w in model.vocab}
+    *_, logp = model._forward(np.array([model._ids(context)]))
+    return {t: float(np.exp(logp[0, i])) for i, t in enumerate(model.vocab)}
+
+
+def save_term_sequences(path: str, sequences) -> None:
+    """Write an LM corpus file: one {"tokens": [...]} record per line."""
+    from storybridge.ioutil import write_jsonl
+
+    write_jsonl(path, ({"tokens": list(seq)} for seq in sequences))
+
+
+# ------------------------------------------------------------ term paths
+
+
+def without_bridge(path):
+    """The path with its bridge group (if any) taken out."""
+    from storybridge.enrich import TermPath
+
+    keep = [i for i, o in enumerate(path.origins) if o[0] != "bridge"]
+    return TermPath(
+        tuple(path.groups[i] for i in keep), tuple(path.origins[i] for i in keep), None, path.story_id
+    )

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import batched, numeric_grad, rel_err
+from helpers import batched, next_token_distribution, numeric_grad, rel_err
 from storybridge import autodiff as ad
 from storybridge.autodiff import Tensor
 from storybridge.corpus import (
@@ -348,8 +348,8 @@ def test_criterion_6_lm_correctness():
     assert ppl <= 1.05
 
     for ctx in (["<s>"], ["a"], ["never seen"]):
-        assert abs(sum(bigram.next_token_distribution(ctx).values()) - 1.0) < 1e-9
-    assert abs(sum(gru.next_token_distribution(["<s>", "dog"]).values()) - 1.0) < 1e-9
+        assert abs(sum(next_token_distribution(bigram, ctx).values()) - 1.0) < 1e-9
+    assert abs(sum(next_token_distribution(gru, ["<s>", "dog"]).values()) - 1.0) < 1e-9
     report(6, f"add-1 bigram 0.75, overfit recurrent perplexity {ppl:.4f}, normalization at 1e-9")
 
 

@@ -167,7 +167,7 @@ def test_training_subcommands_wire_through(fixture_world, tmp_path, capsys):
 
 def test_train_lm_from_sequence_file(fixture_world, tmp_path, capsys):
     from storybridge.corpus import build_training_pairs, load_corpus
-    from storybridge.lm import save_term_sequences
+    from helpers import save_term_sequences
 
     seq_path = str(tmp_path / "sequences.jsonl")
     save_term_sequences(seq_path, build_training_pairs(load_corpus(fixture_world["corpus"]), mode="lm"))
@@ -303,3 +303,109 @@ def test_enrich_bad_term_path_exits_two_naming_the_line(pipeline_run, tmp_path, 
     )
     assert code == EXIT_INPUT
     assert f"{six}:1" in err and "got 6" in err
+
+
+# ------------------------------------------------------------ settings: one override path
+
+DEDICATED_FLAGS = [
+    ("train-distiller", "--out", "distiller_model", "d.json", "other.json"),
+    ("train-lm", "--out", "lm_model", "lm.json", "other.json"),
+    ("train-generator", "--out", "generator_model", "g.json", "other.json"),
+    ("enrich", "--terms", "terms_path", "t.jsonl", "other.jsonl"),
+    ("enrich", "--lm", "lm_model", "lm.json", "other.json"),
+    ("enrich", "--cap", "candidate_cap", "7", "9"),
+    ("enrich", "--two-hop", "two_hop", "off", "on"),
+    ("generate", "--path", "terms_path", "p.jsonl", "other.jsonl"),
+    ("generate", "--model", "generator_model", "g.json", "other.json"),
+    ("generate", "--alpha", "alpha", "2.5", "7"),
+    ("generate", "--gamma", "gamma", "0.5", "7"),
+    ("generate", "--beam", "beam_size", "4", "5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,field,value,other", DEDICATED_FLAGS, ids=[f"{c} {f}" for c, f, *_ in DEDICATED_FLAGS]
+)
+def test_dedicated_flag_is_shorthand_for_set(command, flag, field, value, other):
+    from storybridge.cli import build_parser, load_config
+    from storybridge.config import RunConfig
+
+    parse = build_parser().parse_args
+    by_flag = load_config(parse([command, flag, value]))
+    assert by_flag == load_config(parse([command, "--set", f"{field}={value}"]))
+    assert by_flag != RunConfig()
+    # the flag wins over a conflicting --set, wherever the --set stands
+    assert load_config(parse([command, "--set", f"{field}={other}", flag, value])) == by_flag
+    assert load_config(parse([command, flag, value, "--set", f"{field}={other}"])) == by_flag
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["train-lm", "--set", "epochs=ten"], "epochs"),
+        (["enrich", "--cap", "x"], "candidate_cap"),
+        (["enrich", "--two-hop", "maybe"], "two_hop"),
+        (["generate", "--beam", "3.5"], "beam_size"),
+        (["generate", "--alpha", "high"], "alpha"),
+        (["pipeline", "--set", "kg=scene.tsv"], "kg[0]"),
+    ],
+    ids=["set-epochs", "cap", "two-hop", "beam", "alpha", "set-kg"],
+)
+def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ({"two_hop": "off"}, "two_hop"),
+        ({"beam_size": "3"}, "beam_size"),
+        ({"epochs": 2.5}, "epochs"),
+        ({"alpha": True}, "alpha"),
+        ({"kg": [{"path": "scene.tsv", "two_hop": "no"}]}, "kg[0].two_hop"),
+        ({"kg": [{"path": "scene.tsv", "hops": 2}]}, "kg[0]"),
+        ({"stages": "distill"}, "stages"),
+    ],
+    ids=["two-hop-word", "beam-string", "epochs-float", "alpha-bool", "kg-two-hop-word", "kg-unknown-key", "stages"],
+)
+def test_ill_typed_config_file_exits_two_naming_file_and_key(tmp_path, capsys, config, key):
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json(cfg_path, config)
+    code, _, err = run_cli(capsys, "pipeline", "--config", cfg_path, "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_INPUT
+    assert cfg_path in err and key in err and "Traceback" not in err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
+def test_set_parses_by_declared_type_over_an_int_in_a_float_field(tmp_path):
+    from storybridge.cli import build_parser, load_config
+
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json(cfg_path, {"learning_rate": 1, "alpha": 20})
+    args = build_parser().parse_args(["train-lm", "--config", cfg_path, "--set", "learning_rate=0.003"])
+    config = load_config(args)
+    assert config.learning_rate == 0.003
+    assert type(config.alpha) is int  # a valid value stays as written
+
+
+def test_readme_quick_start_uses_real_flags_and_fields():
+    import shlex
+
+    from storybridge.cli import build_parser
+    from storybridge.config import RunConfig, apply_overrides
+
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("<!-- quick start: begin -->")[1].split("<!-- quick start: end -->")[0]
+    config_json = block.split("<<'EOF'\n")[1].split("\nEOF\n")[0]
+    config = RunConfig.from_dict(json.loads(config_json), where="README quick start")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("storybridge ")]
+    assert [argv[1] for argv in commands] == [
+        "make-fixtures", "train-distiller", "train-lm", "train-generator", "pipeline", "eval",
+    ]
+    parser = build_parser()
+    for argv in commands:
+        apply_overrides(config, parser.parse_args(argv[1:]).set)

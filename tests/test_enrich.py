@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import reference_select
+from helpers import reference_select, without_bridge
 from storybridge import lm as lm_module
 from storybridge.enrich import EnrichmentCandidate, TermPath, build_candidates, enrich_path, select_best
 from storybridge.ioutil import read_jsonl
@@ -50,7 +50,7 @@ def test_candidate_count_matches_per_pair_enumeration():
     assert len(cands) == expected
     # base path must be recoverable from every candidate
     for cand in cands[1:]:
-        assert cand.without_bridge() == base
+        assert without_bridge(cand) == base
         assert sum(1 for o in cand.origins if o[0] == "bridge") == 1
 
 

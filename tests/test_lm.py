@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_perplexity
+from helpers import next_token_distribution, reference_perplexity, save_term_sequences
 from storybridge import autodiff as ad
 from storybridge import lm as lm_module
 from storybridge.lm import (
@@ -85,14 +85,14 @@ def test_ngram_normalization_sums_to_one():
     corpus = [[BOS, "a", "b", EOS], [BOS, "b", "a", EOS]]
     model = NGramLM.train(corpus, order=2, smoothing_k=1.0)
     for ctx in ([BOS], ["a"], ["b"], ["unseen_context"]):
-        total = sum(model.next_token_distribution(ctx).values())
+        total = sum(next_token_distribution(model, ctx).values())
         assert abs(total - 1.0) < 1e-9
 
 
 def test_gru_normalization_sums_to_one():
     corpus = [[BOS, "a", "b", EOS]]
     model, _ = train_lm(corpus, LMConfig(kind="gru", hidden_size=8, seed=1), TrainConfig(epochs=2))
-    total = sum(model.next_token_distribution([BOS, "a"]).values())
+    total = sum(next_token_distribution(model, [BOS, "a"]).values())
     assert abs(total - 1.0) < 1e-9
 
 
@@ -145,7 +145,7 @@ def test_gru_ranking_agrees_with_ngram_oracle_after_convergence():
 
 def test_term_sequence_file_roundtrip(tmp_path):
     from storybridge.ioutil import InputError
-    from storybridge.lm import load_term_sequences, save_term_sequences
+    from storybridge.lm import load_term_sequences
 
     path = str(tmp_path / "sequences.jsonl")
     seqs = [[BOS, "a", "b", EOS], [BOS, "c", EOS]]
@@ -245,5 +245,5 @@ def test_gru_next_token_distribution_is_last_forward_row():
     model = _random_gru(3)
     context = [BOS, "t4", "unseen", SEP]
     want = ad.log_softmax_values(model.sequence_logits(context + [EOS]).data)[-1]
-    got = model.next_token_distribution(context)
+    got = next_token_distribution(model, context)
     np.testing.assert_allclose([got[t] for t in model.vocab], np.exp(want), rtol=1e-12, atol=1e-300)

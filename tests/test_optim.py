@@ -87,7 +87,7 @@ def test_identical_seeds_give_bit_identical_training():
 
 
 def tiny_fit(measure=None):
-    """fit on a two-parameter store with three weighted examples; returns (history, schedule, losses, lines)."""
+    """fit on a two-parameter store with three weighted examples; returns (history, store schedule, losses, lines)."""
     store = ParameterStore(0)
     w = store.param("w", (2,))
     examples = [(np.array([1.0, -2.0]), 1), (np.array([0.5, 3.0]), 3), (np.array([-1.0, 1.0]), 2)]
@@ -100,8 +100,8 @@ def tiny_fit(measure=None):
         return loss, weight
 
     train = TrainConfig(epochs=3, learning_rate=0.05, warmup_steps=2, log=lines.append)
-    history, schedule = fit(store, examples, loss_fn, train, measure=measure)
-    return history, schedule, losses, lines
+    history = fit(store, examples, loss_fn, train, measure=measure)
+    return history, store.schedule, losses, lines
 
 
 def test_fit_history_is_the_weighted_mean_loss_logged_once_per_epoch():

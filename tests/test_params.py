@@ -41,11 +41,12 @@ def test_serialization_roundtrip_is_bit_identical(tmp_path_factory, seed):
     store.param("b", (4,), init="zeros")
     store.param("c.d.e", (2, 2, 2))
     path = str(tmp_path_factory.mktemp("ckpt") / "model.json")
-    store.save(path, schedule={"base_lr": 1e-3}, extra={"vocab": ["x", "y"]})
-    loaded, meta = ParameterStore.load(path)
+    store.schedule = {"base_lr": 1e-3}
+    store.save(path, extra={"vocab": ["x", "y"]})
+    loaded, extra = ParameterStore.load(path)
     assert loaded.rng_seed == seed
-    assert meta["schedule"] == {"base_lr": 1e-3}
-    assert meta["extra"] == {"vocab": ["x", "y"]}
+    assert loaded.schedule == {"base_lr": 1e-3}
+    assert extra == {"vocab": ["x", "y"]}
     assert loaded.names() == store.names()
     for name, t in store.items():
         assert (loaded[name].data == t.data).all()
@@ -162,3 +163,19 @@ def test_strict_load_errors_exit_two(tmp_path, capsys):
     code = main(["generate", "--path", paths, "--model", path, "--out", str(tmp_path / "s.jsonl")])
     assert code == EXIT_INPUT
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["distiller_model", "lm_model", "generator_model"])
+def test_saving_a_loaded_checkpoint_rewrites_it_byte_for_byte(trained_world, tmp_path, role):
+    from storybridge.distill import DistillerModel
+    from storybridge.generate import GeneratorModel
+    from storybridge.lm import load_lm
+
+    load = {"distiller_model": DistillerModel.load, "lm_model": load_lm, "generator_model": GeneratorModel.load}[role]
+    original = trained_world[role]
+    model = load(original)
+    assert model.store.schedule["step_count"] > 0
+    again = str(tmp_path / "again.json")
+    model.save(again)
+    with open(original, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
