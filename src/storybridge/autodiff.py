@@ -9,6 +9,8 @@ gradient checks are stable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Array = np.ndarray
@@ -88,14 +90,18 @@ def _tracked(t: Tensor) -> bool:
 
 def _make(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if any(_tracked(p) for p in parents):
-        out._parents = parents
-        out._vjp = vjp
+    for p in parents:
+        if p.requires_grad or p._vjp is not None:
+            out._parents = parents
+            out._vjp = vjp
+            break
     return out
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a broadcast gradient back down to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -105,41 +111,48 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-def _check_broadcast(op: str, *shapes: tuple[int, ...]) -> None:
-    try:
-        np.broadcast_shapes(*shapes)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {' and '.join(str(s) for s in shapes)} do not broadcast") from None
+def _shape_error(op: str, *tensors: Tensor) -> ShapeError:
+    shapes = " and ".join(str(t.shape) for t in tensors)
+    return ShapeError(f"{op}: shapes {shapes} do not fit together")
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("add", a.shape, b.shape)
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise _shape_error("add", a, b) from None
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make(a.data + b.data, (a, b), vjp)
+    return _make(data, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("sub", a.shape, b.shape)
+    try:
+        data = a.data - b.data
+    except ValueError:
+        raise _shape_error("sub", a, b) from None
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _make(a.data - b.data, (a, b), vjp)
+    return _make(data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("mul", a.shape, b.shape)
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise _shape_error("mul", a, b) from None
 
     def vjp(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _make(a.data * b.data, (a, b), vjp)
+    return _make(data, (a, b), vjp)
 
 
 def scale(a, s: float) -> Tensor:
@@ -152,20 +165,29 @@ def scale(a, s: float) -> Tensor:
     return _make(a.data * s, (a,), vjp)
 
 
+def _matmul_data(op: str, a: Tensor, b: Tensor) -> Array:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"{op}: operands must be at least 2-d, got {a.shape} @ {b.shape}")
+    try:
+        return a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"{op}: cannot multiply {a.shape} @ {b.shape}") from None
+
+
+def _matmul_vjp(g: Array, a: Tensor, b: Tensor):
+    """Gradients of a @ b for g; None for an operand that is off the tape."""
+    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if _tracked(a) else None
+    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if _tracked(b) else None
+    return ga, gb
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree, got {a.shape} @ {b.shape}")
-    _check_broadcast("matmul", a.shape[:-2], b.shape[:-2])
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _matmul_vjp(g, a, b)
 
-    return _make(a.data @ b.data, (a, b), vjp)
+    return _make(_matmul_data("matmul", a, b), (a, b), vjp)
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
@@ -262,29 +284,36 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), vjp)
 
 
-def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layernorm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+def layernorm_values(x: Array, gain: Array, bias: Array, eps: float = 1e-5):
+    """Layer norm over the last axis in plain numpy: (output, normalized x, 1/std)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _norm_node(op: str, s: Array, inputs: tuple[Tensor, ...], gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer norm of s, the sum of inputs; every input gets the same gradient."""
+    d = s.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"{op}: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+    out, xhat, inv = layernorm_values(s, gain.data, bias.data, eps)
 
     def vjp(g):
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        return dx, dgain, dbias
+        return (dx,) * len(inputs) + (_unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+    return _make(out, (*inputs, gain, bias), vjp)
+
+
+def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then affine."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    return _norm_node("layernorm", x.data, (x,), gain, bias, eps)
 
 
 def embed(table, ids) -> Tensor:
@@ -336,6 +365,124 @@ def log_softmax_values(logits: Array) -> Array:
     return z - zmax - np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
 
 
+# ------------------------------------------------------------ fused layer primitives
+# One node each for a composite of the ops above, with the composite's arithmetic.
+# Every internal node of the composite has one consumer, and the parents are listed
+# so that ``backward`` reaches them in the composite's order: gradients are summed
+# in the same float order, and training is bit-identical to the composite's.
+
+
+def linear(x, w, b=None) -> Tensor:
+    """x @ w (+ b): one node in place of matmul then add."""
+    x, w = as_tensor(x), as_tensor(w)
+    if b is None:
+        return matmul(x, w)
+    b = as_tensor(b)
+    y = _matmul_data("linear", x, w)
+    try:
+        data = y + b.data
+    except ValueError:
+        raise _shape_error("linear", x, w, b) from None
+
+    def vjp(g):
+        return (*_matmul_vjp(g, x, w), _unbroadcast(g, b.shape))
+
+    return _make(data, (x, w, b), vjp)
+
+
+def feed_forward_values(x: Array, w1: Array, b1: Array, w2: Array, b2: Array):
+    """relu(x @ w1 + b1) @ w2 + b2 in plain numpy: (output, relu output, relu mask)."""
+    hidden = x @ w1 + b1
+    mask = hidden > 0
+    r = hidden * mask
+    return r @ w2 + b2, r, mask
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """The position-wise feed-forward block linear(relu(linear(x, w1, b1)), w2, b2)."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    try:
+        out, r, mask = feed_forward_values(x.data, w1.data, b1.data, w2.data, b2.data)
+    except ValueError:
+        raise _shape_error("feed_forward", x, w1, b1, w2, b2) from None
+
+    def vjp(g):
+        ga = (g @ w2.data.T) * mask
+        gw1 = _unbroadcast(np.swapaxes(x.data, -1, -2) @ ga, w1.shape)
+        gw2 = _unbroadcast(np.swapaxes(r, -1, -2) @ g, w2.shape)
+        return ga @ w1.data.T, gw1, _unbroadcast(ga, b1.shape), gw2, _unbroadcast(g, b2.shape)
+
+    return _make(out, (x, w1, b1, w2, b2), vjp)
+
+
+def add_layernorm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Residual then layer norm, layernorm(x + y, gain, bias)."""
+    x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
+    if x.shape != y.shape:
+        raise _shape_error("add_layernorm", x, y)
+    return _norm_node("add_layernorm", x.data + y.data, (x, y), gain, bias, eps)
+
+
+def attention_values(q: Array, k: Array, v: Array, mask: Array | None = None):
+    """Scaled dot-product attention over head-split (..., H, T, Dh) arrays: (weights, context)."""
+    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return weights, weights @ v
+
+
+def attention(q, k, v, num_heads: int, mask: Array | None = None) -> Tensor:
+    """Multi-head attention between the projections: q (Tq, D), k and v (Tk, D), additive mask (Tq, Tk)."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    try:
+        (tq, d), tk = q.shape, k.shape[0]
+        dh = d // num_heads
+        q3, k3, v3 = (np.transpose(t.data.reshape(len(t.data), num_heads, dh), (1, 0, 2)) for t in (q, k, v))
+        weights, ctx = attention_values(q3, k3, v3, mask)
+    except ValueError:
+        shapes = f"{q.shape}, {k.shape}, {v.shape} and mask {np.shape(mask)}"
+        raise ShapeError(f"attention: {shapes} do not fit {num_heads} heads") from None
+
+    def vjp(g):
+        gctx = np.transpose(g.reshape(tq, num_heads, dh), (1, 0, 2))
+        gw = gctx @ np.swapaxes(v3, -1, -2)
+        gv = np.swapaxes(weights, -1, -2) @ gctx
+        gs = (weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))) * (1.0 / math.sqrt(dh))
+        gq, gk = gs @ k3, np.swapaxes(q3, -1, -2) @ gs
+        merges = ((gq, (1, 0, 2), tq), (gk, (2, 0, 1), tk), (gv, (1, 0, 2), tk))
+        return tuple(np.transpose(a, axes).reshape(t, d) for a, axes, t in merges)
+
+    return _make(np.transpose(ctx, (1, 0, 2)).reshape(tq, d), (q, k, v), vjp)
+
+
+def additive_attention(keys, query, v, memory) -> Tensor:
+    """Additive attention of each query row (B, a) over memory (M, D): softmax over M of tanh(keys + query) @ v.
+
+    keys (M, a) and query are the projections of memory and of the decoder state; v is (a, 1).
+    """
+    keys, query, v, memory = as_tensor(keys), as_tensor(query), as_tensor(v), as_tensor(memory)
+    (b, a), m = query.shape, keys.shape[0]
+    if keys.shape != (m, a) or v.shape != (a, 1) or memory.ndim != 2 or memory.shape[0] != m:
+        raise _shape_error("additive_attention", keys, query, v, memory)
+    t = np.tanh(keys.data + query.data.reshape(b, 1, a))
+    z = (t @ v.data).reshape(b, m)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gw = g @ memory.data.T
+        gm = weights.T @ g
+        gz = (weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))).reshape(b, m, 1)
+        gt = gz @ v.data.T
+        gv = _unbroadcast(np.swapaxes(t, -1, -2) @ gz, v.shape)
+        gs = gt * (1.0 - t**2)
+        return _unbroadcast(gs, keys.shape), _unbroadcast(gs, (b, 1, a)).reshape(b, a), gv, gm
+
+    return _make(weights @ memory.data, (keys, query, v, memory), vjp)
+
+
 def backward(loss: Tensor) -> dict[Tensor, Array]:
     """Backpropagate from a scalar loss.
 
@@ -360,24 +507,23 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if _tracked(p) and id(p) not in seen:
+            if (p.requires_grad or p._vjp is not None) and id(p) not in seen:
                 stack.append((p, False))
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     result: dict[Tensor, Array] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
-        if g is None:
-            node._parents, node._vjp = (), None
-            continue
-        if node.requires_grad:
-            node.grad = g
-            result[node] = g
-        if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not _tracked(parent):
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        node._parents, node._vjp = (), None
+        if g is not None:
+            if node.requires_grad:
+                node.grad = g
+                result[node] = g
+            if node._vjp is not None:
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if pg is None or not (parent.requires_grad or parent._vjp is not None):
+                        continue
+                    acc = grads.get(id(parent))
+                    grads[id(parent)] = pg if acc is None else acc + pg
+        node._parents = ()
+        node._vjp = None
     return result

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Every subcommand reads one declarative JSON config (--config) and accepts
-generic --set key=value overrides plus a few dedicated flags, each of which
-is shorthand for one --set (SETTING_FLAGS). Exit codes: 0 success, 2 bad
-or missing input, 1 runtime failure.
+Every subcommand but eval and make-fixtures reads one declarative JSON
+config (--config) and accepts generic --set key=value overrides plus a few
+dedicated flags, each shorthand for one --set (SETTING_FLAGS); pipeline
+--from-manifest refuses them all. Exit codes: 0 success, 2 bad or missing
+input, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -84,11 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="output directory")
     p.add_argument("--from-manifest", help="re-execute a recorded run")
 
-    p = common("eval", "score generated stories against references")
+    p = sub.add_parser("eval", help="score generated stories against references")
     p.add_argument("--candidates", required=True, help="stories JSONL")
     p.add_argument("--references", required=True, help="reference corpus JSONL")
 
-    p = common("make-fixtures", "write the synthetic fixture suite")
+    p = sub.add_parser("make-fixtures", help="write the synthetic fixture suite")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", type=int, default=5, help="stories per archetype")
@@ -121,6 +122,16 @@ def _parse_kg_flag(value: str) -> dict:
 
 
 def run(args) -> int:
+    if args.command == "eval":
+        print(json.dumps(evaluate_stories(args.candidates, args.references), sort_keys=True))
+        return EXIT_OK
+    if args.command == "make-fixtures":
+        paths = write_fixtures(args.out_dir, seed=args.seed, variants=args.variants, bridged_copies=args.bridged_copies)
+        print(json.dumps(paths, sort_keys=True))
+        return EXIT_OK
+    given = [option for option, value in (("--config", args.config), ("--set", args.set)) if value]
+    if args.command == "pipeline" and args.from_manifest and given:  # pipeline has no dedicated setting flags
+        raise InputError(f"--from-manifest replays the manifest's settings; drop {', '.join(given)}")
     config = load_config(args)
     log = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
 
@@ -146,12 +157,6 @@ def run(args) -> int:
         else:
             manifest = run_pipeline(config, out_dir=args.out_dir)
         print(json.dumps(manifest["outputs"], sort_keys=True))
-    elif args.command == "eval":
-        scores = evaluate_stories(args.candidates, args.references)
-        print(json.dumps(scores, sort_keys=True))
-    elif args.command == "make-fixtures":
-        paths = write_fixtures(args.out_dir, seed=args.seed, variants=args.variants, bridged_copies=args.bridged_copies)
-        print(json.dumps(paths, sort_keys=True))
     else:  # pragma: no cover
         raise InputError(f"unknown command {args.command!r}")
     return EXIT_OK

@@ -183,20 +183,13 @@ class DistillerModel:
             raise ValueError("all slots must hold at least one object")
         return self.encoder(self.input_embeddings(seq))
 
-    def _attend(self, keys: Tensor, memory: Tensor, h: Tensor) -> Tensor:
-        """Additive attention of each row of h (B, d) over memory (M, d); returns (B, d).
-
-        keys is the memory's projection through attn_mem, (M, a).
-        """
-        b, (m, a) = h.shape[0], keys.shape
-        query = ad.reshape(linear(h, self.attn_hidden) + self.attn_bias, (b, 1, a))
-        scores = ad.tanh(keys + query)  # (B, M, a)
-        weights = ad.softmax(ad.reshape(ad.matmul(scores, self.attn_v), (b, m)), axis=-1)
-        return ad.matmul(weights, memory)
-
     def _step(self, prev_embedding: Tensor, h: Tensor, memory: Tensor, keys: Tensor | None = None):
-        """One decoder step for B rows; keys (memory through attn_mem) is computed when None."""
-        context = self._attend(linear(memory, self.attn_mem) if keys is None else keys, memory, h)
+        """One decoder step for B rows, with additive attention of each row of h over memory (M, d).
+
+        keys is the memory's projection through attn_mem, (M, a), computed when None.
+        """
+        keys = linear(memory, self.attn_mem) if keys is None else keys
+        context = ad.additive_attention(keys, linear(h, self.attn_hidden, self.attn_bias), self.attn_v, memory)
         u = ad.concat([prev_embedding, context], axis=1)
         h_next = self.cell(u, h)
         logits = linear(ad.concat([h_next, context], axis=1), self.w_out, self.b_out)

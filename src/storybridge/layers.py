@@ -5,88 +5,43 @@ cell, and the sinusoidal positional table. Parameters live in a
 ParameterStore and are addressed by dotted names, so a stack built twice
 from the same seed is bit-identical and a loaded checkpoint slots straight
 back in. ``DecoderCache`` runs a trained decoder stack for inference in
-plain numpy, one new position per call, off the tape.
+plain numpy, one new position per call, off the tape, through the same
+numpy forwards as the fused training ops.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError, Tensor, linear
 from .params import ParameterStore
 
 NEG_INF = -1e30
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = ad.matmul(x, w)
-    return y if b is None else ad.add(y, b)
-
-
 def multi_head_attention(
-    query: Tensor,
-    key: Tensor,
-    value: Tensor,
-    *,
-    wq: Tensor,
-    bq: Tensor,
-    wk: Tensor,
-    bk: Tensor,
-    wv: Tensor,
-    bv: Tensor,
-    wo: Tensor,
-    bo: Tensor,
-    num_heads: int,
-    mask: np.ndarray | None = None,
+    query: Tensor, key: Tensor, value: Tensor, *, wq, bq, wk, bk, wv, bv, wo, bo, num_heads: int, mask=None
 ) -> Tensor:
     """Scaled dot-product attention with ``num_heads`` heads over 2-d inputs.
 
     query is (Tq, D), key/value are (Tk, D); an optional additive mask of
     shape (Tq, Tk) is applied to the attention scores before softmax.
     """
-    tq, d = query.shape
-    tk = key.shape[0]
+    d = query.shape[-1]
     if d % num_heads != 0:
         raise ShapeError(f"multi_head_attention: hidden size {d} not divisible by {num_heads} heads")
-    dh = d // num_heads
-    q = linear(query, wq, bq)
-    k = linear(key, wk, bk)
-    v = linear(value, wv, bv)
-    q3 = ad.transpose(ad.reshape(q, (tq, num_heads, dh)), (1, 0, 2))
-    k3t = ad.transpose(ad.reshape(k, (tk, num_heads, dh)), (1, 2, 0))
-    v3 = ad.transpose(ad.reshape(v, (tk, num_heads, dh)), (1, 0, 2))
-    scores = ad.scale(ad.matmul(q3, k3t), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = ad.add(scores, Tensor(mask))
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), v3)
-    merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tq, d))
-    return linear(merged, wo, bo)
+    q, k, v = linear(query, wq, bq), linear(key, wk, bk), linear(value, wv, bv)
+    return linear(ad.attention(q, k, v, num_heads, mask), wo, bo)
 
 
-def gru_cell(
-    x: Tensor,
-    h: Tensor,
-    *,
-    w_xr: Tensor,
-    w_hr: Tensor,
-    b_r: Tensor,
-    w_xz: Tensor,
-    w_hz: Tensor,
-    b_z: Tensor,
-    w_xn: Tensor,
-    b_nx: Tensor,
-    w_hn: Tensor,
-    b_nh: Tensor,
-) -> Tensor:
+def gru_cell(x: Tensor, h: Tensor, *, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, b_nx, w_hn, b_nh) -> Tensor:
     """One gated recurrent step over N rows; x is (N, Din), h is (N, D), returns (N, D)."""
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_cell: expected matching 2-d inputs, got {x.shape} and {h.shape}")
     r = ad.sigmoid(linear(x, w_xr) + linear(h, w_hr) + b_r)
     z = ad.sigmoid(linear(x, w_xz) + linear(h, w_hz) + b_z)
-    n = ad.tanh(linear(x, w_xn) + b_nx + r * (linear(h, w_hn) + b_nh))
+    n = ad.tanh(linear(x, w_xn, b_nx) + r * linear(h, w_hn, b_nh))
     return (1.0 - z) * n + z * h
 
 
@@ -130,9 +85,8 @@ class AttentionParams:
         return y.reshape(x.shape[0], num_heads, -1)
 
     def attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Numpy attention of queries (B, H, 1, Dh) over keys/values (.., H, T, Dh); returns (B, D)."""
-        scores = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-        ctx = _softmax_values(scores) @ values
+        """Queries (B, H, 1, Dh) over keys/values (.., H, T, Dh) by ad.attention_values, projected; (B, D)."""
+        ctx = ad.attention_values(q, keys, values)[1]
         return ctx.reshape(q.shape[0], -1) @ self.kw["wo"].data + self.kw["bo"].data
 
 
@@ -144,11 +98,7 @@ class FeedForwardParams:
         self.b2 = store.param(f"{prefix}.b2", (d,), init="zeros")
 
     def __call__(self, x):
-        return linear(ad.relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        hidden = x @ self.w1.data + self.b1.data
-        return (hidden * (hidden > 0)) @ self.w2.data + self.b2.data
+        return ad.feed_forward(x, self.w1, self.b1, self.w2, self.b2)
 
 
 class NormParams:
@@ -156,13 +106,9 @@ class NormParams:
         self.g = store.param(f"{prefix}.g", (d,), init="ones")
         self.b = store.param(f"{prefix}.b", (d,), init="zeros")
 
-    def __call__(self, x):
-        return ad.layernorm(x, self.g, self.b)
-
-    def values(self, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        return (x - mu) * (1.0 / np.sqrt(var + eps)) * self.g.data + self.b.data
+    def __call__(self, x, residual):
+        """layernorm(x + residual)."""
+        return ad.add_layernorm(x, residual, self.g, self.b)
 
 
 class TransformerEncoder:
@@ -184,8 +130,8 @@ class TransformerEncoder:
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         for attn, norm1, ff, norm2 in self.blocks:
-            x = norm1(x + attn(x, x, x, self.heads, mask))
-            x = norm2(x + ff(x))
+            x = norm1(x, attn(x, x, x, self.heads, mask))
+            x = norm2(x, ff(x))
         return x
 
 
@@ -211,9 +157,9 @@ class TransformerDecoder:
     def __call__(self, x: Tensor, memory: Tensor) -> Tensor:
         mask = causal_mask(x.shape[0])
         for self_attn, norm1, cross, norm2, ff, norm3 in self.blocks:
-            x = norm1(x + self_attn(x, x, x, self.heads, mask))
-            x = norm2(x + cross(x, memory, memory, self.heads))
-            x = norm3(x + ff(x))
+            x = norm1(x, self_attn(x, x, x, self.heads, mask))
+            x = norm2(x, cross(x, memory, memory, self.heads))
+            x = norm3(x, ff(x))
         return x
 
 
@@ -242,25 +188,21 @@ class DecoderCache:
         parents = np.asarray(parents, dtype=np.int64)
         past = []
         for i, (self_attn, norm1, cross, norm2, ff, norm3) in enumerate(self.blocks):
-            q = self_attn.project(x, "q", self.heads)[:, :, None, :]
-            k = self_attn.project(x, "k", self.heads)[:, :, None, :]
-            v = self_attn.project(x, "v", self.heads)[:, :, None, :]
+            q, k, v = (self_attn.project(x, which, self.heads)[:, :, None, :] for which in "qkv")
             if self.past:
                 k = np.concatenate([self.past[i][0][parents], k], axis=2)
                 v = np.concatenate([self.past[i][1][parents], v], axis=2)
             past.append((k, v))
-            x = norm1.values(x + self_attn.attend(q, k, v))
+            x = _norm(norm1, x, self_attn.attend(q, k, v))
             q = cross.project(x, "q", self.heads)[:, :, None, :]
-            x = norm2.values(x + cross.attend(q, *self.cross[i]))
-            x = norm3.values(x + ff.values(x))
+            x = _norm(norm2, x, cross.attend(q, *self.cross[i]))
+            x = _norm(norm3, x, ad.feed_forward_values(x, ff.w1.data, ff.b1.data, ff.w2.data, ff.b2.data)[0])
         self.past = past
         return x
 
 
-def _softmax_values(z: np.ndarray) -> np.ndarray:
-    """ad.softmax's arithmetic over the last axis, in plain numpy."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _norm(norm: NormParams, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    return ad.layernorm_values(x + residual, norm.g.data, norm.b.data)[0]
 
 
 class GRUParams:

@@ -34,6 +34,85 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric)) / denom)
 
 
+# ------------------------------------------------------------ composite layer ops
+#
+# The fused primitives in storybridge.autodiff as compositions of the
+# elementary tape ops, the way the layers built them before fusion. They
+# are the oracles for the fused ops' values, gradients and float order.
+
+
+def composite_linear(x, w, b=None):
+    from storybridge import autodiff as ad
+
+    y = ad.matmul(x, w)
+    return y if b is None else ad.add(y, b)
+
+
+def composite_feed_forward(x, w1, b1, w2, b2):
+    from storybridge import autodiff as ad
+
+    return composite_linear(ad.relu(composite_linear(x, w1, b1)), w2, b2)
+
+
+def composite_add_layernorm(x, y, gain, bias, eps: float = 1e-5):
+    from storybridge import autodiff as ad
+
+    return ad.layernorm(ad.add(x, y), gain, bias, eps)
+
+
+def composite_attention(q, k, v, num_heads: int, mask=None):
+    import math
+
+    from storybridge import autodiff as ad
+    from storybridge.autodiff import Tensor
+
+    (tq, d), tk = q.shape, k.shape[0]
+    dh = d // num_heads
+    q3 = ad.transpose(ad.reshape(q, (tq, num_heads, dh)), (1, 0, 2))
+    k3t = ad.transpose(ad.reshape(k, (tk, num_heads, dh)), (1, 2, 0))
+    v3 = ad.transpose(ad.reshape(v, (tk, num_heads, dh)), (1, 0, 2))
+    scores = ad.scale(ad.matmul(q3, k3t), 1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = ad.add(scores, Tensor(mask))
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), v3)
+    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tq, d))
+
+
+def composite_additive_attention(keys, query, v, memory):
+    from storybridge import autodiff as ad
+
+    b, (m, a) = query.shape[0], keys.shape
+    scores = ad.tanh(ad.add(keys, ad.reshape(query, (b, 1, a))))  # (B, M, a)
+    weights = ad.softmax(ad.reshape(ad.matmul(scores, v), (b, m)), axis=-1)
+    return ad.matmul(weights, memory)
+
+
+def composite_ops() -> dict:
+    """Fused op name in storybridge.autodiff -> its composite oracle."""
+    return {
+        "linear": composite_linear,
+        "feed_forward": composite_feed_forward,
+        "add_layernorm": composite_add_layernorm,
+        "attention": composite_attention,
+        "additive_attention": composite_additive_attention,
+    }
+
+
+def use_composite_ops(monkeypatch) -> None:
+    """Swap every fused op for its composite, in every storybridge module that holds it."""
+    import sys
+
+    from storybridge import autodiff as ad
+
+    for name, composite in composite_ops().items():
+        fused = getattr(ad, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and (mod_name == "storybridge" or mod_name.startswith("storybridge.")):
+                for attr, value in list(vars(mod).items()):
+                    if value is fused:
+                        monkeypatch.setattr(mod, attr, composite)
+
+
 # ------------------------------------------------------------ decode references
 
 

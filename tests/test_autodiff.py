@@ -157,17 +157,37 @@ def test_backward_returns_gradient_map():
     np.testing.assert_allclose(grads[x], y.data)
 
 
+def zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
 @pytest.mark.parametrize(
     "op,args,fragment",
     [
-        (ad.matmul, (Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2)))), "matmul"),
-        (ad.add, (Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,)))), "add"),
+        (ad.matmul, (zeros(2, 3), zeros(4, 2)), "matmul"),
+        (ad.add, (zeros(2, 3), zeros(4)), "add"),
         (ad.embed, (Tensor(np.zeros((2, 3))), [5]), "embed"),
         (
             ad.layernorm,
             (Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros(3))),
             "layernorm",
         ),
+        (ad.matmul, (zeros(3), zeros(3, 2)), "matmul: operands must be at least 2-d"),
+        (ad.matmul, (zeros(2, 3, 4), zeros(3, 4, 5)), "matmul"),
+        (ad.sub, (zeros(2, 3), zeros(3, 2)), "sub"),
+        (ad.mul, (zeros(2, 3), zeros(2, 2)), "mul"),
+        (ad.linear, (zeros(2, 3), zeros(4, 2), zeros(2)), "linear"),
+        (ad.linear, (zeros(2, 3), zeros(3, 4), zeros(5)), "linear"),
+        (ad.linear, (zeros(3), zeros(3, 4), zeros(4)), "linear: operands must be at least 2-d"),
+        (ad.feed_forward, (zeros(2, 3), zeros(4, 5), zeros(5), zeros(5, 3), zeros(3)), "feed_forward"),
+        (ad.feed_forward, (zeros(2, 3), zeros(3, 5), zeros(5), zeros(5, 3), zeros(4)), "feed_forward"),
+        (ad.add_layernorm, (zeros(2, 3), zeros(2, 4), zeros(3), zeros(3)), "add_layernorm"),
+        (ad.add_layernorm, (zeros(2, 3), zeros(2, 3), zeros(2), zeros(3)), "add_layernorm"),
+        (ad.attention, (zeros(2, 4), zeros(3, 4), zeros(3, 4), 3), "attention"),
+        (ad.attention, (zeros(2, 4), zeros(3, 4), zeros(2, 4), 2), "attention"),
+        (ad.attention, (zeros(2, 4), zeros(3, 4), zeros(3, 4), 2, np.zeros((2, 2))), "attention"),
+        (ad.additive_attention, (zeros(3, 4), zeros(2, 5), zeros(4, 1), zeros(3, 6)), "additive_attention"),
+        (ad.additive_attention, (zeros(3, 4), zeros(2, 4), zeros(4, 1), zeros(2, 6)), "additive_attention"),
     ],
 )
 def test_shape_errors_name_the_op(op, args, fragment):

@@ -408,4 +408,36 @@ def test_readme_quick_start_uses_real_flags_and_fields():
     ]
     parser = build_parser()
     for argv in commands:
-        apply_overrides(config, parser.parse_args(argv[1:]).set)
+        apply_overrides(config, getattr(parser.parse_args(argv[1:]), "set", []))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--candidates", "s.jsonl", "--references", "r.jsonl", "--config", "cfg.json"],
+        ["eval", "--candidates", "s.jsonl", "--references", "r.jsonl", "--set", "seed=3"],
+        ["make-fixtures", "--out-dir", "x", "--set", "seed=3"],
+        ["make-fixtures", "--out-dir", "x", "--config", "cfg.json"],
+    ],
+)
+def test_commands_without_settings_refuse_config_and_set(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        (["--config", "cfg.json"], "--config"),
+        (["--set", "beam_size=5"], "--set"),
+        (["--config", "cfg.json", "--set", "alpha=1"], "--config, --set"),
+    ],
+)
+def test_from_manifest_refuses_settings_naming_them(tmp_path, capsys, extra, named):
+    out_dir = str(tmp_path / "rerun")
+    code, _, err = run_cli(capsys, "pipeline", "--from-manifest", str(tmp_path / "manifest.json"), "--out-dir", out_dir, *extra)
+    assert code == EXIT_INPUT
+    assert "--from-manifest" in err and f"drop {named}" in err
+    assert not os.path.exists(out_dir)
