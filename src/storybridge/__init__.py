@@ -8,18 +8,10 @@ length-aware transformer decoder under repetition-penalized beam search.
 
 from .config import RunConfig
 from .distill import DistillerModel, ImageSequence, ObjectFeatureSet, train_distiller
-from .enrich import EnrichmentCandidate, TermPath, build_candidates, enrich_path, select_best
-from .generate import (
-    BeamPenaltyConfig,
-    GeneratorModel,
-    Story,
-    beam_penalty_score,
-    decode_story,
-    ldpe,
-    train_generator,
-)
+from .enrich import EnrichmentCandidate, TermPath, build_candidates, select_best
+from .generate import BeamPenaltyConfig, GeneratorModel, Story, decode_story, train_generator
 from .kg import Bridge, KGTuple, RelationIndex, load_tuples
-from .lm import GRULanguageModel, NGramLM, linearize_groups, log_prob, perplexities, perplexity, train_lm
+from .lm import GRULanguageModel, NGramLM, linearize_groups, perplexities, perplexity, train_lm
 from .metrics import bleu_n, distinct_n
 from .pipeline import evaluate_stories, rerun_from_manifest, run_pipeline
 
@@ -40,17 +32,13 @@ __all__ = [
     "RunConfig",
     "Story",
     "TermPath",
-    "beam_penalty_score",
     "bleu_n",
     "build_candidates",
     "decode_story",
     "distinct_n",
-    "enrich_path",
     "evaluate_stories",
-    "ldpe",
     "linearize_groups",
     "load_tuples",
-    "log_prob",
     "perplexities",
     "perplexity",
     "rerun_from_manifest",

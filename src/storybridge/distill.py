@@ -215,7 +215,7 @@ class DistillerModel:
             raise ValueError("term vocabulary holds only the end-of-set marker")
         if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        memory = Tensor(self.encode_objects(seq).data)  # inference: drop the tape
+        memory = self.encode_objects(seq)
         eos = self.token_to_id[END_OF_SET]
         out = []
         for slot in seq.slots:
@@ -225,7 +225,7 @@ class DistillerModel:
 
     def _decode_slot(self, memory: Tensor, image_index: int, beam_size: int, eos: int):
         """Beam search for one image; the live beam runs as one (B, .) batch."""
-        keys = Tensor(linear(memory, self.attn_mem).data)
+        keys = linear(memory, self.attn_mem)
         v = len(self.vocab)
         only_eos = np.zeros(v, dtype=bool)
         only_eos[eos] = True

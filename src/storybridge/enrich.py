@@ -155,6 +155,3 @@ def select_best(candidates, lm) -> EnrichmentCandidate:
     best = int(np.argmin(scores))  # the first of equal minima
     return EnrichmentCandidate(candidates[best], float(scores[best]))
 
-
-def enrich_path(base: TermPath, index: RelationIndex, lm, cap: int | None = 500, allow_two_hop: bool = True) -> EnrichmentCandidate:
-    return select_best(build_candidates(base, index, cap, allow_two_hop), lm)

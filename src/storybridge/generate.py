@@ -39,22 +39,6 @@ EOS_STORY = "<eos>"
 SENTENCE_BOUNDARY = "<sb>"
 
 
-def ldpe(pos: int, length: int, d: int) -> np.ndarray:
-    """Length-difference positional encoding of one position.
-
-    Component 2i is sin((length - pos) / 10000^(2i/d)) and component 2i+1 is
-    the matching cosine: the sinusoidal table read at the remaining length,
-    so the vector depends on the remaining length only.
-    """
-    if d % 2 != 0:
-        raise ValueError(f"ldpe: dimension {d} must be even")
-    if pos < 0 or length < 1:
-        raise ValueError(f"ldpe: need 0 <= pos and 1 <= len, got pos={pos}, len={length}")
-    if pos > length:
-        raise ValueError(f"ldpe: position {pos} exceeds the length budget {length}")
-    return sinusoidal_encoding([length - pos], d)[0]
-
-
 @dataclass
 class BeamPenaltyConfig:
     alpha: float = 20.0
@@ -71,12 +55,6 @@ class BeamPenaltyConfig:
             raise ValueError("beam size must be >= 1")
         if self.length_unit not in ("tokens", "sentences"):
             raise ValueError(f"length_unit must be 'tokens' or 'sentences', got {self.length_unit!r}")
-
-
-def beam_penalty_score(log_p: float, in_current: bool, in_previous: bool, alpha: float, gamma: float, story_len: int) -> float:
-    """The decode score of one candidate token; beam_decode applies it to the whole (B, V) table."""
-    l = max(1, story_len)
-    return log_p - (alpha if in_current else 0.0) - ((gamma / l) if in_previous else 0.0)
 
 
 @dataclass

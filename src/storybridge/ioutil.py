@@ -22,7 +22,7 @@ def read_jsonl(path: str) -> list[dict]:
 
 
 def read_jsonl_lines(path: str) -> list[tuple[int, dict]]:
-    """(line number, record) for every nonblank line of a JSONL file."""
+    """(line number, record) for every nonblank line of a JSONL file; each line must hold a JSON object."""
     if not os.path.exists(path):
         raise InputError(f"input file not found: {path}")
     records = []
@@ -32,9 +32,12 @@ def read_jsonl_lines(path: str) -> list[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                records.append((lineno, json.loads(line)))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise InputError(f"{path}:{lineno}: expected a JSON object")
+            records.append((lineno, rec))
     return records
 
 

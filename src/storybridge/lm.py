@@ -3,8 +3,9 @@
 Two interchangeable scorers: a deterministic add-k n-gram model and a GRU
 model trained with the neural core. Both score a sequence as the sum of
 conditional log-probabilities of every token after the first, and report
-perplexity normalized by that token count. The GRU model scores a list of
-sequences as padded batches, ``SCORE_BLOCK_ROWS`` rows per pass.
+perplexity normalized by that token count. The GRU model has one forward
+over an id matrix: training runs it on one sequence, scoring on padded
+blocks of up to ``SCORE_BLOCK_ROWS`` sequences.
 """
 
 from __future__ import annotations
@@ -147,23 +148,12 @@ class GRULanguageModel:
     def _ids(self, tokens) -> list[int]:
         return [self.token_to_id[_map_token(t, self._vocab_set)] for t in tokens]
 
-    def sequence_logits(self, tokens) -> Tensor:
-        """Logit rows predicting tokens[1:] from their prefixes."""
-        ids = self._ids(tokens)
-        h = Tensor(np.zeros((1, self.hidden_size)))
-        rows = []
-        for tok_id in ids[:-1]:
-            x = ad.embed(self.embedding, [tok_id])
-            h = self.cell(x, h)
-            rows.append(linear(h, self.w_out, self.b_out))
-        return ad.concat(rows, axis=0)
-
     def _forward(self, ids: np.ndarray):
-        """Next-token log-probabilities (N, V) after each column of an id matrix (N, T), off the tape."""
-        h = np.zeros((ids.shape[0], self.hidden_size))
+        """Next-token logits (N, V) after each column of an id matrix (N, T), one GRU step per column."""
+        h = Tensor(np.zeros((ids.shape[0], self.hidden_size)))
         for j in range(ids.shape[1]):
-            h = self.cell(Tensor(self.embedding.data[ids[:, j]]), Tensor(h)).data
-            yield ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
+            h = self.cell(ad.embed(self.embedding, ids[:, j]), h)
+            yield linear(h, self.w_out, self.b_out)
 
     def log_probs(self, seqs) -> np.ndarray:
         """Summed log-probabilities of each sequence's tokens after the first.
@@ -183,11 +173,10 @@ class GRULanguageModel:
             ids = np.zeros((len(block), lengths.max()), dtype=np.int64)
             for row, seq_ids in enumerate(block):
                 ids[row, : len(seq_ids)] = seq_ids
-            rows = np.arange(len(block))
             gathered = np.zeros((len(block), ids.shape[1] - 1))
-            for j, logp in enumerate(self._forward(ids[:, :-1])):
+            for j, logits in enumerate(self._forward(ids[:, :-1])):
                 live = j + 1 < lengths
-                gathered[live, j] = logp[rows[live], ids[live, j + 1]]
+                gathered[live, j] = ad.log_softmax_values(logits.data)[live, ids[live, j + 1]]
             totals[lo : lo + len(block)] = gathered.sum(axis=1)
         return totals[owner]
 
@@ -224,11 +213,6 @@ def log_probs(model, seqs) -> np.ndarray:
     if isinstance(model, NGramLM):
         return np.array([_ngram_log_prob(model, seq) for seq in seqs], dtype=np.float64)
     return model.log_probs(seqs)
-
-
-def log_prob(model, seq) -> float:
-    """Sum of conditional log-probabilities of seq[1:]; always <= 0."""
-    return float(log_probs(model, [seq])[0])
 
 
 def perplexities(model, seqs) -> np.ndarray:
@@ -275,8 +259,8 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
 
     history = fit(
         model.store,
-        train_split,
-        lambda seq: (ad.softmax_cross_entropy(model.sequence_logits(seq), model._ids(seq)[1:]), 1),
+        [model._ids(seq) for seq in train_split],
+        lambda ids: (ad.softmax_cross_entropy(ad.concat(model._forward(np.array([ids[:-1]]))), ids[1:]), 1),
         train or TrainConfig(),
         measure=lambda: float(np.mean(perplexities(model, holdout))),
         metric="holdout perplexity",

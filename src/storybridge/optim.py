@@ -92,13 +92,15 @@ def fit(store: ParameterStore, examples, loss_fn, train: TrainConfig, measure=No
     loss_fn(example) gives (scalar loss, weight); every example takes one
     backward pass and one Adam step. An epoch's history entry is measure()
     when given, otherwise the weight-averaged loss of the epoch. train.log
-    gets one line per epoch, naming the value ``metric``. The store records
-    the final Adam schedule as ``store.schedule``.
+    gets one line per epoch, naming the value ``metric``. The store trains
+    only while an epoch's examples step: it is frozen for measure() and on
+    return, and records the final Adam schedule as ``store.schedule``.
     """
     state = AdamState(base_lr=train.learning_rate, warmup_steps=train.warmup_steps)
     history = []
     for epoch in range(train.epochs):
         total, count = 0.0, 0
+        store.freeze(False)
         for example in examples:
             loss, weight = loss_fn(example)
             ad.backward(loss)
@@ -106,8 +108,10 @@ def fit(store: ParameterStore, examples, loss_fn, train: TrainConfig, measure=No
             store.zero_grads()
             total += loss.item() * weight
             count += weight
+        store.freeze()
         history.append(measure() if measure else total / count)
         if train.log:
             train.log(f"epoch {epoch + 1}: {metric} {history[-1]:.4f}")
     store.schedule = state.schedule()
+    store.freeze()  # also after zero epochs
     return history

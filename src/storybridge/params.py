@@ -14,13 +14,14 @@ FORMAT_VERSION = 1
 
 
 class ParameterStore:
-    """Ordered map of name -> trainable Tensor, plus the seed that built it.
+    """Ordered map of name -> parameter Tensor, plus the seed that built it.
 
     Creation order is deterministic for a fixed seed, so two stores built by
-    the same code with the same seed hold bit-identical values. A store can
-    be frozen for inference; frozen stores refuse further allocation. Loaded
-    stores come back frozen. ``schedule`` is the optimizer schedule of the
-    last training run (None before any); checkpoints save and restore it.
+    the same code with the same seed hold bit-identical values. Parameters
+    train from creation until ``freeze``, which makes them constants that
+    record no tape and refuses further allocation. Loaded stores come back
+    frozen. ``schedule`` is the optimizer schedule of the last training run
+    (None before any); checkpoints save and restore it.
     """
 
     def __init__(self, rng_seed: int):
@@ -74,8 +75,11 @@ class ParameterStore:
         self._claimed.add(name)
         return t
 
-    def freeze(self) -> "ParameterStore":
-        self.frozen = True
+    def freeze(self, frozen: bool = True) -> "ParameterStore":
+        """Make every parameter a constant (``requires_grad`` False), or trainable again with frozen=False."""
+        self.frozen = frozen
+        for t in self._params.values():
+            t.requires_grad = not frozen
         return self
 
     def build_model(self, where: str, build):
@@ -155,7 +159,7 @@ class ParameterStore:
                 raise InputError(f"{where}: malformed parameter '{name}' ({exc})") from None
             if not np.isfinite(data).all():
                 raise InputError(f"{where}: parameter '{name}' holds non-finite values")
-            store._params[name] = Tensor(data, requires_grad=True)
+            store._params[name] = Tensor(data)
         return store.freeze(), extra
 
     @classmethod

@@ -15,7 +15,7 @@ from .corpus import build_training_pairs, load_corpus
 from .distill import DistillerConfig, DistillerModel, load_feature_file, train_distiller
 from .enrich import TermPath, build_candidates, check_base_path, select_best
 from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, decode_story, train_generator
-from .ioutil import InputError, read_json, read_jsonl, read_jsonl_lines, sha256_file, write_json, write_jsonl
+from .ioutil import InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
 from .lm import LMConfig, load_lm, load_term_sequences, train_lm
 from .metrics import bleu_n, distinct_n
@@ -171,7 +171,7 @@ def stage_enrich(config: RunConfig, terms_path: str, out_path: str) -> list[dict
 
 
 def stage_generate(config: RunConfig, paths_path: str, out_path: str) -> list[dict]:
-    records = read_jsonl(_require(paths_path, "generate", "term-path file"))
+    records = read_jsonl_lines(_require(paths_path, "generate", "term-path file"))
     model = GeneratorModel.load(
         _require(config.generator_model, "generate", "generator checkpoint (generator_model)")
     )
@@ -182,8 +182,8 @@ def stage_generate(config: RunConfig, paths_path: str, out_path: str) -> list[di
         length_unit=config.length_unit,
     )
     out = []
-    for rec in records:
-        path = TermPath.from_record(rec, where=paths_path)
+    for lineno, rec in records:
+        path = TermPath.from_record(rec, where=f"{paths_path}:{lineno}")
         story = decode_story(
             path,
             model,
@@ -263,10 +263,15 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
 def rerun_from_manifest(manifest_path: str, out_dir: str | None = None) -> dict:
     """Re-execute a recorded run; input files must hash exactly as recorded."""
     manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: not a manifest (top level is not a JSON object)")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise InputError(f"{manifest_path}: unsupported manifest version")
-    config = RunConfig.from_dict(manifest["config"], where=manifest_path)
-    for path, digest in manifest.get("inputs", {}).items():
+    config = RunConfig.from_dict(manifest.get("config"), where=manifest_path)
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict) or not all(isinstance(digest, str) for digest in inputs.values()):
+        raise InputError(f"{manifest_path}: manifest 'inputs' must map each input path to its sha256 digest")
+    for path, digest in inputs.items():
         if not os.path.exists(path):
             raise InputError(f"manifest input missing: {path}")
         if sha256_file(path) != digest:
@@ -276,15 +281,19 @@ def rerun_from_manifest(manifest_path: str, out_dir: str | None = None) -> dict:
 
 def evaluate_stories(candidates_path: str, references_path: str) -> dict:
     """Corpus BLEU-1..4 and distinct-1/2 of generated stories against references."""
-    cand_records = read_jsonl(candidates_path)
+    cand_records = read_jsonl_lines(candidates_path)
     ref_stories = load_corpus(references_path)
     refs_by_id = {s.story_id: [tok for sent in s.sentences for tok in sent.tokens] for s in ref_stories}
     cands, refs = [], []
-    for rec in cand_records:
-        sid = rec.get("story_id")
+    for lineno, rec in cand_records:
+        sid, sentences = rec.get("story_id"), rec.get("sentences")
+        if not isinstance(sentences, list) or not all(
+            isinstance(sent, list) and all(isinstance(tok, str) for tok in sent) for sent in sentences
+        ):
+            raise InputError(f"{candidates_path}:{lineno}: story record needs a 'sentences' list of token lists")
         if sid not in refs_by_id:
-            raise InputError(f"{candidates_path}: no reference story for id {sid!r}")
-        cands.append([tok for sent in rec["sentences"] for tok in sent])
+            raise InputError(f"{candidates_path}:{lineno}: no reference story for id {sid!r}")
+        cands.append([tok for sent in sentences for tok in sent])
         refs.append(refs_by_id[sid])
     scores = {f"bleu{n}": bleu_n(cands, refs, n) for n in range(1, 5)}
     scores.update({f"distinct{n}": distinct_n(cands, n) for n in (1, 2)})

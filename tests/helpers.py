@@ -6,6 +6,10 @@ analytic gradient in the package; it must never call into the tape.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import types
+
 import numpy as np
 
 
@@ -32,6 +36,26 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     # floor keeps finite-difference noise from dominating genuinely zero grads
     denom = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-6)
     return float(np.max(np.abs(analytic - numeric)) / denom)
+
+
+@contextlib.contextmanager
+def count_tape_nodes():
+    """Count the tape nodes (op outputs carrying a VJP) made inside the block, as ``.nodes``."""
+    from storybridge import autodiff as ad
+
+    make = ad._make
+    counter = types.SimpleNamespace(nodes=0)
+
+    def counting(data, parents, vjp):
+        out = make(data, parents, vjp)
+        counter.nodes += out._vjp is not None
+        return out
+
+    ad._make = counting
+    try:
+        yield counter
+    finally:
+        ad._make = make
 
 
 # ------------------------------------------------------------ composite layer ops
@@ -116,6 +140,30 @@ def use_composite_ops(monkeypatch) -> None:
 # ------------------------------------------------------------ decode references
 
 
+def ldpe(pos: int, length: int, d: int) -> np.ndarray:
+    """Length-difference positional encoding of one position.
+
+    Component 2i is sin((length - pos) / 10000^(2i/d)) and component 2i+1 is
+    the matching cosine: the sinusoidal table read at the remaining length,
+    so the vector depends on the remaining length only.
+    """
+    from storybridge.layers import sinusoidal_encoding
+
+    if d % 2 != 0:
+        raise ValueError(f"ldpe: dimension {d} must be even")
+    if pos < 0 or length < 1:
+        raise ValueError(f"ldpe: need 0 <= pos and 1 <= len, got pos={pos}, len={length}")
+    if pos > length:
+        raise ValueError(f"ldpe: position {pos} exceeds the length budget {length}")
+    return sinusoidal_encoding([length - pos], d)[0]
+
+
+def beam_penalty_score(log_p: float, in_current: bool, in_previous: bool, alpha: float, gamma: float, story_len: int) -> float:
+    """The decode score of one candidate token; beam_decode applies it to the whole (B, V) table."""
+    l = max(1, story_len)
+    return log_p - (alpha if in_current else 0.0) - ((gamma / l) if in_previous else 0.0)
+
+
 def batched(step):
     """Lift a per-prefix step (prefix tuple -> (V,) log-probs) to beam_decode's batched contract."""
     return lambda prefixes: np.stack([np.asarray(step(p), dtype=np.float64) for p in prefixes])
@@ -178,8 +226,6 @@ def reference_story_beam(step, *, vocab_size, sb_id, group_count, penalties, max
 
     step takes one prefix tuple; returns (token ids, score, truncated) like beam_decode.
     """
-    from storybridge.generate import beam_penalty_score
-
     excluded = frozenset(excluded_ids) - {sb_id}
     # hypothesis: (score, tokens, S, R, boundaries, sentence_len, truncated)
     live = [(0.0, (), frozenset(), frozenset(), 0, 0, False)]
@@ -216,14 +262,20 @@ def reference_story_beam(step, *, vocab_size, sb_id, group_count, penalties, max
 # ------------------------------------------------------------ LM scoring references
 
 
-def reference_perplexity(model, seq) -> float:
-    """GRU perplexity of one sequence through the training path's sequence_logits."""
-    import math
-
+def sequence_log_probs(model, seq) -> np.ndarray:
+    """GRU next-token log-probability rows after each token but the last, as the training path runs them."""
     from storybridge import autodiff as ad
 
     ids = model._ids(seq)
-    logp = ad.log_softmax_values(model.sequence_logits(seq).data)
+    return ad.log_softmax_values(ad.concat(model._forward(np.array([ids[:-1]]))).data)
+
+
+def reference_perplexity(model, seq) -> float:
+    """GRU perplexity of one sequence through the training path's one-row forward."""
+    import math
+
+    ids = model._ids(seq)
+    logp = sequence_log_probs(model, seq)
     return math.exp(-float(logp[np.arange(len(ids) - 1), ids[1:]].sum()) / (len(seq) - 1))
 
 
@@ -240,8 +292,18 @@ def next_token_distribution(model, context) -> dict[str, float]:
 
     if isinstance(model, NGramLM):
         return {w: model.prob(w, context) for w in model.vocab}
-    *_, logp = model._forward(np.array([model._ids(context)]))
+    from storybridge import autodiff as ad
+
+    *_, logits = model._forward(np.array([model._ids(context)]))
+    logp = ad.log_softmax_values(logits.data)
     return {t: float(np.exp(logp[0, i])) for i, t in enumerate(model.vocab)}
+
+
+def log_prob(model, seq) -> float:
+    """Sum of conditional log-probabilities of seq[1:]; always <= 0."""
+    from storybridge.lm import log_probs
+
+    return float(log_probs(model, [seq])[0])
 
 
 def save_term_sequences(path: str, sequences) -> None:
@@ -249,6 +311,19 @@ def save_term_sequences(path: str, sequences) -> None:
     from storybridge.ioutil import write_jsonl
 
     write_jsonl(path, ({"tokens": list(seq)} for seq in sequences))
+
+
+# ------------------------------------------------------------ input files
+
+
+def with_second_line(tmp_path, source: str, line: str) -> str:
+    """A new JSONL file holding the first line of source, then line; its path."""
+    with open(source, encoding="utf-8") as fh:
+        first = fh.readline()
+    out = str(tmp_path / f"bad_{os.path.basename(source)}")
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(first + line + "\n")
+    return out
 
 
 # ------------------------------------------------------------ term paths
@@ -262,3 +337,10 @@ def without_bridge(path):
     return TermPath(
         tuple(path.groups[i] for i in keep), tuple(path.origins[i] for i in keep), None, path.story_id
     )
+
+
+def enrich_path(base, index, lm, cap: int | None = 500, allow_two_hop: bool = True):
+    """The selected candidate of one base path: build_candidates, then select_best."""
+    from storybridge.enrich import build_candidates, select_best
+
+    return select_best(build_candidates(base, index, cap, allow_two_hop), lm)

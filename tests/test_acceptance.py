@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import batched, next_token_distribution, numeric_grad, rel_err
+from helpers import batched, beam_penalty_score, ldpe, next_token_distribution, numeric_grad, rel_err
 from storybridge import autodiff as ad
 from storybridge.autodiff import Tensor
 from storybridge.corpus import (
@@ -37,9 +37,7 @@ from storybridge.generate import (
     BeamPenaltyConfig,
     GeneratorConfig,
     beam_decode,
-    beam_penalty_score,
     decode_story,
-    ldpe,
     train_generator,
 )
 from storybridge.ioutil import sha256_file

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from helpers import with_second_line
 from storybridge.cli import EXIT_INPUT, EXIT_OK, main
 from storybridge.ioutil import read_jsonl, sha256_file, write_json
 
@@ -303,6 +304,81 @@ def test_enrich_bad_term_path_exits_two_naming_the_line(pipeline_run, tmp_path, 
     )
     assert code == EXIT_INPUT
     assert f"{six}:1" in err and "got 6" in err
+
+
+def test_enrich_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
+    bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "terms.jsonl"), "[1]")
+    code, _, err = run_cli(
+        capsys,
+        "enrich",
+        "--terms", bad,
+        "--kg", f"{pipeline_run['world']['kg_scene']}:scene:twohop",
+        "--lm", pipeline_run["world"]["lm_model"],
+        "--out", str(tmp_path / "o.jsonl"),
+    )
+    assert code == EXIT_INPUT
+    assert f"{bad}:2: expected a JSON object" in err
+
+
+def test_generate_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
+    bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "paths.jsonl"), "[1]")
+    code, _, err = run_cli(
+        capsys, "generate", "--path", bad, "--model", pipeline_run["world"]["generator_model"],
+        "--out", str(tmp_path / "o.jsonl"),
+    )
+    assert code == EXIT_INPUT
+    assert f"{bad}:2: expected a JSON object" in err
+
+
+@pytest.mark.parametrize("bad_file", ["candidates", "references"])
+def test_eval_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, capsys, bad_file):
+    files = {
+        "candidates": os.path.join(pipeline_run["out_dir"], "stories.jsonl"),
+        "references": pipeline_run["world"]["corpus"],
+    }
+    files[bad_file] = bad = with_second_line(tmp_path, files[bad_file], "[1]")
+    code, _, err = run_cli(capsys, "eval", "--candidates", files["candidates"], "--references", files["references"])
+    assert code == EXIT_INPUT
+    assert f"{bad}:2: expected a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"story_id": "s"},
+        {"story_id": "s", "sentences": "a b"},
+        {"story_id": "s", "sentences": ["a", "b"]},
+        {"story_id": "s", "sentences": [["a", 1]]},
+    ],
+    ids=["missing", "string", "flat list", "non-string token"],
+)
+def test_eval_story_without_token_lists_exits_two_naming_the_line(pipeline_run, tmp_path, capsys, record):
+    bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "stories.jsonl"), json.dumps(record))
+    code, _, err = run_cli(capsys, "eval", "--candidates", bad, "--references", pipeline_run["world"]["corpus"])
+    assert code == EXIT_INPUT
+    assert f"{bad}:2: story record needs a 'sentences' list of token lists" in err
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda m: [], "not a manifest"),
+        (lambda m: {"format_version": m["format_version"]}, "config must be an object"),
+        (lambda m: {**m, "inputs": []}, "'inputs' must map"),
+        (lambda m: {**m, "inputs": {path: None for path in m["inputs"]}}, "'inputs' must map"),
+    ],
+    ids=["list", "no config", "inputs list", "digest not a string"],
+)
+def test_malformed_manifest_exits_two_naming_it(pipeline_run, tmp_path, capsys, change, message):
+    with open(os.path.join(pipeline_run["out_dir"], "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    bad = str(tmp_path / "manifest.json")
+    write_json(bad, change(manifest))
+    out_dir = str(tmp_path / "rerun")
+    code, _, err = run_cli(capsys, "pipeline", "--from-manifest", bad, "--out-dir", out_dir)
+    assert code == EXIT_INPUT
+    assert f"{bad}:" in err and message in err
+    assert not os.path.exists(out_dir)
 
 
 # ------------------------------------------------------------ settings: one override path

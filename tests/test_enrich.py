@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from helpers import reference_select, without_bridge
+from helpers import enrich_path, reference_select, without_bridge
 from storybridge import lm as lm_module
-from storybridge.enrich import EnrichmentCandidate, TermPath, build_candidates, enrich_path, select_best
+from storybridge.enrich import EnrichmentCandidate, TermPath, build_candidates, select_best
 from storybridge.ioutil import read_jsonl
 from storybridge.kg import Bridge, KGTuple, RelationIndex
 from storybridge.lm import BOS, EOS, SEP, UNK, GRULanguageModel, NGramLM, linearize_groups, perplexities, perplexity

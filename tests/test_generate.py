@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import batched, recompute_step, reference_story_beam
+from helpers import batched, beam_penalty_score, ldpe, recompute_step, reference_story_beam
 from storybridge.beam import top_k
 from storybridge.enrich import TermPath
 from storybridge.generate import (
@@ -18,10 +18,8 @@ from storybridge.generate import (
     GeneratorModel,
     Story,
     beam_decode,
-    beam_penalty_score,
     build_generator_vocab,
     decode_story,
-    ldpe,
     story_tokens,
     train_generator,
 )

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import next_token_distribution, reference_perplexity, save_term_sequences
-from storybridge import autodiff as ad
+from helpers import log_prob, next_token_distribution, reference_perplexity, save_term_sequences, sequence_log_probs
 from storybridge import lm as lm_module
 from storybridge.lm import (
     BOS,
@@ -18,7 +17,6 @@ from storybridge.lm import (
     NGramLM,
     linearize_groups,
     load_lm,
-    log_prob,
     perplexities,
     perplexity,
     train_lm,
@@ -244,6 +242,6 @@ def test_ngram_perplexities_equal_per_sequence_calls():
 def test_gru_next_token_distribution_is_last_forward_row():
     model = _random_gru(3)
     context = [BOS, "t4", "unseen", SEP]
-    want = ad.log_softmax_values(model.sequence_logits(context + [EOS]).data)[-1]
+    want = sequence_log_probs(model, context + [EOS])[-1]
     got = next_token_distribution(model, context)
     np.testing.assert_allclose([got[t] for t in model.vocab], np.exp(want), rtol=1e-12, atol=1e-300)

@@ -33,6 +33,16 @@ def test_frozen_store_refuses_new_parameters():
         store.param("w2", (2,))
 
 
+def test_freezing_makes_parameters_constants_until_unfrozen():
+    store = ParameterStore(0)
+    w = store.param("w", (2, 2))
+    assert w.requires_grad and not store.frozen
+    assert not store.freeze()["w"].requires_grad and store.frozen
+    store.freeze(False)
+    assert w.requires_grad and not store.frozen
+    store.param("w2", (2,))  # an unfrozen store allocates again
+
+
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_serialization_roundtrip_is_bit_identical(tmp_path_factory, seed):

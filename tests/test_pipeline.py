@@ -1,9 +1,11 @@
 import json
 import os
+import re
 
 import pytest
 
 from conftest import pipeline_config
+from helpers import with_second_line
 from storybridge.config import RunConfig, apply_overrides
 from storybridge.ioutil import InputError, read_jsonl, sha256_file, write_jsonl
 from storybridge.pipeline import (
@@ -150,6 +152,14 @@ def test_stage_generate_flags_missing_model(pipeline_run, tmp_path):
     config.generator_model = str(tmp_path / "never.json")
     with pytest.raises(InputError, match=r"stage 'generate'.*never.json"):
         stage_generate(config, os.path.join(pipeline_run["out_dir"], "paths.jsonl"), str(tmp_path / "o.jsonl"))
+
+
+def test_stage_generate_names_the_line_of_a_malformed_path(pipeline_run, tmp_path):
+    record = json.dumps({"story_id": "s", "groups": [["a"]]})
+    bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "paths.jsonl"), record)
+    config = pipeline_config(pipeline_run["world"], str(tmp_path / "out"))
+    with pytest.raises(InputError, match=re.escape(f"{bad}:2: malformed term-path record")):
+        stage_generate(config, bad, str(tmp_path / "o.jsonl"))
 
 
 def test_evaluate_stories_against_references(pipeline_run):
