@@ -1,8 +1,33 @@
-"""Top-k selection shared by the term and story beam searches."""
+"""The penalised beam search of the story and term decoders, and its top-k selection.
+
+A candidate x scores log p(x) - alpha*[x in S] - (gamma/l)*[x in R], where S
+and R hold the tokens of the current and of earlier sentences. A term set is
+one sentence closed by the end-of-set marker, with alpha = 1e19 and gamma = 0.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass
+class BeamPenaltyConfig:
+    alpha: float = 20.0
+    gamma: float = 5.0
+    beam_size: int = 3
+    # how the length l in gamma/l is measured: "tokens" (default) counts
+    # generated tokens, "sentences" counts sentences begun so far
+    length_unit: str = "tokens"
+
+    def __post_init__(self):
+        if self.alpha < 0 or self.gamma < 0:
+            raise ValueError("penalty weights must be nonnegative")
+        if self.beam_size < 1:
+            raise ValueError("beam size must be >= 1")
+        if self.length_unit not in ("tokens", "sentences"):
+            raise ValueError(f"length_unit must be 'tokens' or 'sentences', got {self.length_unit!r}")
 
 
 def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -27,3 +52,75 @@ def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     chosen = np.concatenate([above, tied])
     chosen = chosen[np.lexsort((chosen, -flat[chosen]))]
     return chosen % b, chosen // b
+
+
+def beam_decode(
+    step_log_probs,
+    *,
+    vocab_size: int,
+    sb_id: int,
+    group_count: int,
+    penalties: BeamPenaltyConfig,
+    max_sentence_tokens: int,
+    excluded_ids=(),
+    run_until_empty: bool = False,
+):
+    """Beam search over token ids with inter/intra-sentence repetition penalties.
+
+    step_log_probs takes the live prefixes (tuples of token ids) and gives
+    their (B, V) next-token log-probabilities. Structural rules: ids in
+    excluded_ids are never emitted; a hypothesis finishes at its
+    group_count-th sentence boundary; a sentence hitting max_sentence_tokens
+    is closed by a forced boundary and flags the story as truncated. Marker
+    tokens stay out of the repetition sets S (current sentence) and R
+    (earlier sentences), both boolean (B, V) masks. Exact score ties resolve
+    to the lower token id, then the earlier hypothesis. The search stops once
+    beam_size hypotheses have finished, or with run_until_empty once none is
+    live; the two rules can pick different winners.
+    """
+    allowed = np.ones(vocab_size, dtype=bool)
+    allowed[list(excluded_ids)] = False
+    allowed[sb_id] = True
+    only_sb = np.zeros(vocab_size, dtype=bool)
+    only_sb[sb_id] = True
+    # live hypotheses, one row each
+    scores = np.zeros(1)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    s_mask = np.zeros((1, vocab_size), dtype=bool)
+    r_mask = np.zeros((1, vocab_size), dtype=bool)
+    bounds = np.zeros(1, dtype=np.int64)
+    sent_len = np.zeros(1, dtype=np.int64)
+    trunc = np.zeros(1, dtype=bool)
+    done = []  # (score, tokens, truncated) in finishing order
+    while scores.size:
+        logp = np.asarray(step_log_probs([tuple(row) for row in tokens.tolist()]), dtype=np.float64)
+        if penalties.length_unit == "sentences":
+            story_len = bounds + 1
+        else:
+            story_len = np.full(scores.size, max(1, tokens.shape[1]))
+        gamma_l = penalties.gamma / story_len[:, None]
+        step_score = (logp - np.where(s_mask, penalties.alpha, 0.0)) - np.where(r_mask, gamma_l, 0.0)
+        forced = sent_len >= max_sentence_tokens
+        open_ids = np.where(forced[:, None], only_sb, allowed)
+        candidates = scores[:, None] + step_score
+        hyp, tok = top_k(np.where(open_ids, candidates, -np.inf), penalties.beam_size)
+        new_scores = candidates[hyp, tok]
+        is_sb = tok == sb_id
+        s_mask, r_mask = s_mask[hyp], r_mask[hyp]
+        r_mask[is_sb] |= s_mask[is_sb]
+        s_mask[is_sb] = False
+        s_mask[~is_sb, tok[~is_sb]] = True
+        bounds = bounds[hyp] + is_sb
+        sent_len = np.where(is_sb, 0, sent_len[hyp] + 1)
+        trunc = trunc[hyp] | forced[hyp]
+        tokens = np.concatenate([tokens[hyp], tok[:, None]], axis=1)
+        finished = is_sb & (bounds == group_count)
+        for i in np.flatnonzero(finished):
+            done.append((float(new_scores[i]), tokens[i].tolist(), bool(trunc[i])))
+        keep = ~finished
+        scores, tokens, s_mask, r_mask = new_scores[keep], tokens[keep], s_mask[keep], r_mask[keep]
+        bounds, sent_len, trunc = bounds[keep], sent_len[keep], trunc[keep]
+        if len(done) >= penalties.beam_size and not run_until_empty:
+            break
+    score, token_ids, truncated = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
+    return token_ids, score, truncated

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .beam import top_k
-from .ioutil import InputError, read_jsonl, write_jsonl
+from .beam import BeamPenaltyConfig, beam_decode
+from .ioutil import InputError, read_jsonl_lines, write_jsonl
 from .layers import GRUParams, TransformerEncoder, linear
 from .optim import TrainConfig, fit
 from .params import ParameterStore
@@ -73,31 +73,34 @@ class ImageSequence:
 
 
 def load_feature_file(path: str, top_k: int = TOP_K_OBJECTS) -> list[ImageSequence]:
-    """Read object-feature JSONL: one record per image, grouped by story_id."""
-    grouped: dict[str, list[dict]] = {}
-    order: list[str] = []
-    for rec in read_jsonl(path):
+    """Read object-feature JSONL: one record per image, grouped by story_id.
+
+    A malformed record raises InputError naming its line.
+    """
+    grouped: dict[str, list[ObjectFeatureSet]] = {}
+    for lineno, rec in read_jsonl_lines(path):
+        where = f"{path}:{lineno}"
         for key in ("story_id", "image_index", "objects"):
             if key not in rec:
-                raise InputError(f"{path}: feature record missing '{key}'")
-        sid = str(rec["story_id"])
-        if sid not in grouped:
-            grouped[sid] = []
-            order.append(sid)
-        grouped[sid].append(rec)
-    sequences = []
-    for sid in order:
-        recs = sorted(grouped[sid], key=lambda r: r["image_index"])
-        slots = [
-            ObjectFeatureSet.from_objects(
-                rec["image_index"],
-                [(obj["feature"], obj["confidence"]) for obj in rec["objects"]],
-                top_k=top_k,
-            )
-            for rec in recs
-        ]
+                raise InputError(f"{where}: feature record missing '{key}'")
+        index, objects = rec["image_index"], rec["objects"]
+        if not isinstance(index, int):
+            raise InputError(f"{where}: image_index must be an integer, got {index!r}")
+        if not isinstance(objects, list) or not all(
+            isinstance(obj, dict) and "feature" in obj and "confidence" in obj for obj in objects
+        ):
+            raise InputError(f"{where}: 'objects' must be a list of objects with 'feature' and 'confidence'")
         try:
-            sequences.append(ImageSequence(sid, slots))
+            slot = ObjectFeatureSet.from_objects(
+                index, [(obj["feature"], obj["confidence"]) for obj in objects], top_k=top_k
+            )
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{where}: {exc}") from None
+        grouped.setdefault(str(rec["story_id"]), []).append(slot)
+    sequences = []
+    for sid, slots in grouped.items():
+        try:
+            sequences.append(ImageSequence(sid, sorted(slots, key=lambda slot: slot.image_index)))
         except ValueError as exc:
             raise InputError(f"{path}: {exc}") from None
     return sequences
@@ -224,38 +227,28 @@ class DistillerModel:
         return out
 
     def _decode_slot(self, memory: Tensor, image_index: int, beam_size: int, eos: int):
-        """Beam search for one image; the live beam runs as one (B, .) batch."""
+        """Beam search for one image: one sentence of terms closed by end-of-set, repeats masked."""
         keys = linear(memory, self.attn_mem)
-        v = len(self.vocab)
-        only_eos = np.zeros(v, dtype=bool)
-        only_eos[eos] = True
-        # live hypotheses, one row each; used never marks end-of-set
-        scores = np.zeros(1)
-        tokens = np.zeros((1, 0), dtype=np.int64)
         h = np.zeros((1, self.config.hidden_size))
-        used = np.zeros((1, v), dtype=bool)
-        finished: list[tuple[float, list[int]]] = []
-        for step in range(self.config.max_terms_per_image + 1):
-            prev = self._slot_start(image_index) if step == 0 else ad.embed(self.term_embedding, tokens[:, -1])
-            logits, h_next = self._step(prev, Tensor(h), memory, keys)
-            logp = ad.log_softmax_values(logits.data)
-            candidates = (scores[:, None] + logp) - np.where(used, REPEAT_MASK, 0.0)
-            if step == self.config.max_terms_per_image:
-                candidates = np.where(only_eos, candidates, -np.inf)  # length bound reached, force end-of-set
-            hyp, tok = top_k(candidates, beam_size)
-            ends = tok == eos
-            for i in np.flatnonzero(ends):
-                finished.append((float(candidates[hyp[i], tok[i]]), tokens[hyp[i]].tolist()))
-            hyp, tok = hyp[~ends], tok[~ends]
-            scores = candidates[hyp, tok]
-            tokens = np.concatenate([tokens[hyp], tok[:, None]], axis=1)
-            h = h_next.data[hyp]
-            used = used[hyp]
-            used[np.arange(tok.size), tok] = True
-            if not tok.size:
-                break
-        best_score, best_tokens = max(enumerate(finished), key=lambda kv: (kv[1][0], -kv[0]))[1]
-        return [self.vocab[t] for t in best_tokens], best_score
+        rows = {(): 0}  # prefix -> its row of h, the GRU state after it
+
+        def step(prefixes) -> np.ndarray:
+            nonlocal h, rows
+            prev = ad.embed(self.term_embedding, [p[-1] for p in prefixes]) if prefixes[0] else self._slot_start(image_index)
+            logits, h_next = self._step(prev, Tensor(h[[rows[p[:-1]] for p in prefixes]]), memory, keys)
+            h, rows = h_next.data, {p: i for i, p in enumerate(prefixes)}
+            return ad.log_softmax_values(logits.data)
+
+        token_ids, score, _truncated = beam_decode(
+            step,
+            vocab_size=len(self.vocab),
+            sb_id=eos,
+            group_count=1,
+            penalties=BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size),
+            max_sentence_tokens=self.config.max_terms_per_image,
+            run_until_empty=True,
+        )
+        return [self.vocab[t] for t in token_ids[:-1]], score
 
     def save(self, path: str) -> None:
         extra = {"kind": "distiller", "vocab": self.vocab, "config": asdict(self.config)}

@@ -3,14 +3,10 @@
 The decoder's positional signal encodes the remaining length of the story
 rather than the absolute position, so the end-of-story state looks the same
 whatever the story length; the encoder keeps the standard sinusoidal table.
-Decoding is a beam search scored as
-
-    beam_score(x) = log p(x) - alpha * [x in S] - (gamma / l) * [x in R]
-
-where S holds the words of the sentence being written, R the words of
-finished sentences, and l is the number of tokens generated so far (at
-least 1). A sentence-boundary marker closes each sentence; the decode
-finishes when as many sentences exist as the path has term groups.
+Decoding is the penalised beam search of ``storybridge.beam``, where l is
+the number of tokens generated so far (at least 1). A sentence-boundary
+marker closes each sentence; the decode finishes when as many sentences
+exist as the path has term groups.
 
 Inference runs the whole beam as one batch over a key/value cache: an
 emitted position's LDPE vector and, by the causal mask, its hidden states
@@ -25,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .beam import top_k
+from .beam import BeamPenaltyConfig, beam_decode
 from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
 from .lm import BOS as PATH_BOS
 from .lm import EOS as PATH_EOS
@@ -37,24 +33,6 @@ from .params import ParameterStore
 BOS_STORY = "<bos>"
 EOS_STORY = "<eos>"
 SENTENCE_BOUNDARY = "<sb>"
-
-
-@dataclass
-class BeamPenaltyConfig:
-    alpha: float = 20.0
-    gamma: float = 5.0
-    beam_size: int = 3
-    # how the length l in gamma/l is measured: "tokens" (default) counts
-    # generated tokens, "sentences" counts sentences begun so far
-    length_unit: str = "tokens"
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.gamma < 0:
-            raise ValueError("penalty weights must be nonnegative")
-        if self.beam_size < 1:
-            raise ValueError("beam size must be >= 1")
-        if self.length_unit not in ("tokens", "sentences"):
-            raise ValueError(f"length_unit must be 'tokens' or 'sentences', got {self.length_unit!r}")
 
 
 @dataclass
@@ -200,75 +178,6 @@ def story_tokens(sentences) -> list[str]:
         tokens.append(SENTENCE_BOUNDARY)
     tokens.append(EOS_STORY)
     return tokens
-
-
-def beam_decode(
-    step_log_probs,
-    *,
-    vocab_size: int,
-    sb_id: int,
-    group_count: int,
-    penalties: BeamPenaltyConfig,
-    max_sentence_tokens: int,
-    excluded_ids=(),
-):
-    """Beam search over token ids with inter/intra-sentence repetition penalties.
-
-    step_log_probs takes the live prefixes (tuples of token ids) and gives
-    their (B, V) next-token log-probabilities. Structural rules: ids in
-    excluded_ids are never emitted; a hypothesis finishes at its
-    group_count-th sentence boundary; a sentence hitting max_sentence_tokens
-    is closed by a forced boundary and flags the story as truncated. Marker
-    tokens stay out of the repetition sets S (current sentence) and R
-    (earlier sentences), both boolean (B, V) masks. Exact score ties resolve
-    to the lower token id, then the earlier hypothesis.
-    """
-    allowed = np.ones(vocab_size, dtype=bool)
-    allowed[list(excluded_ids)] = False
-    allowed[sb_id] = True
-    only_sb = np.zeros(vocab_size, dtype=bool)
-    only_sb[sb_id] = True
-    # live hypotheses, one row each
-    scores = np.zeros(1)
-    tokens = np.zeros((1, 0), dtype=np.int64)
-    s_mask = np.zeros((1, vocab_size), dtype=bool)
-    r_mask = np.zeros((1, vocab_size), dtype=bool)
-    bounds = np.zeros(1, dtype=np.int64)
-    sent_len = np.zeros(1, dtype=np.int64)
-    trunc = np.zeros(1, dtype=bool)
-    done = []  # (score, tokens, truncated) in finishing order
-    while scores.size:
-        logp = np.asarray(step_log_probs([tuple(row) for row in tokens.tolist()]), dtype=np.float64)
-        if penalties.length_unit == "sentences":
-            story_len = bounds + 1
-        else:
-            story_len = np.full(scores.size, max(1, tokens.shape[1]))
-        gamma_l = penalties.gamma / story_len[:, None]
-        step_score = (logp - np.where(s_mask, penalties.alpha, 0.0)) - np.where(r_mask, gamma_l, 0.0)
-        forced = sent_len >= max_sentence_tokens
-        open_ids = np.where(forced[:, None], only_sb, allowed)
-        candidates = scores[:, None] + step_score
-        hyp, tok = top_k(np.where(open_ids, candidates, -np.inf), penalties.beam_size)
-        new_scores = candidates[hyp, tok]
-        is_sb = tok == sb_id
-        s_mask, r_mask = s_mask[hyp], r_mask[hyp]
-        r_mask[is_sb] |= s_mask[is_sb]
-        s_mask[is_sb] = False
-        s_mask[~is_sb, tok[~is_sb]] = True
-        bounds = bounds[hyp] + is_sb
-        sent_len = np.where(is_sb, 0, sent_len[hyp] + 1)
-        trunc = trunc[hyp] | forced[hyp]
-        tokens = np.concatenate([tokens[hyp], tok[:, None]], axis=1)
-        finished = is_sb & (bounds == group_count)
-        for i in np.flatnonzero(finished):
-            done.append((float(new_scores[i]), tokens[i].tolist(), bool(trunc[i])))
-        keep = ~finished
-        scores, tokens, s_mask, r_mask = new_scores[keep], tokens[keep], s_mask[keep], r_mask[keep]
-        bounds, sent_len, trunc = bounds[keep], sent_len[keep], trunc[keep]
-        if len(done) >= penalties.beam_size:
-            break
-    score, token_ids, truncated = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
-    return token_ids, score, truncated
 
 
 def decode_story(path, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None, story_id: str = "") -> Story:

@@ -98,6 +98,15 @@ class NGramLM:
             return 0.0
         return (c + k) / denom
 
+    def log_probs(self, seqs) -> np.ndarray:
+        """Summed log-probabilities of each sequence's tokens after the first."""
+        totals = np.zeros(len(seqs))
+        for row, seq in enumerate(seqs):
+            for i in range(1, len(seq)):
+                p = self.prob(seq[i], seq[:i])
+                totals[row] += math.log(p) if p > 0 else -math.inf
+        return totals
+
     def save(self, path: str) -> None:
         payload = {
             "kind": "ngram",
@@ -193,14 +202,6 @@ class GRULanguageModel:
         return store.build_model(where, lambda: cls(extra["vocab"], extra["hidden_size"], store))
 
 
-def _ngram_log_prob(model: NGramLM, seq) -> float:
-    total = 0.0
-    for i in range(1, len(seq)):
-        p = model.prob(seq[i], seq[:i])
-        total += math.log(p) if p > 0 else -math.inf
-    return total
-
-
 def log_probs(model, seqs) -> np.ndarray:
     """Sum of conditional log-probabilities of seq[1:] for each sequence; always <= 0.
 
@@ -210,8 +211,6 @@ def log_probs(model, seqs) -> np.ndarray:
     seqs = [list(seq) for seq in seqs]
     if any(len(seq) < 2 for seq in seqs):
         raise ValueError("sequence must hold at least a begin and an end token")
-    if isinstance(model, NGramLM):
-        return np.array([_ngram_log_prob(model, seq) for seq in seqs], dtype=np.float64)
     return model.log_probs(seqs)
 
 

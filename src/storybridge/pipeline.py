@@ -2,8 +2,9 @@
 
 A pipeline run executes distill, enrich, and generate over files, then
 writes a manifest holding the resolved config plus content hashes of every
-input and output. Reruns driven by the manifest reproduce the output files
-byte for byte; nothing here reads the clock or unseeded randomness.
+input (taken before the first stage runs) and output. Reruns driven by the
+manifest reproduce the output files byte for byte; nothing here reads the
+clock or unseeded randomness.
 """
 
 from __future__ import annotations
@@ -218,33 +219,32 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
     if not config.stages:
         raise InputError("no pipeline stages enabled")
 
-    inputs: dict[str, str] = {}
-    outputs: list[str] = []
-    terms_path = None
-    paths_path = None
-
+    inputs: list[str] = []
     if "distill" in config.stages:
-        inputs[config.features_path] = ""
-        inputs[config.distiller_model] = ""
+        inputs += [config.features_path, config.distiller_model]
         terms_path = os.path.join(out_dir, "terms.jsonl")
-        stage_distill(config, terms_path)
-        outputs.append(terms_path)
     else:
         terms_path = _require(config.terms_path, "enrich", "term-path file (terms_path)")
-        inputs[terms_path] = ""
-
+        inputs.append(terms_path)
     if "enrich" in config.stages:
-        for entry in config.kg:
-            inputs[entry.get("path", "")] = ""
-        inputs[config.lm_model] = ""
+        inputs += [entry.get("path", "") for entry in config.kg] + [config.lm_model]
         paths_path = os.path.join(out_dir, "paths.jsonl")
-        stage_enrich(config, terms_path, paths_path)
-        outputs.append(paths_path)
     else:
         paths_path = terms_path
-
     if "generate" in config.stages:
-        inputs[config.generator_model] = ""
+        inputs.append(config.generator_model)
+    # hashed before any stage runs, so the manifest names the bytes the stages read;
+    # empty or missing paths are left for the stages to report
+    digests = {p: sha256_file(p) for p in inputs if p and os.path.exists(p)}
+
+    outputs: list[str] = []
+    if "distill" in config.stages:
+        stage_distill(config, terms_path)
+        outputs.append(terms_path)
+    if "enrich" in config.stages:
+        stage_enrich(config, terms_path, paths_path)
+        outputs.append(paths_path)
+    if "generate" in config.stages:
         stories_path = os.path.join(out_dir, "stories.jsonl")
         stage_generate(config, paths_path, stories_path)
         outputs.append(stories_path)
@@ -253,7 +253,7 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
         "format_version": MANIFEST_VERSION,
         "config": config.to_dict(),
         "config_hash": config.hash(),
-        "inputs": {p: sha256_file(p) for p in inputs if p and os.path.exists(p)},
+        "inputs": digests,
         "outputs": {os.path.basename(p): sha256_file(p) for p in outputs},
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)

@@ -343,6 +343,34 @@ def test_eval_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "objects,image_index,message",
+    [
+        ([{"confidence": 1.0}], 0, "'objects' must be a list of objects with 'feature' and 'confidence'"),
+        ([{"feature": [0.0, 1.0], "confidence": 1.0}], 0, "object feature must have dimension 2048"),
+        ([], 0, "image slot 0 has no objects"),
+        ([{"feature": [0.0] * 2048, "confidence": 1.0}], "1", "image_index must be an integer"),
+        ({"feature": [0.0] * 2048, "confidence": 1.0}, 0, "'objects' must be a list"),
+    ],
+    ids=["no feature", "short feature", "no objects", "string index", "objects not a list"],
+)
+def test_malformed_feature_record_exits_two_naming_the_line(
+    fixture_world, tmp_path, capsys, objects, image_index, message
+):
+    record = {"story_id": "x", "image_index": image_index, "objects": objects}
+    bad = with_second_line(tmp_path, fixture_world["features"], json.dumps(record))
+    code, _, err = run_cli(
+        capsys,
+        "train-distiller",
+        "--set", f"corpus_path={fixture_world['corpus']}",
+        "--set", f"features_path={bad}",
+        "--out", str(tmp_path / "d.json"),
+    )
+    assert code == EXIT_INPUT
+    assert f"{bad}:2: {message}" in err
+    assert not os.path.exists(tmp_path / "d.json")
+
+
+@pytest.mark.parametrize(
     "record",
     [
         {"story_id": "s"},

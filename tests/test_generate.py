@@ -529,6 +529,31 @@ def test_forced_sentence_close_matches_reference():
         assert got[0].count(SB) == 3 and len(got[0]) == 3 * (cap + 1)
 
 
+def test_stop_rules_pick_different_winners():
+    # vocabulary: 0 closes the sentence, 1 and 2 are words; beam 2, one sentence of at most 2 words
+    table = {
+        (): [-1.0, -0.5, -3.0],  # [0] finishes at -1.0, (1,) lives at -0.5
+        (1,): [-2.0, -0.1, -0.1],  # [1, 0] finishes at -2.5: two finished; (1, 2) lives at -0.6
+        (1, 2): [-0.01, -5.0, -5.0],  # the word cap forces [1, 2, 0], which finishes at -0.61
+    }
+
+    def decode(**rule):
+        return beam_decode(
+            batched(lambda prefix: np.array(table[prefix])),
+            vocab_size=3,
+            sb_id=0,
+            group_count=1,
+            penalties=BeamPenaltyConfig(alpha=1e19, gamma=0.0, beam_size=2),
+            max_sentence_tokens=2,
+            **rule,
+        )
+
+    assert decode() == ([0], -1.0, False)  # the story rule: stop once two have finished
+    tokens, score, truncated = decode(run_until_empty=True)  # the term rule: stop once none is live
+    assert (tokens, truncated) == ([1, 2, 0], True)
+    assert score == pytest.approx(-0.61)
+
+
 def small_random_generator(seed=5):
     vocab = [BOS_STORY, EOS_STORY, SENTENCE_BOUNDARY, "<unk>", "<s>", "</s>", "<sep>"] + [f"w{i}" for i in range(40)]
     config = GeneratorConfig(

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -93,6 +94,32 @@ def test_manifest_rejects_tampered_inputs(pipeline_run, tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(InputError, match="changed since"):
         rerun_from_manifest(tampered, out_dir=str(tmp_path / "out"))
+
+
+def test_manifest_records_inputs_as_they_were_before_the_run(pipeline_run, tmp_path, monkeypatch):
+    from storybridge import pipeline
+
+    kg = str(tmp_path / "scene.tsv")
+    shutil.copyfile(pipeline_run["config"].kg[0]["path"], kg)
+    before = sha256_file(kg)
+    config = pipeline_config(pipeline_run["world"], str(tmp_path / "run"))
+    config.stages = ["enrich"]
+    config.terms_path = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
+    config.kg[0]["path"] = kg
+    stage_enrich = pipeline.stage_enrich
+
+    def enrich_then_rewrite_the_kg(*args):
+        out = stage_enrich(*args)
+        with open(kg, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        return out
+
+    monkeypatch.setattr(pipeline, "stage_enrich", enrich_then_rewrite_the_kg)
+    manifest = run_pipeline(config)
+    assert manifest["inputs"][kg] == before != sha256_file(kg)
+    monkeypatch.undo()
+    with pytest.raises(InputError, match=f"changed since the recorded run: {re.escape(kg)}"):
+        rerun_from_manifest(str(tmp_path / "run" / "manifest.json"), out_dir=str(tmp_path / "rerun"))
 
 
 def test_generate_only_stage_runs_from_provided_paths(pipeline_run, tmp_path):
