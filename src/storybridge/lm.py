@@ -10,7 +10,6 @@ blocks of up to ``SCORE_BLOCK_ROWS`` sequences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,10 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .ioutil import InputError, atomic_writer, read_json
+from .ioutil import InputError, atomic_writer, canonical_dumps
 from .layers import GRUParams, linear
 from .optim import TrainConfig, fit
-from .params import ParameterStore
+from .params import ParameterStore, read_checkpoint
 
 BOS = "<s>"
 EOS = "</s>"
@@ -117,11 +116,11 @@ class NGramLM:
             "context_counts": [[list(ctx), n] for ctx, n in sorted(self.context_counts.items())],
         }
         with atomic_writer(path) as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(canonical_dumps(payload))
 
     @classmethod
     def load(cls, path: str) -> "NGramLM":
-        return cls.from_payload(read_json(path), path)
+        return cls.from_payload(read_checkpoint(path), path)
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "NGramLM":
@@ -194,7 +193,7 @@ class GRULanguageModel:
 
     @classmethod
     def load(cls, path: str) -> "GRULanguageModel":
-        return cls.from_payload(read_json(path), path)
+        return cls.from_payload(read_checkpoint(path), path)
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "GRULanguageModel":
@@ -281,7 +280,7 @@ def load_term_sequences(path: str) -> list[list[str]]:
 
 def load_lm(path: str):
     """Load either LM kind from one parse of the checkpoint."""
-    payload = read_json(path)
+    payload = read_checkpoint(path)
     if isinstance(payload, dict) and payload.get("kind") == "ngram":
         return NGramLM.from_payload(payload, path)
     return GRULanguageModel.from_payload(payload, path)

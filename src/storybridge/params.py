@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 
 from .autodiff import Tensor
-from .ioutil import InputError, atomic_writer, read_json
+from .ioutil import InputError, atomic_writer, canonical_dumps
 
 FORMAT_VERSION = 1
+
+_CHUNK_BYTES = 1 << 18  # a checkpoint is read this many bytes at a time
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+# Skeleton bytes the scan passes in one match: everything up to a string that is
+# "data", holds an escape, or is cut off by the end of the buffer.
+_PLAIN = re.compile(rb'(?:[^"]+|"(?!data")[^"\\]*")*')
+_SPACE = re.compile(rb"[ \t\n\r]*")
 
 
 class ParameterStore:
@@ -108,22 +117,23 @@ class ParameterStore:
             for name, t in self._params.items()
         }
 
-    def to_payload(self, extra: dict | None = None) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "rng_seed": self.rng_seed,
-            "schedule": self.schedule,
-            "extra": extra or {},
-            "params": {
-                name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-                for name, t in self._params.items()
-            },
-        }
-
     def save(self, path: str, extra: dict | None = None) -> None:
-        payload = self.to_payload(extra=extra)
+        """Write the checkpoint as canonical JSON, encoding one parameter's data at a time.
+
+        The bytes are ``canonical_dumps`` of the whole payload: top-level keys
+        and parameter names in sorted order, each entry ``{"data": [...],
+        "shape": [...]}``.
+        """
+        head = canonical_dumps({"extra": extra or {}, "format_version": FORMAT_VERSION})
+        tail = canonical_dumps({"rng_seed": self.rng_seed, "schedule": self.schedule})
         with atomic_writer(path) as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(head[:-1] + ',"params":{')
+            for i, name in enumerate(sorted(self._params)):
+                t = self._params[name]
+                fh.write(f'{"," if i else ""}{canonical_dumps(name)}:{{"data":')
+                fh.write(canonical_dumps(t.data.reshape(-1).tolist()))
+                fh.write(f',"shape":{canonical_dumps(list(t.shape))}}}')
+            fh.write("}," + tail[1:])
 
     @classmethod
     def from_payload(
@@ -164,4 +174,130 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path: str, kind: str | None = None) -> tuple["ParameterStore", dict]:
-        return cls.from_payload(read_json(path), where=path, kind=kind)
+        return cls.from_payload(read_checkpoint(path), where=path, kind=kind)
+
+
+def read_checkpoint(path: str) -> dict:
+    """A checkpoint's JSON payload, read in fixed chunks; each parameter's ``data`` is a float64 array.
+
+    Every array that is the value of a ``"data"`` key is parsed to float64
+    as it streams past, one piece of at most a chunk at a time, and the rest
+    of the file (the skeleton, a few KB for a model) is parsed on its own. So
+    the reader never holds the whole text, nor a Python float per weight:
+    only those of one piece. An array is bound only where it is
+    ``params.<name>.data``; a ``"data"`` array anywhere else, invalid JSON or
+    a file that is not UTF-8 raises InputError naming ``path``.
+    """
+    if not os.path.exists(path):
+        raise InputError(f"input file not found: {path}")
+    with open(path, "rb") as fh:
+        skeleton, arrays = _scan(fh, path)
+    try:
+        payload = json.loads(skeleton.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: invalid JSON (not UTF-8 text)") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc.msg})") from None
+    params = payload.get("params") if isinstance(payload, dict) else None
+    bound = 0
+    for entry in params.values() if isinstance(params, dict) else ():
+        # every "data" array was taken out, so a list left under "data" is an index into arrays
+        if isinstance(entry, dict) and isinstance(entry.get("data"), list):
+            entry["data"] = arrays[entry["data"][0]]
+            bound += 1
+    if bound != len(arrays):
+        raise InputError(f"{path}: holds a 'data' array outside a parameter entry")
+    return payload
+
+
+def _scan(fh, where: str) -> tuple[bytes, list[np.ndarray]]:
+    """Split a checkpoint's bytes into its skeleton and the arrays of its ``"data"`` keys.
+
+    The skeleton is the file with the i-th such array replaced by ``[i]``.
+    """
+    buf = bytearray()
+    skeleton: list[bytes] = []
+    arrays: list[np.ndarray] = []
+
+    def more() -> bool:
+        chunk = fh.read(_CHUNK_BYTES)
+        buf.extend(chunk)
+        return bool(chunk)
+
+    def after_space(i: int) -> int:
+        """Index of the first byte at or after i that is not whitespace (len(buf) at the end of the file)."""
+        while True:
+            i = _SPACE.match(buf, i).end()
+            if i < len(buf) or not more():
+                return i
+
+    more()
+    while True:
+        quote = _PLAIN.match(buf).end()  # where a string the match could not pass starts
+        if quote == len(buf):
+            skeleton.append(bytes(buf))
+            del buf[:]
+            if more():
+                continue
+            break
+        token = _STRING.match(buf, quote)
+        while token is None and more():
+            token = _STRING.match(buf, quote)
+        if token is None:  # an unterminated string; json.loads reports it
+            skeleton.append(bytes(buf))
+            break
+        end = token.end()
+        if _names_data(bytes(buf[quote:end])):
+            colon = after_space(end)
+            bracket = after_space(colon + 1) if buf[colon : colon + 1] == b":" else colon
+            if buf[bracket : bracket + 1] == b"[":
+                skeleton.append(bytes(buf[:bracket]) + b"[%d]" % len(arrays))
+                del buf[: bracket + 1]
+                arrays.append(_read_array(buf, more, where))
+                continue
+        skeleton.append(bytes(buf[:end]))
+        del buf[:end]
+    return b"".join(skeleton), arrays
+
+
+def _names_data(token: bytes) -> bool:
+    """Whether a JSON string token spells "data"."""
+    if b"\\" not in token:
+        return token == b'"data"'
+    try:
+        return json.loads(token) == "data"
+    except ValueError:  # a bad escape; parsing the skeleton reports it
+        return False
+
+
+def _read_array(buf: bytearray, more, where: str) -> np.ndarray:
+    """Parse the array whose "[" was just taken off the front of buf, through its "]"."""
+    parts = []
+    while True:
+        close = buf.find(b"]")
+        if close >= 0:
+            parts.append(_parse_numbers(bytes(buf[:close]), where, whole=not parts))
+            del buf[: close + 1]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        cut = buf.rfind(b",")
+        if cut >= 0:
+            parts.append(_parse_numbers(bytes(buf[:cut]), where, whole=False))
+            del buf[: cut + 1]
+        if not more():
+            raise InputError(f"{where}: invalid JSON (the file ends inside a data array)")
+
+
+def _parse_numbers(text: bytes, where: str, whole: bool) -> np.ndarray:
+    """float64 values of a comma-separated run of JSON numbers (the whole body of a data array when whole).
+
+    ``json.loads`` parses the run, so a number is read exactly as a whole-file
+    ``json.load`` read it; only this run's Python floats are alive at a time.
+    """
+    if not whole and not text.strip(b" \t\n\r"):  # [1,,2] or [1,] cut at the comma
+        raise InputError(f"{where}: invalid JSON (an empty element in a data array)")
+    try:
+        return np.array(json.loads((b"[" + text + b"]").decode("utf-8")), dtype=np.float64)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{where}: invalid JSON in a data array ({exc.msg})") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: a data array holds something other than numbers ({exc})") from None

@@ -224,7 +224,8 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
         inputs += [config.features_path, config.distiller_model]
         terms_path = os.path.join(out_dir, "terms.jsonl")
     else:
-        terms_path = _require(config.terms_path, "enrich", "term-path file (terms_path)")
+        reader = "enrich" if "enrich" in config.stages else "generate"  # the first stage that reads the file
+        terms_path = _require(config.terms_path, reader, "term-path file (terms_path)")
         inputs.append(terms_path)
     if "enrich" in config.stages:
         inputs += [entry.get("path", "") for entry in config.kg] + [config.lm_model]

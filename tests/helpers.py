@@ -313,6 +313,20 @@ def save_term_sequences(path: str, sequences) -> None:
     write_jsonl(path, ({"tokens": list(seq)} for seq in sequences))
 
 
+# ------------------------------------------------------------ checkpoints
+
+
+def checkpoint_payload(store, extra: dict | None = None) -> dict:
+    """The whole checkpoint of a store as one dict; ``ParameterStore.save`` writes ``canonical_dumps`` of it."""
+    return {
+        "format_version": 1,
+        "rng_seed": store.rng_seed,
+        "schedule": store.schedule,
+        "extra": extra or {},
+        "params": {name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()} for name, t in store.items()},
+    }
+
+
 # ------------------------------------------------------------ input files
 
 

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import composite_ops, numeric_grad, rel_err, use_composite_ops
+from helpers import checkpoint_payload, composite_ops, numeric_grad, rel_err, use_composite_ops
 from storybridge import autodiff as ad
 from storybridge.autodiff import Tensor
 from storybridge.corpus import build_training_pairs, load_corpus
@@ -121,7 +121,7 @@ def trained_parameter_bytes(world) -> dict[str, bytes]:
     )
     lm, _ = train_lm(build_training_pairs(vision + text, mode="lm")[:6], LMConfig(hidden_size=16, seed=3), train)
     return {
-        name: json.dumps(model.store.to_payload()["params"], sort_keys=True).encode()
+        name: json.dumps(checkpoint_payload(model.store)["params"], sort_keys=True).encode()
         for name, model in (("distiller", distiller), ("generator", generator), ("lm", lm))
     }
 

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import batched, beam_penalty_score, ldpe, recompute_step, reference_story_beam
+from helpers import batched, beam_penalty_score, checkpoint_payload, ldpe, recompute_step, reference_story_beam
 from storybridge.beam import top_k
 from storybridge.enrich import TermPath
 from storybridge.generate import (
@@ -393,7 +393,7 @@ def test_identical_seed_identical_checkpoints():
     tr = TrainConfig(epochs=4, learning_rate=1e-3)
     m1, _ = train_generator(pairs, cfg, tr)
     m2, _ = train_generator(pairs, cfg, tr)
-    assert m1.store.to_payload() == m2.store.to_payload()
+    assert checkpoint_payload(m1.store) == checkpoint_payload(m2.store)
 
 
 def test_group_sentence_mismatch_error_names_record():

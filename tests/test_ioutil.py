@@ -1,4 +1,3 @@
-import json
 import os
 
 import pytest
@@ -11,11 +10,6 @@ from storybridge.params import ParameterStore
 
 class Boom(Exception):
     pass
-
-
-def _half_then_raise(obj, fh, **_kwargs):
-    fh.write(json.dumps(obj)[:7])
-    raise Boom("serializer failed halfway")
 
 
 def _records_then_raise():
@@ -32,20 +26,35 @@ def _write_json(path, monkeypatch):
     write_json(path, {"ok": 1, "bad": object()})
 
 
+def _raise_on_float_list(dumps):
+    """dumps, except that encoding a list of floats (a parameter's data) raises Boom."""
+
+    def failing(obj):
+        if isinstance(obj, list) and obj and isinstance(obj[0], float):
+            raise Boom("serializer failed halfway")
+        return dumps(obj)
+
+    return failing
+
+
 def _store_save(path, monkeypatch):
     import storybridge.params
 
     store = ParameterStore(0)
     store.param("w", (2, 3))
-    monkeypatch.setattr(storybridge.params.json, "dump", _half_then_raise)
+    # the head and the first name are written when the first parameter's data fails
+    monkeypatch.setattr(storybridge.params, "canonical_dumps", _raise_on_float_list(storybridge.params.canonical_dumps))
     store.save(path)
 
 
 def _ngram_save(path, monkeypatch):
     import storybridge.lm
 
+    def failing(obj):
+        raise Boom("serializer failed")
+
     model = NGramLM.train([["<s>", "a", "</s>"]], order=2)
-    monkeypatch.setattr(storybridge.lm.json, "dump", _half_then_raise)
+    monkeypatch.setattr(storybridge.lm, "canonical_dumps", failing)
     model.save(path)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import checkpoint_payload
 from storybridge.ioutil import InputError
 from storybridge.params import ParameterStore
 
@@ -67,7 +68,7 @@ def test_unsupported_format_version_rejected(tmp_path):
     store = ParameterStore(0)
     store.param("w", (1,))
     path = tmp_path / "ckpt.json"
-    payload = store.to_payload()
+    payload = checkpoint_payload(store)
     payload["format_version"] = 99
     import json
 

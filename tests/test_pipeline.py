@@ -167,6 +167,16 @@ def test_missing_stage_inputs_name_stage_and_file(pipeline_run, tmp_path):
         run_pipeline(config)
 
 
+@pytest.mark.parametrize("stages", [["generate"], ["enrich", "generate"], ["generate", "enrich"]])
+def test_missing_term_path_names_the_first_stage_that_reads_it(pipeline_run, tmp_path, stages):
+    config = pipeline_config(pipeline_run["world"], str(tmp_path))
+    config.stages = stages
+    config.terms_path = ""
+    reader = "enrich" if "enrich" in stages else "generate"
+    with pytest.raises(InputError, match=rf"^stage '{reader}' needs a term-path file \(terms_path\), but none is configured$"):
+        run_pipeline(config)
+
+
 def test_unknown_stage_rejected(pipeline_run, tmp_path):
     config = pipeline_config(pipeline_run["world"], str(tmp_path / "s"))
     config.stages = ["distill", "polish"]
