@@ -1,7 +1,8 @@
 """The penalised beam search of the story and term decoders, and its top-k selection.
 
 A candidate x scores log p(x) - alpha*[x in S] - (gamma/l)*[x in R], where S
-and R hold the tokens of the current and of earlier sentences. A term set is
+and R hold the tokens of the current and of earlier sentences and l counts
+the tokens generated so far (at least 1), as the paper's l does. A term set is
 one sentence closed by the end-of-set marker, with alpha = 1e19 and gamma = 0.
 """
 
@@ -17,17 +18,12 @@ class BeamPenaltyConfig:
     alpha: float = 20.0
     gamma: float = 5.0
     beam_size: int = 3
-    # how the length l in gamma/l is measured: "tokens" (default) counts
-    # generated tokens, "sentences" counts sentences begun so far
-    length_unit: str = "tokens"
 
     def __post_init__(self):
         if self.alpha < 0 or self.gamma < 0:
             raise ValueError("penalty weights must be nonnegative")
         if self.beam_size < 1:
             raise ValueError("beam size must be >= 1")
-        if self.length_unit not in ("tokens", "sentences"):
-            raise ValueError(f"length_unit must be 'tokens' or 'sentences', got {self.length_unit!r}")
 
 
 def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +90,7 @@ def beam_decode(
     done = []  # (score, tokens, truncated) in finishing order
     while scores.size:
         logp = np.asarray(step_log_probs([tuple(row) for row in tokens.tolist()]), dtype=np.float64)
-        if penalties.length_unit == "sentences":
-            story_len = bounds + 1
-        else:
-            story_len = np.full(scores.size, max(1, tokens.shape[1]))
-        gamma_l = penalties.gamma / story_len[:, None]
+        gamma_l = penalties.gamma / max(1, tokens.shape[1])  # l: tokens generated so far
         step_score = (logp - np.where(s_mask, penalties.alpha, 0.0)) - np.where(r_mask, gamma_l, 0.0)
         forced = sent_len >= max_sentence_tokens
         open_ids = np.where(forced[:, None], only_sb, allowed)

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Every subcommand but eval and make-fixtures reads one declarative JSON
-config (--config) and accepts generic --set key=value overrides plus a few
-dedicated flags, each shorthand for one --set (SETTING_FLAGS); pipeline
---from-manifest refuses them all. Exit codes: 0 success, 2 bad or missing
-input, 1 runtime failure.
+config (--config) and accepts generic --set key=value overrides; the
+train-* commands add --out, shorthand for one --set (SETTING_FLAGS).
+pipeline runs any subset of the stages (--set stages=enrich) and writes a
+manifest; --from-manifest refuses every setting. Knowledge-graph files are
+named only in the config's kg list. Exit codes: 0 success, 2 bad or
+missing input, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .pipeline import (
     evaluate_stories,
     rerun_from_manifest,
     run_pipeline,
-    stage_enrich,
-    stage_generate,
     train_distiller_command,
     train_generator_command,
     train_lm_command,
@@ -38,19 +38,6 @@ SETTING_FLAGS = {
     "train-distiller": [("--out", "distiller_model", "checkpoint path to write")],
     "train-lm": [("--out", "lm_model", "checkpoint path to write")],
     "train-generator": [("--out", "generator_model", "checkpoint path to write")],
-    "enrich": [
-        ("--terms", "terms_path", "term-path JSONL from the distill stage"),
-        ("--lm", "lm_model", "term LM checkpoint"),
-        ("--cap", "candidate_cap", "candidate cap"),
-        ("--two-hop", "two_hop", "on or off"),
-    ],
-    "generate": [
-        ("--path", "terms_path", "term-path JSONL"),
-        ("--model", "generator_model", "generator checkpoint"),
-        ("--alpha", "alpha", "intra-sentence repetition penalty"),
-        ("--gamma", "gamma", "inter-sentence repetition penalty"),
-        ("--beam", "beam_size", "beam size"),
-    ],
 }
 
 
@@ -74,14 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = common("train-generator", "train the term-to-story model")
     p.add_argument("--finetune-from", default="", help="continue from this checkpoint")
 
-    p = common("enrich", "insert knowledge-graph bridges into term paths")
-    p.add_argument("--kg", action="append", default=[], metavar="TSV[:SOURCE[:onehop]]", help="tuple file; repeatable")
-    p.add_argument("--out", help="output JSONL of selected paths")
-
-    p = common("generate", "decode stories from term paths")
-    p.add_argument("--out", help="output JSONL of stories")
-
-    p = common("pipeline", "run distill, enrich, and generate end to end")
+    p = common("pipeline", "run the configured stages (distill, enrich, generate) and write a manifest")
     p.add_argument("--out-dir", help="output directory")
     p.add_argument("--from-manifest", help="re-execute a recorded run")
 
@@ -109,18 +89,6 @@ def load_config(args) -> RunConfig:
     return apply_overrides(config, args.set + flags)
 
 
-def _parse_kg_flag(value: str) -> dict:
-    parts = value.split(":")
-    entry = {"path": parts[0], "two_hop": True}
-    if len(parts) > 1 and parts[1]:
-        entry["source"] = parts[1]
-    if len(parts) > 2:
-        if parts[2] not in ("onehop", "twohop"):
-            raise InputError(f"--kg: eligibility must be 'onehop' or 'twohop', got {parts[2]!r}")
-        entry["two_hop"] = parts[2] == "twohop"
-    return entry
-
-
 def run(args) -> int:
     if args.command == "eval":
         print(json.dumps(evaluate_stories(args.candidates, args.references), sort_keys=True))
@@ -141,16 +109,6 @@ def run(args) -> int:
         print(train_lm_command(config, log=log))
     elif args.command == "train-generator":
         print(train_generator_command(config, log=log, finetune_from=args.finetune_from))
-    elif args.command == "enrich":
-        if args.kg:
-            config.kg = [_parse_kg_flag(v) for v in args.kg]
-        out = args.out or "paths.jsonl"
-        stage_enrich(config, config.terms_path, out)
-        print(out)
-    elif args.command == "generate":
-        out = args.out or "stories.jsonl"
-        stage_generate(config, config.terms_path, out)
-        print(out)
     elif args.command == "pipeline":
         if args.from_manifest:
             manifest = rerun_from_manifest(args.from_manifest, out_dir=args.out_dir)

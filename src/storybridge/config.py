@@ -33,7 +33,6 @@ class RunConfig:
     max_terms_per_image: int = 8
     max_sentence_tokens: int = 24
     sentence_budget: int = 0  # 0 means use the generator checkpoint's default
-    length_unit: str = "tokens"  # unit of l in the inter-sentence penalty
     # enrichment
     candidate_cap: int = 500
     two_hop: bool = True

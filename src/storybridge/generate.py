@@ -54,6 +54,14 @@ class Story:
         return spans
 
 
+class UnknownWordsError(ValueError):
+    """A training story holds words outside the vocabulary of the model being fine-tuned."""
+
+    def __init__(self, story_id: str, words: list[str]):
+        super().__init__(f"story {story_id!r}: words {words} are not in the generator vocabulary")
+        self.story_id, self.words = story_id, words
+
+
 @dataclass
 class GeneratorConfig:
     hidden_size: int = 512
@@ -180,7 +188,7 @@ def story_tokens(sentences) -> list[str]:
     return tokens
 
 
-def decode_story(path, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None, story_id: str = "") -> Story:
+def decode_story(path, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None) -> Story:
     """Generate one sentence per term group of the path."""
     penalties = penalties or BeamPenaltyConfig()
     groups = list(path.groups) if hasattr(path, "groups") else list(path)
@@ -208,7 +216,7 @@ def decode_story(path, model: GeneratorModel, penalties: BeamPenaltyConfig | Non
             current.append(tok)
     bridge = getattr(path, "bridge", None)
     return Story(
-        story_id=story_id or getattr(path, "story_id", ""),
+        story_id=getattr(path, "story_id", ""),
         sentences=sentences,
         tokens=tokens,
         score=score,
@@ -247,8 +255,9 @@ def train_generator(
 ):
     """Teacher-forced training over (term path, story) pairs.
 
-    Pass an existing model to fine-tune it in place. Returns (model,
-    per-epoch mean cross-entropy).
+    Pass an existing model to fine-tune it in place; it keeps its
+    vocabulary, so a story word outside it raises UnknownWordsError before
+    the first step. Returns (model, per-epoch mean cross-entropy).
     """
     config = config or GeneratorConfig()
     pairs = list(pairs)
@@ -261,6 +270,10 @@ def train_generator(
             )
     if model is None:
         model = GeneratorModel.build(build_generator_vocab(pairs), config, sentence_budget=mean_sentence_budget(pairs))
+    for ex in pairs:
+        missing = sorted({tok for sent in ex.sentences for tok in sent} - model.token_to_id.keys())
+        if missing:
+            raise UnknownWordsError(ex.story_id, missing)
 
     history = fit(
         model.store,

@@ -119,10 +119,6 @@ class NGramLM:
             fh.write(canonical_dumps(payload))
 
     @classmethod
-    def load(cls, path: str) -> "NGramLM":
-        return cls.from_payload(read_checkpoint(path), path)
-
-    @classmethod
     def from_payload(cls, payload, where: str) -> "NGramLM":
         if not isinstance(payload, dict) or payload.get("kind") != "ngram":
             raise InputError(f"{where}: not an n-gram checkpoint")
@@ -190,10 +186,6 @@ class GRULanguageModel:
 
     def save(self, path: str) -> None:
         self.store.save(path, extra={"kind": "gru_lm", "vocab": self.vocab, "hidden_size": self.hidden_size})
-
-    @classmethod
-    def load(cls, path: str) -> "GRULanguageModel":
-        return cls.from_payload(read_checkpoint(path), path)
 
     @classmethod
     def from_payload(cls, payload, where: str) -> "GRULanguageModel":

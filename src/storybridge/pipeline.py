@@ -15,7 +15,7 @@ from .config import RunConfig
 from .corpus import build_training_pairs, load_corpus
 from .distill import DistillerConfig, DistillerModel, load_feature_file, train_distiller
 from .enrich import TermPath, build_candidates, check_base_path, select_best
-from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, decode_story, train_generator
+from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, UnknownWordsError, decode_story, train_generator
 from .ioutil import InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
 from .lm import LMConfig, load_lm, load_term_sequences, train_lm
@@ -34,11 +34,15 @@ def _require(path: str, stage: str, role: str) -> str:
     return path
 
 
-def _load_stories(config: RunConfig, include_text: bool = True):
-    stories = load_corpus(_require(config.corpus_path, "train", "story corpus (corpus_path)"))
-    if include_text and config.text_corpus_path:
-        stories = stories + load_corpus(config.text_corpus_path)
-    return stories
+def _load_stories(config: RunConfig) -> tuple[list, dict]:
+    """The story corpus plus the text-only corpus if one is configured, and the file of each story id."""
+    paths = [_require(config.corpus_path, "train", "story corpus (corpus_path)"), config.text_corpus_path]
+    stories, source = [], {}
+    for path in filter(None, paths):
+        for story in load_corpus(path):
+            stories.append(story)
+            source.setdefault(story.story_id, path)
+    return stories, source
 
 
 def _train_config(config: RunConfig, log) -> TrainConfig:
@@ -80,7 +84,7 @@ def train_lm_command(config: RunConfig, log=None) -> str:
     if config.lm_sequences_path:
         corpus = load_term_sequences(config.lm_sequences_path)
     else:
-        corpus = build_training_pairs(_load_stories(config), mode="lm")
+        corpus = build_training_pairs(_load_stories(config)[0], mode="lm")
     model, _ = train_lm(
         corpus,
         LMConfig(
@@ -100,33 +104,36 @@ def train_lm_command(config: RunConfig, log=None) -> str:
 
 def train_generator_command(config: RunConfig, log=None, finetune_from: str = "") -> str:
     """Train (or fine-tune) the term-to-story model; save at config.generator_model."""
-    pairs = build_training_pairs(_load_stories(config), mode="generator")
+    stories, source = _load_stories(config)
+    pairs = build_training_pairs(stories, mode="generator")
     base_model = GeneratorModel.load(finetune_from) if finetune_from else None
-    model, _ = train_generator(
-        pairs,
-        GeneratorConfig(
-            hidden_size=config.hidden_size,
-            heads=config.heads,
-            encoder_layers=config.layers,
-            decoder_layers=config.decoder_layers,
-            ff_multiple=config.ff_multiple,
-            max_sentence_tokens=config.max_sentence_tokens,
-            seed=config.seed,
-        ),
-        _train_config(config, log),
-        model=base_model,
+    model_config = GeneratorConfig(
+        hidden_size=config.hidden_size,
+        heads=config.heads,
+        encoder_layers=config.layers,
+        decoder_layers=config.decoder_layers,
+        ff_multiple=config.ff_multiple,
+        max_sentence_tokens=config.max_sentence_tokens,
+        seed=config.seed,
     )
+    try:
+        model, _ = train_generator(pairs, model_config, _train_config(config, log), model=base_model)
+    except UnknownWordsError as exc:  # only a fine-tuned model can lack words of its training stories
+        raise InputError(
+            f"{source[exc.story_id]}: story {exc.story_id!r} has words {exc.words} outside the vocabulary of "
+            f"{finetune_from}, which fine-tuning keeps"
+        ) from None
     out = config.generator_model or os.path.join(config.out_dir, "generator.json")
     model.save(out)
     return out
 
 
-def load_kg_index(config: RunConfig, stage: str = "enrich") -> RelationIndex:
+def load_kg_index(config: RunConfig) -> RelationIndex:
     if not config.kg:
-        raise InputError(f"stage '{stage}' needs at least one knowledge-graph file (kg)")
+        raise InputError("stage 'enrich' needs at least one knowledge-graph file (kg)")
     index = RelationIndex()
     for entry in config.kg:
-        path = _require(entry.get("path", ""), stage, "knowledge-graph tuple file")
+        path = _require(entry.get("path", ""), "enrich", "knowledge-graph tuple file")
         source = entry.get("source") or os.path.splitext(os.path.basename(path))[0]
         load_tuples(path, source, two_hop_ok=entry.get("two_hop", True), into=index)
     return index
@@ -176,12 +183,7 @@ def stage_generate(config: RunConfig, paths_path: str, out_path: str) -> list[di
     model = GeneratorModel.load(
         _require(config.generator_model, "generate", "generator checkpoint (generator_model)")
     )
-    penalties = BeamPenaltyConfig(
-        alpha=config.alpha,
-        gamma=config.gamma,
-        beam_size=config.beam_size,
-        length_unit=config.length_unit,
-    )
+    penalties = BeamPenaltyConfig(alpha=config.alpha, gamma=config.gamma, beam_size=config.beam_size)
     out = []
     for lineno, rec in records:
         path = TermPath.from_record(rec, where=f"{paths_path}:{lineno}")

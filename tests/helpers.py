@@ -234,13 +234,12 @@ def reference_story_beam(step, *, vocab_size, sb_id, group_count, penalties, max
         candidates = []
         for hyp_idx, (score, tokens, s_set, r_set, bounds, sent_len, trunc) in enumerate(live):
             logp = step(tokens)
-            story_len = bounds + 1 if penalties.length_unit == "sentences" else max(1, len(tokens))
             forced = sent_len >= max_sentence_tokens
             for tok in [sb_id] if forced else range(vocab_size):
                 if tok in excluded:
                     continue
                 step_score = beam_penalty_score(
-                    float(logp[tok]), tok in s_set, tok in r_set, penalties.alpha, penalties.gamma, story_len
+                    float(logp[tok]), tok in s_set, tok in r_set, penalties.alpha, penalties.gamma, len(tokens)
                 )
                 candidates.append((score + step_score, tok, hyp_idx, trunc or forced))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))

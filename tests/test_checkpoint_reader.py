@@ -176,7 +176,10 @@ def test_malformed_checkpoint_exits_two_naming_the_file(tmp_path, capsys, case):
         GeneratorModel.load(path)
     paths = str(tmp_path / "paths.jsonl")
     write_jsonl(paths, [TermPath.from_groups([["w"]], story_id="s").to_record()])
-    code = main(["generate", "--path", paths, "--model", path, "--out", str(tmp_path / "s.jsonl")])
+    code = main([
+        "pipeline", "--set", "stages=generate", "--set", f"terms_path={paths}", "--set", f"generator_model={path}",
+        "--out-dir", str(tmp_path / "out"),
+    ])
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert path in err and "Traceback" not in err

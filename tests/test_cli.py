@@ -5,7 +5,7 @@ import pytest
 
 from helpers import with_second_line
 from storybridge.cli import EXIT_INPUT, EXIT_OK, main
-from storybridge.ioutil import read_jsonl, sha256_file, write_json
+from storybridge.ioutil import read_json, read_jsonl, sha256_file, write_json
 
 
 def run_cli(capsys, *argv):
@@ -38,56 +38,51 @@ def test_make_fixtures_variants_and_bridged_copies(tmp_path, capsys):
     ]
 
 
-def test_enrich_and_generate_subcommands(pipeline_run, tmp_path, capsys):
-    world = pipeline_run["world"]
-    terms = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
-    out_paths = str(tmp_path / "paths.jsonl")
-    code, _, _ = run_cli(
-        capsys,
-        "enrich",
-        "--terms", terms,
-        "--kg", f"{world['kg_scene']}:vg:twohop",
-        "--kg", f"{world['kg_textrel']}:textrel:onehop",
-        "--lm", world["lm_model"],
-        "--cap", "500",
-        "--two-hop", "on",
-        "--out", out_paths,
-    )
-    assert code == EXIT_OK
-    assert sha256_file(out_paths) == sha256_file(os.path.join(pipeline_run["out_dir"], "paths.jsonl"))
+def run_stage(capsys, pipeline_run, out_dir, stage, terms_path, *settings):
+    """One stage run through pipeline over the pipeline_run fixture's config, each setting one --set."""
+    sets = [arg for setting in (f"stages={stage}", f"terms_path={terms_path}", *settings) for arg in ("--set", setting)]
+    return run_cli(capsys, "pipeline", "--config", pipeline_run["config_path"], *sets, "--out-dir", str(out_dir))
 
-    out_stories = str(tmp_path / "stories.jsonl")
-    code, _, _ = run_cli(
-        capsys,
-        "generate",
-        "--path", out_paths,
-        "--model", world["generator_model"],
-        "--alpha", "20", "--gamma", "5", "--beam", "3",
-        "--out", out_stories,
-    )
-    assert code == EXIT_OK
-    assert sha256_file(out_stories) == sha256_file(os.path.join(pipeline_run["out_dir"], "stories.jsonl"))
+
+def test_single_stage_pipeline_runs_match_the_full_run(pipeline_run, tmp_path, capsys):
+    world, full = pipeline_run["world"], pipeline_run["out_dir"]
+    terms = os.path.join(full, "terms.jsonl")
+    code, out, _ = run_stage(capsys, pipeline_run, tmp_path / "enrich", "enrich", terms)
+    assert code == EXIT_OK and set(json.loads(out)) == {"paths.jsonl"}
+    paths = str(tmp_path / "enrich" / "paths.jsonl")
+    assert sha256_file(paths) == sha256_file(os.path.join(full, "paths.jsonl"))
+
+    code, out, _ = run_stage(capsys, pipeline_run, tmp_path / "generate", "generate", paths)
+    assert code == EXIT_OK and set(json.loads(out)) == {"stories.jsonl"}
+    assert sha256_file(str(tmp_path / "generate" / "stories.jsonl")) == sha256_file(os.path.join(full, "stories.jsonl"))
+
+    # each manifest hashes exactly the files its stage read
+    read = {
+        "enrich": [terms, world["kg_scene"], world["kg_textrel"], world["lm_model"]],
+        "generate": [paths, world["generator_model"]],
+    }
+    for stage, inputs in read.items():
+        manifest = read_json(str(tmp_path / stage / "manifest.json"))
+        assert manifest["config"]["stages"] == [stage]
+        assert manifest["inputs"] == {path: sha256_file(path) for path in inputs}
 
 
 def test_enrich_two_hop_off_drops_two_hop_candidates(pipeline_run, tmp_path, capsys):
-    world = pipeline_run["world"]
     terms = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
-    out_paths = str(tmp_path / "paths_onehop.jsonl")
-    code, _, _ = run_cli(
-        capsys,
-        "enrich",
-        "--terms", terms,
-        "--kg", f"{world['kg_scene']}:vg",
-        "--kg", f"{world['kg_textrel']}:textrel:onehop",
-        "--lm", world["lm_model"],
-        "--two-hop", "off",
-        "--out", out_paths,
-    )
+    code, _, _ = run_stage(capsys, pipeline_run, tmp_path, "enrich", terms, "two_hop=off")
     assert code == EXIT_OK
     with_two = {r["story_id"]: r["candidate_count"] for r in read_jsonl(os.path.join(pipeline_run["out_dir"], "paths.jsonl"))}
-    without = {r["story_id"]: r["candidate_count"] for r in read_jsonl(out_paths)}
+    without = {r["story_id"]: r["candidate_count"] for r in read_jsonl(str(tmp_path / "paths.jsonl"))}
     shore_ids = [sid for sid in with_two if "shore" in sid]
     assert shore_ids and all(without[sid] < with_two[sid] for sid in shore_ids)
+
+
+def test_removed_stage_subcommands_are_unknown(capsys):
+    for command in ("enrich", "generate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "cfg.json"])
+        assert exc.value.code == EXIT_INPUT
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_pipeline_subcommand_with_config_and_rerun(pipeline_run, tmp_path, capsys):
@@ -166,6 +161,27 @@ def test_training_subcommands_wire_through(fixture_world, tmp_path, capsys):
     assert code == EXIT_OK and os.path.exists(str(tmp_path / "g2.json"))
 
 
+def test_finetune_on_words_outside_the_checkpoint_vocabulary_exits_two(fixture_world, tmp_path, capsys):
+    from storybridge.corpus import build_training_pairs, load_corpus
+    from storybridge.generate import GeneratorModel
+
+    tiny = ["--set", "hidden_size=8", "--set", "layers=1", "--set", "decoder_layers=1", "--set", "epochs=1"]
+    pre, out = str(tmp_path / "pre.json"), str(tmp_path / "fine.json")
+    code, _, _ = run_cli(capsys, "train-generator", *tiny, "--set", f"corpus_path={fixture_world['text_corpus']}", "--out", pre)
+    assert code == EXIT_OK
+    vocab = GeneratorModel.load(pre).token_to_id.keys()
+    pairs = build_training_pairs(load_corpus(fixture_world["corpus"]), mode="generator")
+    new_words = {ex.story_id: sorted({tok for sent in ex.sentences for tok in sent} - vocab) for ex in pairs}
+    story_id, words = next((sid, words) for sid, words in new_words.items() if words)
+    code, _, err = run_cli(
+        capsys, "train-generator", *tiny, "--set", f"corpus_path={fixture_world['corpus']}",
+        "--finetune-from", pre, "--out", out,
+    )
+    assert code == EXIT_INPUT
+    assert fixture_world["corpus"] in err and repr(story_id) in err and str(words) in err and pre in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
 def test_train_lm_from_sequence_file(fixture_world, tmp_path, capsys):
     from storybridge.corpus import build_training_pairs, load_corpus
     from helpers import save_term_sequences
@@ -179,14 +195,14 @@ def test_train_lm_from_sequence_file(fixture_world, tmp_path, capsys):
 
 
 def test_missing_input_exits_two(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "enrich",
-        "--terms", str(tmp_path / "ghost.jsonl"),
-        "--kg", str(tmp_path / "ghost.tsv"),
-        "--lm", str(tmp_path / "ghost_lm.json"),
-        "--out", str(tmp_path / "out.jsonl"),
-    )
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json(cfg_path, {
+        "stages": ["enrich"],
+        "terms_path": str(tmp_path / "ghost.jsonl"),
+        "kg": [{"path": str(tmp_path / "ghost.tsv")}],
+        "lm_model": str(tmp_path / "ghost_lm.json"),
+    })
+    code, _, err = run_cli(capsys, "pipeline", "--config", cfg_path, "--out-dir", str(tmp_path / "out"))
     assert code == EXIT_INPUT
     assert "input error" in err
 
@@ -205,33 +221,14 @@ def test_bad_override_exits_two(capsys, tmp_path):
     assert "mystery" in err
 
 
-def test_bad_kg_flag_exits_two(pipeline_run, tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "enrich",
-        "--terms", os.path.join(pipeline_run["out_dir"], "terms.jsonl"),
-        "--kg", f"{pipeline_run['world']['kg_scene']}:vg:sometimes",
-        "--lm", pipeline_run["world"]["lm_model"],
-        "--out", str(tmp_path / "o.jsonl"),
-    )
-    assert code == EXIT_INPUT
-    assert "onehop" in err
-
-
 def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys, monkeypatch):
-    import storybridge.cli
+    import storybridge.pipeline
 
     def fail(*_args, **_kwargs):
         raise RuntimeError("decoder blew up")
 
-    monkeypatch.setattr(storybridge.cli, "stage_generate", fail)
-    code, _, err = run_cli(
-        capsys,
-        "generate",
-        "--path", os.path.join(pipeline_run["out_dir"], "paths.jsonl"),
-        "--model", pipeline_run["world"]["generator_model"],
-        "--out", str(tmp_path / "s.jsonl"),
-    )
+    monkeypatch.setattr(storybridge.pipeline, "stage_generate", fail)
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path, "generate", os.path.join(pipeline_run["out_dir"], "paths.jsonl"))
     assert code == 1
     assert "RuntimeError: decoder blew up" in err
 
@@ -252,13 +249,8 @@ def test_bad_generator_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_pa
     broken = str(tmp_path / "broken.json")
     with open(broken, "w", encoding="utf-8") as fh:
         fh.write(content)
-    code, _, err = run_cli(
-        capsys,
-        "generate",
-        "--path", os.path.join(pipeline_run["out_dir"], "paths.jsonl"),
-        "--model", broken,
-        "--out", str(tmp_path / "s.jsonl"),
-    )
+    paths = os.path.join(pipeline_run["out_dir"], "paths.jsonl")
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "generate", paths, f"generator_model={broken}")
     assert code == EXIT_INPUT
     assert broken in err and "Traceback" not in err
 
@@ -276,14 +268,8 @@ def test_bad_lm_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, cap
     broken = str(tmp_path / "broken_lm.json")
     with open(broken, "w", encoding="utf-8") as fh:
         fh.write(content)
-    code, _, err = run_cli(
-        capsys,
-        "enrich",
-        "--terms", os.path.join(pipeline_run["out_dir"], "terms.jsonl"),
-        "--kg", f"{pipeline_run['world']['kg_scene']}:scene:twohop",
-        "--lm", broken,
-        "--out", str(tmp_path / "o.jsonl"),
-    )
+    terms = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "enrich", terms, f"lm_model={broken}")
     assert code == EXIT_INPUT
     assert broken in err
 
@@ -294,38 +280,21 @@ def test_enrich_bad_term_path_exits_two_naming_the_line(pipeline_run, tmp_path, 
 
     six = str(tmp_path / "six.jsonl")
     write_jsonl(six, [TermPath.from_groups([[f"t{i}"] for i in range(6)], story_id="six").to_record()])
-    code, _, err = run_cli(
-        capsys,
-        "enrich",
-        "--terms", six,
-        "--kg", f"{pipeline_run['world']['kg_scene']}:scene:twohop",
-        "--lm", pipeline_run["world"]["lm_model"],
-        "--out", str(tmp_path / "o.jsonl"),
-    )
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "enrich", six)
     assert code == EXIT_INPUT
     assert f"{six}:1" in err and "got 6" in err
 
 
 def test_enrich_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
     bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "terms.jsonl"), "[1]")
-    code, _, err = run_cli(
-        capsys,
-        "enrich",
-        "--terms", bad,
-        "--kg", f"{pipeline_run['world']['kg_scene']}:scene:twohop",
-        "--lm", pipeline_run["world"]["lm_model"],
-        "--out", str(tmp_path / "o.jsonl"),
-    )
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "enrich", bad)
     assert code == EXIT_INPUT
     assert f"{bad}:2: expected a JSON object" in err
 
 
 def test_generate_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
     bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "paths.jsonl"), "[1]")
-    code, _, err = run_cli(
-        capsys, "generate", "--path", bad, "--model", pipeline_run["world"]["generator_model"],
-        "--out", str(tmp_path / "o.jsonl"),
-    )
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "generate", bad)
     assert code == EXIT_INPUT
     assert f"{bad}:2: expected a JSON object" in err
 
@@ -415,15 +384,6 @@ DEDICATED_FLAGS = [
     ("train-distiller", "--out", "distiller_model", "d.json", "other.json"),
     ("train-lm", "--out", "lm_model", "lm.json", "other.json"),
     ("train-generator", "--out", "generator_model", "g.json", "other.json"),
-    ("enrich", "--terms", "terms_path", "t.jsonl", "other.jsonl"),
-    ("enrich", "--lm", "lm_model", "lm.json", "other.json"),
-    ("enrich", "--cap", "candidate_cap", "7", "9"),
-    ("enrich", "--two-hop", "two_hop", "off", "on"),
-    ("generate", "--path", "terms_path", "p.jsonl", "other.jsonl"),
-    ("generate", "--model", "generator_model", "g.json", "other.json"),
-    ("generate", "--alpha", "alpha", "2.5", "7"),
-    ("generate", "--gamma", "gamma", "0.5", "7"),
-    ("generate", "--beam", "beam_size", "4", "5"),
 ]
 
 
@@ -447,10 +407,10 @@ def test_dedicated_flag_is_shorthand_for_set(command, flag, field, value, other)
     "argv,key",
     [
         (["train-lm", "--set", "epochs=ten"], "epochs"),
-        (["enrich", "--cap", "x"], "candidate_cap"),
-        (["enrich", "--two-hop", "maybe"], "two_hop"),
-        (["generate", "--beam", "3.5"], "beam_size"),
-        (["generate", "--alpha", "high"], "alpha"),
+        (["pipeline", "--set", "candidate_cap=x"], "candidate_cap"),
+        (["pipeline", "--set", "two_hop=maybe"], "two_hop"),
+        (["pipeline", "--set", "beam_size=3.5"], "beam_size"),
+        (["pipeline", "--set", "alpha=high"], "alpha"),
         (["pipeline", "--set", "kg=scene.tsv"], "kg[0]"),
     ],
     ids=["set-epochs", "cap", "two-hop", "beam", "alpha", "set-kg"],
@@ -513,6 +473,16 @@ def test_readme_quick_start_uses_real_flags_and_fields():
     parser = build_parser()
     for argv in commands:
         apply_overrides(config, getattr(parser.parse_args(argv[1:]), "set", []))
+    # every command of the CLI reference parses; [...] marks optional flags
+    reference = text.split("\n## CLI\n")[1].split("\n## ")[0]
+    lines = [line for line in reference.replace("\\\n", " ").splitlines() if line.startswith("storybridge ")]
+    assert lines
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line.replace("[", "").replace("]", ""))[1:])
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")
+        apply_overrides(RunConfig(), getattr(args, "set", []))
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from storybridge.generate import (
     GeneratorConfig,
     GeneratorModel,
     Story,
+    UnknownWordsError,
     beam_decode,
     build_generator_vocab,
     decode_story,
@@ -26,6 +27,7 @@ from storybridge.generate import (
 from storybridge.corpus import (
     AnnotatedSentence,
     FrameSpan,
+    GeneratorExample,
     StoryRecord,
     build_training_pairs,
 )
@@ -99,52 +101,6 @@ def test_penalty_config_validation():
         BeamPenaltyConfig(alpha=-1)
     with pytest.raises(ValueError):
         BeamPenaltyConfig(beam_size=0)
-    with pytest.raises(ValueError):
-        BeamPenaltyConfig(length_unit="words")
-
-
-def test_sentence_length_unit_changes_inter_sentence_penalty():
-    # at the decision point the prefix is [7, 9, SB]: three tokens but two
-    # sentences (the second just begun), so the same gamma divides differently
-    def step(prefix):
-        logp = np.full(V, -30.0)
-        sentence, bounds = [], 0
-        for t in prefix:
-            if t == SB:
-                sentence, bounds = [], bounds + 1
-            else:
-                sentence.append(t)
-        if bounds == 0:
-            if not sentence:
-                logp[7] = -0.1
-            elif len(sentence) == 1:
-                logp[9] = -0.1
-            else:
-                logp[SB] = -0.2
-        else:
-            if not sentence:
-                logp[7] = -0.1  # in R: tempting repeat
-                logp[8] = -1.5  # fresh alternative
-            else:
-                logp[SB] = -0.2
-        return logp
-
-    def decode(length_unit):
-        tokens, _, _ = beam_decode(
-            batched(step),
-            vocab_size=V,
-            sb_id=SB,
-            group_count=2,
-            penalties=BeamPenaltyConfig(alpha=20.0, gamma=3.0, beam_size=1, length_unit=length_unit),
-            max_sentence_tokens=5,
-            excluded_ids=(EXC,),
-        )
-        return tokens
-
-    # tokens: l=3, penalty 1.0, repeat scores -1.1 and beats the fresh -1.5
-    assert decode("tokens") == [7, 9, SB, 7, SB]
-    # sentences: l=2, penalty 1.5, repeat scores -1.6 and loses to the fresh -1.5
-    assert decode("sentences") == [7, 9, SB, 8, SB]
 
 
 # --------------------------------------------------------- stub-model beams
@@ -408,6 +364,13 @@ def test_story_token_vocab_errors_are_loud():
     model = GeneratorModel.build(["<bos>", "<eos>", "<sb>", "<unk>", "<s>", "</s>", "<sep>", "only"], SMALL_GEN)
     with pytest.raises(ValueError, match="not in generator vocabulary"):
         model.training_loss(pairs[0].term_groups, pairs[0].sentences)
+    # fine-tuning checks every story before the first Adam step, not at the story's turn
+    known = GeneratorExample("known", [["only"]], [["only"]])
+    before = checkpoint_payload(model.store)
+    with pytest.raises(UnknownWordsError, match="overfit") as exc:
+        train_generator([known] + pairs, model=model, train=TrainConfig(epochs=1))
+    assert exc.value.words == sorted({tok for sent in pairs[0].sentences for tok in sent})
+    assert checkpoint_payload(model.store) == before
 
 
 def test_model_checkpoint_roundtrip(tmp_path, memorized):
@@ -481,14 +444,13 @@ def tied_step(prefix):
     return np.round(hashed_step(prefix) * 2.0) - 3.0
 
 
-@pytest.mark.parametrize("length_unit", ["tokens", "sentences"])
 @pytest.mark.parametrize("step", [hashed_step, tied_step], ids=["hashed", "tied"])
-def test_batched_beam_equals_per_hypothesis_reference(step, length_unit):
+def test_batched_beam_equals_per_hypothesis_reference(step):
     for groups in (1, 2, 3):
         for beam in (1, 2, 3, 5):
             for alpha, gamma in ((20.0, 5.0), (1.0, 3.0), (0.0, 0.0)):
                 for cap in (2, 5):
-                    penalties = BeamPenaltyConfig(alpha=alpha, gamma=gamma, beam_size=beam, length_unit=length_unit)
+                    penalties = BeamPenaltyConfig(alpha=alpha, gamma=gamma, beam_size=beam)
                     got, want = stub_case(step, groups, penalties, cap)
                     assert got[0] == want[0] and got[2] == want[2], (groups, beam, alpha, cap)
                     assert got[1] == want[1]
@@ -589,7 +551,7 @@ def test_kv_cached_decode_matches_full_recompute_on_random_generator():
         groups = [[f"w{i}" for i in rng.integers(0, 40, size=2)] for _ in range(1 + trial % 4)]
         for penalties in (
             BeamPenaltyConfig(),
-            BeamPenaltyConfig(alpha=0.5, gamma=2.0, beam_size=4, length_unit="sentences"),
+            BeamPenaltyConfig(alpha=0.5, gamma=2.0, beam_size=4),
         ):
             truncated += assert_story_matches_recompute(model, groups, penalties).truncated
     assert truncated  # random weights hit the sentence cap, so forced closes are covered
@@ -598,7 +560,7 @@ def test_kv_cached_decode_matches_full_recompute_on_random_generator():
 def test_kv_cached_decode_matches_full_recompute_on_trained_models(memorized, pipeline_run):
     model, _, pairs = memorized
     assert_story_matches_recompute(model, pairs[0].term_groups, BeamPenaltyConfig())
-    assert_story_matches_recompute(model, pairs[0].term_groups, BeamPenaltyConfig(length_unit="sentences"), per_sentence=7)
+    assert_story_matches_recompute(model, pairs[0].term_groups, BeamPenaltyConfig(), per_sentence=7)
     fixture_model = GeneratorModel.load(pipeline_run["world"]["generator_model"])
     with open(f"{pipeline_run['out_dir']}/paths.jsonl", "r", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]

@@ -93,7 +93,7 @@ def test_collect_grads_fills_zeros():
 def tiny_models():
     from storybridge.distill import END_OF_SET, DistillerConfig, DistillerModel
     from storybridge.generate import GeneratorConfig, GeneratorModel
-    from storybridge.lm import GRULanguageModel
+    from storybridge.lm import GRULanguageModel, load_lm
 
     gen_vocab = ["<bos>", "<eos>", "<sb>", "<unk>", "<s>", "</s>", "<sep>", "w"]
     return {
@@ -107,7 +107,7 @@ def tiny_models():
             DistillerModel.load,
             "decoder.b_out",
         ),
-        "gru_lm": (GRULanguageModel.build(["<s>", "</s>", "t"], hidden_size=4), GRULanguageModel.load, "lm.b_out"),
+        "gru_lm": (GRULanguageModel.build(["<s>", "</s>", "t"], hidden_size=4), load_lm, "lm.b_out"),
     }
 
 
@@ -171,7 +171,10 @@ def test_strict_load_errors_exit_two(tmp_path, capsys):
     _load, path = corrupt_checkpoint(tmp_path, "generator", lambda params, name: params.pop(name))
     paths = str(tmp_path / "paths.jsonl")
     write_jsonl(paths, [TermPath.from_groups([["w"]], story_id="s").to_record()])
-    code = main(["generate", "--path", paths, "--model", path, "--out", str(tmp_path / "s.jsonl")])
+    code = main([
+        "pipeline", "--set", "stages=generate", "--set", f"terms_path={paths}", "--set", f"generator_model={path}",
+        "--out-dir", str(tmp_path / "out"),
+    ])
     assert code == EXIT_INPUT
     assert path in capsys.readouterr().err
 
