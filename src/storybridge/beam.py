@@ -50,8 +50,7 @@ def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return chosen % b, chosen // b
 
 
-def beam_decode(
-    step_log_probs,
+def beam_search(
     *,
     vocab_size: int,
     sb_id: int,
@@ -61,18 +60,19 @@ def beam_decode(
     excluded_ids=(),
     run_until_empty: bool = False,
 ):
-    """Beam search over token ids with inter/intra-sentence repetition penalties.
+    """One beam search over token ids with inter/intra-sentence repetition penalties, as a generator.
 
-    step_log_probs takes the live prefixes (tuples of token ids) and gives
-    their (B, V) next-token log-probabilities. Structural rules: ids in
-    excluded_ids are never emitted; a hypothesis finishes at its
-    group_count-th sentence boundary; a sentence hitting max_sentence_tokens
-    is closed by a forced boundary and flags the story as truncated. Marker
-    tokens stay out of the repetition sets S (current sentence) and R
-    (earlier sentences), both boolean (B, V) masks. Exact score ties resolve
-    to the lower token id, then the earlier hypothesis. The search stops once
-    beam_size hypotheses have finished, or with run_until_empty once none is
-    live; the two rules can pick different winners.
+    At each beam step it yields its live prefixes (tuples of token ids) and
+    is sent their (B, V) next-token log-probabilities; it returns (token ids,
+    score, truncated) of the winner. Structural rules: ids in excluded_ids
+    are never emitted; a hypothesis finishes at its group_count-th sentence
+    boundary; a sentence hitting max_sentence_tokens is closed by a forced
+    boundary and flags the story as truncated. Marker tokens stay out of the
+    repetition sets S (current sentence) and R (earlier sentences), both
+    boolean (B, V) masks. Exact score ties resolve to the lower token id,
+    then the earlier hypothesis. The search stops once beam_size hypotheses
+    have finished, or with run_until_empty once none is live; the two rules
+    can pick different winners.
     """
     allowed = np.ones(vocab_size, dtype=bool)
     allowed[list(excluded_ids)] = False
@@ -89,7 +89,7 @@ def beam_decode(
     trunc = np.zeros(1, dtype=bool)
     done = []  # (score, tokens, truncated) in finishing order
     while scores.size:
-        logp = np.asarray(step_log_probs([tuple(row) for row in tokens.tolist()]), dtype=np.float64)
+        logp = np.asarray((yield [tuple(row) for row in tokens.tolist()]), dtype=np.float64)
         gamma_l = penalties.gamma / max(1, tokens.shape[1])  # l: tokens generated so far
         step_score = (logp - np.where(s_mask, penalties.alpha, 0.0)) - np.where(r_mask, gamma_l, 0.0)
         forced = sent_len >= max_sentence_tokens
@@ -116,3 +116,55 @@ def beam_decode(
             break
     score, token_ids, truncated = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
     return token_ids, score, truncated
+
+
+def decode_lockstep(step_log_probs, searches) -> list:
+    """Run beam_search generators together: one step_log_probs call per beam step.
+
+    step_log_probs takes the live prefixes of every live search as
+    (search index, prefix) pairs, grouped by search in index order, and gives
+    their (B, V) log-probabilities in the same order. A search drops out once
+    it finishes under its own stop rule, so the step runs as many times as
+    the longest search. Returns each search's (token ids, score, truncated).
+    """
+    results = [None] * len(searches)
+    asks = {g: next(search) for g, search in enumerate(searches)}
+    while asks:
+        logp = step_log_probs([(g, prefix) for g, prefixes in asks.items() for prefix in prefixes])
+        start = 0
+        for g, prefixes in list(asks.items()):
+            rows = logp[start : start + len(prefixes)]
+            start += len(prefixes)
+            try:
+                asks[g] = searches[g].send(rows)
+            except StopIteration as finished:
+                results[g] = finished.value
+                del asks[g]
+    return results
+
+
+def beam_decode(
+    step_log_probs,
+    *,
+    vocab_size: int,
+    sb_id: int,
+    group_count: int,
+    penalties: BeamPenaltyConfig,
+    max_sentence_tokens: int,
+    excluded_ids=(),
+    run_until_empty: bool = False,
+):
+    """One beam_search, with step_log_probs mapping its live prefixes to their (B, V) log-probabilities.
+
+    Returns the winner's (token ids, score, truncated).
+    """
+    search = beam_search(
+        vocab_size=vocab_size,
+        sb_id=sb_id,
+        group_count=group_count,
+        penalties=penalties,
+        max_sentence_tokens=max_sentence_tokens,
+        excluded_ids=excluded_ids,
+        run_until_empty=run_until_empty,
+    )
+    return decode_lockstep(lambda tagged: step_log_probs([prefix for _, prefix in tagged]), [search])[0]

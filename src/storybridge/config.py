@@ -62,13 +62,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "config") -> "RunConfig":
-        """A config from JSON data; an unknown key or an ill-typed value raises InputError.
+        """A config from JSON data; an unknown key, an ill-typed value or one below its bound raises InputError.
 
         The error names ``where`` and the key. Values are checked, never
         converted: a JSON int in a float field stays an int, so a config and
         its manifest hash as written.
         """
         _check(data, _SCHEMA, "", where)
+        for name, low in _AT_LEAST.items():
+            if name in data and data[name] < low:
+                raise InputError(f"{where}: {name} must be at least {low}, got {data[name]!r}")
         return cls(**data)
 
     @classmethod
@@ -82,6 +85,9 @@ class RunConfig:
 # A field's declared type is the type of its RunConfig() default. A list
 # holds one example item, whose type every item must have.
 _SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source": "", "two_hop": True}]}
+# Lower bounds of the numeric settings that a run would otherwise reject late
+# or misuse silently. A sentence_budget of 0 keeps the checkpoint's default.
+_AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "sentence_budget": 0, "top_k_objects": 1}
 _KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True, "false": False, "off": False, "0": False, "no": False}
 

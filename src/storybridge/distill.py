@@ -3,7 +3,7 @@
 A transformer encoder reads the projected object features of all images,
 summed with trainable image-order embeddings (objects inside one image carry
 no order of their own). A GRU decoder with additive attention then emits
-terms for each image in turn, decoded with a beam search whose score
+a term set for each image, decoded with a beam search whose score
 
     beam_score(x) = log p(x) - 1e19 * [x already predicted for this image]
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .beam import BeamPenaltyConfig, beam_decode
+from .beam import BeamPenaltyConfig, beam_search, decode_lockstep
 from .ioutil import InputError, read_jsonl_lines, write_jsonl
 from .layers import GRUParams, TransformerEncoder, linear
 from .optim import TrainConfig, fit
@@ -214,41 +214,47 @@ class DistillerModel:
 
     def predict_terms(self, seq: ImageSequence, beam_size: int = 3) -> list[list[str]]:
         """Per-image term lists, repetition-masked beam search, vocab order ties to low id."""
+        return [terms for terms, _score in self.term_beams(seq, beam_size)]
+
+    def term_beams(self, seq: ImageSequence, beam_size: int = 3) -> list[tuple[list[str], float]]:
+        """Each image's best term list and its beam score: one sentence of terms closed by end-of-set.
+
+        The images' searches advance in lockstep, so each beam step is one
+        decoder step over the live hypotheses of every image.
+        """
         if len(self.vocab) <= 1:
             raise ValueError("term vocabulary holds only the end-of-set marker")
         if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         memory = self.encode_objects(seq)
-        eos = self.token_to_id[END_OF_SET]
-        out = []
-        for slot in seq.slots:
-            terms, _score = self._decode_slot(memory, slot.image_index, beam_size, eos)
-            out.append(terms)
-        return out
-
-    def _decode_slot(self, memory: Tensor, image_index: int, beam_size: int, eos: int):
-        """Beam search for one image: one sentence of terms closed by end-of-set, repeats masked."""
         keys = linear(memory, self.attn_mem)
-        h = np.zeros((1, self.config.hidden_size))
-        rows = {(): 0}  # prefix -> its row of h, the GRU state after it
+        starts = [slot.image_index for slot in seq.slots]
+        h = np.zeros((len(starts), self.config.hidden_size))
+        rows = {(g, ()): g for g in range(len(starts))}  # (search, prefix) -> its row of h, the GRU state after it
 
-        def step(prefixes) -> np.ndarray:
+        def step(tagged) -> np.ndarray:
             nonlocal h, rows
-            prev = ad.embed(self.term_embedding, [p[-1] for p in prefixes]) if prefixes[0] else self._slot_start(image_index)
-            logits, h_next = self._step(prev, Tensor(h[[rows[p[:-1]] for p in prefixes]]), memory, keys)
-            h, rows = h_next.data, {p: i for i, p in enumerate(prefixes)}
+            prev = np.stack(
+                [self.term_embedding.data[p[-1]] if p else self.order_embedding.data[starts[g]] for g, p in tagged]
+            )
+            parents = h[[rows[g, p[:-1]] for g, p in tagged]]
+            logits, h_next = self._step(Tensor(prev), Tensor(parents), memory, keys)
+            h, rows = h_next.data, {key: i for i, key in enumerate(tagged)}
             return ad.log_softmax_values(logits.data)
 
-        token_ids, score, _truncated = beam_decode(
-            step,
-            vocab_size=len(self.vocab),
-            sb_id=eos,
-            group_count=1,
-            penalties=BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size),
-            max_sentence_tokens=self.config.max_terms_per_image,
-            run_until_empty=True,
-        )
-        return [self.vocab[t] for t in token_ids[:-1]], score
+        penalties = BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size)
+        searches = [
+            beam_search(
+                vocab_size=len(self.vocab),
+                sb_id=self.token_to_id[END_OF_SET],
+                group_count=1,
+                penalties=penalties,
+                max_sentence_tokens=self.config.max_terms_per_image,
+                run_until_empty=True,
+            )
+            for _ in starts
+        ]
+        return [([self.vocab[t] for t in ids[:-1]], score) for ids, score, _truncated in decode_lockstep(step, searches)]
 
     def save(self, path: str) -> None:
         extra = {"kind": "distiller", "vocab": self.vocab, "config": asdict(self.config)}

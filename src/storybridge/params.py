@@ -233,7 +233,10 @@ def _scan(fh, where: str) -> tuple[bytes, list[np.ndarray]]:
 
     more()
     while True:
-        quote = _PLAIN.match(buf).end()  # where a string the match could not pass starts
+        if b'"data' in buf or b"\\" in buf:
+            quote = _PLAIN.match(buf).end()  # where a string the match could not pass starts
+        else:  # every quote delimits a plain string: all of buf up to an unmatched last quote is skeleton
+            quote = buf.rfind(b'"') if buf.count(b'"') % 2 else len(buf)
         if quote == len(buf):
             skeleton.append(bytes(buf))
             del buf[:]

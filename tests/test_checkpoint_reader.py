@@ -124,6 +124,27 @@ def test_data_arrays_read_as_json_load_read_them(tmp_path_factory, body, chunk):
         assert_bits_equal(got, want)
 
 
+def test_string_heavy_checkpoint_with_data_across_a_chunk_boundary(tmp_path):
+    # n-gram-shaped: mostly word strings, the word "data" among them, one escaped string, then a
+    # parameter array; the padding word moves the "data" key across every offset of a 64-byte chunk
+    for pad in range(64):
+        words = [f"w{i}" for i in range(30)] + ["data", 'say "hi"', "p" * pad]
+        payload = {
+            "extra": {"kind": "test", "vocab": words, "counts": [[["data", w], {w: 2, "data": 1}] for w in words]},
+            "format_version": 1,
+            "params": {"w": {"data": [0.5, -1.25, 3e-7], "shape": [3]}},
+            "rng_seed": 0,
+            "schedule": None,
+        }
+        path = tmp_path / f"pad{pad}.json"
+        path.write_text(canonical_dumps(payload), encoding="utf-8")
+        with mock.patch.object(params, "_CHUNK_BYTES", 64):
+            got = read_checkpoint(str(path))
+        assert {k: v for k, v in got.items() if k != "params"} == {k: v for k, v in payload.items() if k != "params"}
+        assert got["params"]["w"]["shape"] == [3]
+        assert_bits_equal(got["params"]["w"]["data"], payload["params"]["w"]["data"])
+
+
 def tiny_generator_checkpoint(tmp_path) -> str:
     vocab = ["<bos>", "<eos>", "<sb>", "<unk>", "<s>", "</s>", "<sep>", "w"]
     model = GeneratorModel.build(vocab, GeneratorConfig(hidden_size=4, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=1))

@@ -422,6 +422,25 @@ def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
 
 
 @pytest.mark.parametrize(
+    "field,value",
+    [("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("sentence_budget", -3), ("top_k_objects", 0)],
+    ids=["beam", "alpha", "gamma", "cap", "sentence-budget", "top-k-objects"],
+)
+def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "pipeline", "--config", pipeline_run["config_path"], "--set", f"{field}={value}",
+                             "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT and out == ""
+    assert f"{field} must be at least" in err and "Traceback" not in err
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json(cfg_path, {**read_json(pipeline_run["config_path"]), field: value})
+    code, out, err = run_cli(capsys, "pipeline", "--config", cfg_path, "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT and out == ""
+    assert f"{cfg_path}: {field} must be at least" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "config,key",
     [
         ({"two_hop": "off"}, "two_hop"),

@@ -216,11 +216,7 @@ def test_beam_scores_are_log_probability_sums():
     # so a finished hypothesis's score never exceeds zero
     vocab = [END_OF_SET] + [f"t{i}" for i in range(4)]
     model = DistillerModel.build(vocab, SMALL)
-    seq = make_sequence()
-    memory = Tensor(model.encode_objects(seq).data)
-    eos = model.token_to_id[END_OF_SET]
-    for slot in seq.slots:
-        terms, score = model._decode_slot(memory, slot.image_index, 3, eos)
+    for _terms, score in model.term_beams(make_sequence(), beam_size=3):
         assert score <= 0.0
         assert score > -1e18  # the winner never carries a repeat penalty
 
@@ -235,12 +231,18 @@ def test_feature_file_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded[1].slots[1].confidences, seqs[1].slots[1].confidences)
 
 
+SCORE_TOLERANCE = 1e-9  # one decoder matmul over every image's rows rounds differently from one over a single row
+
+
 def assert_terms_match_reference(model, seq, beam_size):
     memory = Tensor(model.encode_objects(seq).data)
     eos = model.token_to_id[END_OF_SET]
-    want = [reference_term_beam(model, memory, slot.image_index, beam_size, eos)[0] for slot in seq.slots]
-    assert model.predict_terms(seq, beam_size=beam_size) == want
-    return want
+    want = [reference_term_beam(model, memory, slot.image_index, beam_size, eos) for slot in seq.slots]
+    got = model.term_beams(seq, beam_size=beam_size)
+    assert [terms for terms, _ in got] == [terms for terms, _ in want]
+    assert all(abs(got_score - want_score) <= SCORE_TOLERANCE for (_, got_score), (_, want_score) in zip(got, want))
+    assert model.predict_terms(seq, beam_size=beam_size) == [terms for terms, _ in want]
+    return [terms for terms, _ in want]
 
 
 def test_batched_term_beam_matches_per_hypothesis_reference():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import batched, beam_penalty_score, checkpoint_payload, ldpe, recompute_step, reference_story_beam
-from storybridge.beam import top_k
+from storybridge.beam import beam_search, decode_lockstep, top_k
 from storybridge.enrich import TermPath
 from storybridge.generate import (
     BOS_STORY,
@@ -454,6 +454,48 @@ def test_batched_beam_equals_per_hypothesis_reference(step):
                     got, want = stub_case(step, groups, penalties, cap)
                     assert got[0] == want[0] and got[2] == want[2], (groups, beam, alpha, cap)
                     assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("step", [hashed_step, tied_step], ids=["hashed", "tied"])
+def test_lockstep_searches_equal_separate_decodes(step):
+    # each search has its own step, settings and stop rule, so they finish at different beam steps
+    settings = [
+        dict(group_count=groups, penalties=BeamPenaltyConfig(alpha=alpha, gamma=gamma, beam_size=beam),
+             max_sentence_tokens=cap, run_until_empty=until_empty)
+        for groups in (1, 2, 3)
+        for beam in (1, 3, 5)
+        for alpha, gamma in ((20.0, 5.0), (0.0, 0.0))
+        for cap in (2, 5)
+        for until_empty in (False, True)
+    ]
+
+    def search_step(g):
+        return lambda prefix: step((200 + g,) + prefix)
+
+    calls, rows = [], []
+
+    def lockstep_step(tagged):
+        calls.append([g for g, _ in tagged])
+        return np.stack([search_step(g)(prefix) for g, prefix in tagged])
+
+    searches = [beam_search(vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw) for kw in settings]
+    got = decode_lockstep(lockstep_step, searches)
+    steps = []
+    for g, kw in enumerate(settings):
+        sizes = []
+
+        def counted(prefixes, g=g, sizes=sizes):
+            sizes.append(len(prefixes))
+            return batched(search_step(g))(prefixes)
+
+        assert got[g] == beam_decode(counted, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw), kw
+        steps.append(len(sizes))
+        rows.append(sum(sizes))
+    assert len(set(steps)) > 1
+    assert len(calls) == max(steps)  # the longest search, not the sum over searches
+    for g in range(len(settings)):  # each search took part in exactly its own steps, with its own rows
+        assert sum(1 for call in calls if g in call) == steps[g]
+        assert sum(call.count(g) for call in calls) == rows[g]
 
 
 def test_exact_ties_at_the_kth_slot_resolve_to_lower_token_then_hypothesis():
