@@ -286,11 +286,12 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def layernorm_values(x: Array, gain: Array, bias: Array, eps: float = 1e-5):
     """Layer norm over the last axis in plain numpy: (output, normalized x, 1/std)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, xhat, inv
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 def _norm_node(op: str, s: Array, inputs: tuple[Tensor, ...], gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -361,8 +362,18 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
 def log_softmax_values(logits: Array) -> Array:
     """Plain numpy log-softmax over the last axis (no tape participation)."""
     z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+def log_softmax_at(z: Array, cols: Array) -> Array:
+    """log_softmax_values(z)[arange(len(z)), cols], bit for bit, for a 2-d float64 z that it overwrites."""
     zmax = z.max(axis=-1, keepdims=True)
-    return z - zmax - np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
+    picked = z[np.arange(len(z)), cols] - zmax[:, 0]
+    z -= zmax
+    np.exp(z, out=z)
+    return picked - np.log(z.sum(axis=-1))
 
 
 # ------------------------------------------------------------ fused layer primitives
@@ -392,10 +403,13 @@ def linear(x, w, b=None) -> Tensor:
 
 def feed_forward_values(x: Array, w1: Array, b1: Array, w2: Array, b2: Array):
     """relu(x @ w1 + b1) @ w2 + b2 in plain numpy: (output, relu output, relu mask)."""
-    hidden = x @ w1 + b1
+    hidden = x @ w1
+    hidden += b1
     mask = hidden > 0
-    r = hidden * mask
-    return r @ w2 + b2, r, mask
+    hidden *= mask
+    out = hidden @ w2
+    out += b2
+    return out, hidden, mask
 
 
 def feed_forward(x, w1, b1, w2, b2) -> Tensor:
@@ -425,11 +439,13 @@ def add_layernorm(x, y, gain, bias, eps: float = 1e-5) -> Tensor:
 
 def attention_values(q: Array, k: Array, v: Array, mask: Array | None = None):
     """Scaled dot-product attention over head-split (..., H, T, Dh) arrays: (weights, context)."""
-    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    weights = q @ np.swapaxes(k, -1, -2)
+    weights *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     return weights, weights @ v
 
 
@@ -466,7 +482,8 @@ def additive_attention(keys, query, v, memory) -> Tensor:
     (b, a), m = query.shape, keys.shape[0]
     if keys.shape != (m, a) or v.shape != (a, 1) or memory.ndim != 2 or memory.shape[0] != m:
         raise _shape_error("additive_attention", keys, query, v, memory)
-    t = np.tanh(keys.data + query.data.reshape(b, 1, a))
+    t = np.add(keys.data, query.data.reshape(b, 1, a))
+    np.tanh(t, out=t)
     z = (t @ v.data).reshape(b, m)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)

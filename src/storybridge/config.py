@@ -72,7 +72,11 @@ class RunConfig:
         for name, low in _AT_LEAST.items():
             if name in data and data[name] < low:
                 raise InputError(f"{where}: {name} must be at least {low}, got {data[name]!r}")
-        return cls(**data)
+        config = cls(**data)
+        if config.hidden_size % config.heads:
+            got = f"hidden_size={config.hidden_size} and heads={config.heads}"
+            raise InputError(f"{where}: hidden_size must be a multiple of heads, got {got}")
+        return config
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -87,7 +91,8 @@ class RunConfig:
 _SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source": "", "two_hop": True}]}
 # Lower bounds of the numeric settings that a run would otherwise reject late
 # or misuse silently. A sentence_budget of 0 keeps the checkpoint's default.
-_AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "sentence_budget": 0, "top_k_objects": 1}
+_AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "sentence_budget": 0, "top_k_objects": 1,
+             "hidden_size": 1, "heads": 1, "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0}
 _KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True, "false": False, "off": False, "0": False, "no": False}
 

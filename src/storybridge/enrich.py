@@ -133,16 +133,16 @@ def build_candidates(
 
     Enumeration is exhaustive per adjacent slot pair, ordered by slot then
     bridge (head, relations, tail), and truncated to ``cap`` paths total.
+    Every slot pair is enumerated, but only the paths within the cap are built.
     """
     check_base_path(base)
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
     candidates = [base]
     for k in range(len(base.groups) - 1):
-        for bridge in index.enumerate_bridges(set(base.groups[k]), set(base.groups[k + 1]), allow_two_hop):
-            candidates.append(base.with_bridge(k, bridge))
-    if cap is not None:
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
-        candidates = candidates[:cap]
+        bridges = index.enumerate_bridges(set(base.groups[k]), set(base.groups[k + 1]), allow_two_hop)
+        room = len(bridges) if cap is None else cap - len(candidates)
+        candidates.extend(base.with_bridge(k, bridge) for bridge in bridges[:room])
     return candidates
 
 

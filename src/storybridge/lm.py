@@ -180,7 +180,7 @@ class GRULanguageModel:
             gathered = np.zeros((len(block), ids.shape[1] - 1))
             for j, logits in enumerate(self._forward(ids[:, :-1])):
                 live = j + 1 < lengths
-                gathered[live, j] = ad.log_softmax_values(logits.data)[live, ids[live, j + 1]]
+                gathered[live, j] = ad.log_softmax_at(logits.data, ids[:, j + 1])[live]
             totals[lo : lo + len(block)] = gathered.sum(axis=1)
         return totals[owner]
 
@@ -226,6 +226,11 @@ class LMConfig:
     holdout_fraction: float = 0.1
 
 
+def holdout_count(count: int, fraction: float) -> int:
+    """Sequences of a corpus of ``count`` held out for the per-epoch perplexity; at least one."""
+    return max(1, int(round(count * fraction)))
+
+
 def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None = None):
     """Train a term LM; returns (model, per-epoch held-out perplexity history).
 
@@ -243,7 +248,7 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
 
     vocab = sorted({tok for seq in corpus for tok in seq} | {BOS, EOS, SEP, UNK})
     model = GRULanguageModel.build(vocab, hidden_size=config.hidden_size, seed=config.seed)
-    n_holdout = max(1, int(round(len(corpus) * config.holdout_fraction)))
+    n_holdout = holdout_count(len(corpus), config.holdout_fraction)
     holdout = corpus[-n_holdout:]
     train_split = corpus[:-n_holdout] or corpus
 

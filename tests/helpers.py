@@ -137,6 +137,54 @@ def use_composite_ops(monkeypatch) -> None:
                         monkeypatch.setattr(mod, attr, composite)
 
 
+# ------------------------------------------------------------ out-of-place forwards
+#
+# The numpy forwards of storybridge.autodiff written with a fresh array for
+# every temporary. The package computes the same operations in place; these
+# are the oracles that its results must equal bit for bit.
+
+
+def oracle_layernorm_values(x, gain, bias, eps: float = 1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def oracle_feed_forward_values(x, w1, b1, w2, b2):
+    hidden = x @ w1 + b1
+    mask = hidden > 0
+    r = hidden * mask
+    return r @ w2 + b2, r, mask
+
+
+def oracle_attention_values(q, k, v, mask=None):
+    import math
+
+    scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return weights, weights @ v
+
+
+def oracle_log_softmax_values(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    zmax = z.max(axis=-1, keepdims=True)
+    return z - zmax - np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
+
+
+def oracle_additive_attention(keys, query, v, memory):
+    (b, a), m = query.shape, keys.shape[0]
+    t = np.tanh(keys + query.reshape(b, 1, a))
+    z = (t @ v).reshape(b, m)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return weights @ memory
+
+
 # ------------------------------------------------------------ decode references
 
 
@@ -278,6 +326,20 @@ def reference_perplexity(model, seq) -> float:
     return math.exp(-float(logp[np.arange(len(ids) - 1), ids[1:]].sum()) / (len(seq) - 1))
 
 
+def oracle_batched_log_probs(model, seqs) -> np.ndarray:
+    """GRULanguageModel.log_probs for distinct id sequences in one padded block, gathering from full log-softmax tables."""
+    block = [model._ids(seq) for seq in seqs]
+    lengths = np.array([len(ids) for ids in block])
+    ids = np.zeros((len(block), lengths.max()), dtype=np.int64)
+    for row, seq_ids in enumerate(block):
+        ids[row, : len(seq_ids)] = seq_ids
+    gathered = np.zeros((len(block), ids.shape[1] - 1))
+    for j, logits in enumerate(model._forward(ids[:, :-1])):
+        live = j + 1 < lengths
+        gathered[live, j] = oracle_log_softmax_values(logits.data)[live, ids[live, j + 1]]
+    return gathered.sum(axis=1)
+
+
 def reference_select(candidates, model):
     """Index and perplexity of the first lowest-perplexity candidate, scored one at a time."""
     scores = [reference_perplexity(model, path.linearized()) for path in candidates]
@@ -350,6 +412,15 @@ def without_bridge(path):
     return TermPath(
         tuple(path.groups[i] for i in keep), tuple(path.origins[i] for i in keep), None, path.story_id
     )
+
+
+def all_candidates_truncated(base, index, cap: int | None, allow_two_hop: bool = True):
+    """Every bridge-enriched variant of base, base first in slot then bridge order, then the first cap of them."""
+    candidates = [base]
+    for k in range(len(base.groups) - 1):
+        for bridge in index.enumerate_bridges(set(base.groups[k]), set(base.groups[k + 1]), allow_two_hop):
+            candidates.append(base.with_bridge(k, bridge))
+    return candidates if cap is None else candidates[:cap]
 
 
 def enrich_path(base, index, lm, cap: int | None = 500, allow_two_hop: bool = True):

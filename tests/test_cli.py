@@ -423,8 +423,15 @@ def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("sentence_budget", -3), ("top_k_objects", 0)],
-    ids=["beam", "alpha", "gamma", "cap", "sentence-budget", "top-k-objects"],
+    [
+        ("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("sentence_budget", -3), ("top_k_objects", 0),
+        ("ngram_order", 0), ("lm_hidden_size", 0), ("heads", 0), ("hidden_size", 0), ("learning_rate", -1),
+        ("smoothing_k", -1),
+    ],
+    ids=[
+        "beam", "alpha", "gamma", "cap", "sentence-budget", "top-k-objects",
+        "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate", "smoothing-k",
+    ],
 )
 def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value):
     out_dir = tmp_path / "out"
@@ -438,6 +445,29 @@ def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path,
     assert code == EXIT_INPUT and out == ""
     assert f"{cfg_path}: {field} must be at least" in err
     assert not out_dir.exists()
+
+
+def test_hidden_size_that_heads_do_not_divide_exits_two_naming_both(pipeline_run, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "pipeline", "--config", pipeline_run["config_path"], "--set", "hidden_size=32",
+                             "--set", "heads=3", "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert "hidden_size must be a multiple of heads, got hidden_size=32 and heads=3" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "1.0"])
+def test_train_lm_holding_out_the_whole_corpus_exits_two(tmp_path, capsys, fraction):
+    from helpers import save_term_sequences
+
+    seq_path = str(tmp_path / "sequences.jsonl")
+    save_term_sequences(seq_path, [["<s>", "a", "b", "</s>"], ["<s>", "b", "</s>"], ["<s>", "a", "</s>"]])
+    out = str(tmp_path / "lm.json")
+    code, _, err = run_cli(capsys, "train-lm", "--set", f"lm_sequences_path={seq_path}", "--set",
+                           f"holdout_fraction={fraction}", "--out", out)
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert f"holdout_fraction {float(fraction)} would hold out all 3 term sequences" in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(
