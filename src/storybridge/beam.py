@@ -143,28 +143,10 @@ def decode_lockstep(step_log_probs, searches) -> list:
     return results
 
 
-def beam_decode(
-    step_log_probs,
-    *,
-    vocab_size: int,
-    sb_id: int,
-    group_count: int,
-    penalties: BeamPenaltyConfig,
-    max_sentence_tokens: int,
-    excluded_ids=(),
-    run_until_empty: bool = False,
-):
-    """One beam_search, with step_log_probs mapping its live prefixes to their (B, V) log-probabilities.
+def beam_decode(step_log_probs, **settings):
+    """One beam_search(**settings), with step_log_probs mapping its live prefixes to their (B, V) log-probabilities.
 
     Returns the winner's (token ids, score, truncated).
     """
-    search = beam_search(
-        vocab_size=vocab_size,
-        sb_id=sb_id,
-        group_count=group_count,
-        penalties=penalties,
-        max_sentence_tokens=max_sentence_tokens,
-        excluded_ids=excluded_ids,
-        run_until_empty=run_until_empty,
-    )
+    search = beam_search(**settings)
     return decode_lockstep(lambda tagged: step_log_probs([prefix for _, prefix in tagged]), [search])[0]

@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-fixtures", help="write the synthetic fixture suite")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variants", type=int, default=5, help="stories per archetype")
-    p.add_argument("--bridged-copies", type=int, default=2, help="copies of each bridged six-sentence text story")
 
     return parser
 
@@ -94,7 +92,7 @@ def run(args) -> int:
         print(json.dumps(evaluate_stories(args.candidates, args.references), sort_keys=True))
         return EXIT_OK
     if args.command == "make-fixtures":
-        paths = write_fixtures(args.out_dir, seed=args.seed, variants=args.variants, bridged_copies=args.bridged_copies)
+        paths = write_fixtures(args.out_dir, seed=args.seed)
         print(json.dumps(paths, sort_keys=True))
         return EXIT_OK
     given = [option for option, value in (("--config", args.config), ("--set", args.set)) if value]

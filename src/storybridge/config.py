@@ -35,7 +35,6 @@ class RunConfig:
     sentence_budget: int = 0  # 0 means use the generator checkpoint's default
     # enrichment
     candidate_cap: int = 500
-    two_hop: bool = True
     # training
     epochs: int = 60
     warmup_steps: int = 100
@@ -48,10 +47,9 @@ class RunConfig:
     stages: list[str] = field(default_factory=lambda: ["distill", "enrich", "generate"])
     corpus_path: str = ""
     text_corpus_path: str = ""
-    lm_sequences_path: str = ""  # optional raw term-sequence JSONL for train-lm
     features_path: str = ""
     terms_path: str = ""
-    kg: list[dict] = field(default_factory=list)  # {"path", "source", "two_hop"}
+    kg: list[dict] = field(default_factory=list)  # {"path", "source", "two_hop"}: two-hop eligibility per file
     distiller_model: str = ""
     lm_model: str = ""
     generator_model: str = ""
@@ -73,6 +71,8 @@ class RunConfig:
             if name in data and data[name] < low:
                 raise InputError(f"{where}: {name} must be at least {low}, got {data[name]!r}")
         config = cls(**data)
+        if config.hidden_size % 2:  # the generator's position tables pair each sine with a cosine
+            raise InputError(f"{where}: hidden_size must be even, got {config.hidden_size}")
         if config.hidden_size % config.heads:
             got = f"hidden_size={config.hidden_size} and heads={config.heads}"
             raise InputError(f"{where}: hidden_size must be a multiple of heads, got {got}")
@@ -94,7 +94,6 @@ _SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source"
 _AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "sentence_budget": 0, "top_k_objects": 1,
              "hidden_size": 1, "heads": 1, "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0}
 _KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
-_BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True, "false": False, "off": False, "0": False, "no": False}
 
 
 def _check(value, schema, key: str, where: str) -> None:
@@ -124,10 +123,8 @@ def _parse(key: str, raw: str, schema):
     if isinstance(schema, list):
         return [part for part in raw.split(",") if part]
     try:
-        if isinstance(schema, bool):
-            return _BOOL_WORDS[raw.strip().lower()]
         return type(schema)(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise InputError(f"{key}: expected {_KIND[type(schema)]}, got {raw!r}") from None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .ioutil import InputError, read_jsonl, write_jsonl
+from .ioutil import InputError, read_jsonl_lines, write_jsonl
 
 SCHEMA_VERSION = 1
 
@@ -309,7 +309,7 @@ def story_from_record(rec: dict, where: str = "corpus") -> StoryRecord:
 
 
 def load_corpus(path: str) -> list[StoryRecord]:
-    return [story_from_record(rec, where=path) for rec in read_jsonl(path)]
+    return [story_from_record(rec, where=f"{path}:{lineno}") for lineno, rec in read_jsonl_lines(path)]
 
 
 def save_corpus(path: str, stories) -> None:

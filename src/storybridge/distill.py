@@ -224,8 +224,6 @@ class DistillerModel:
         """
         if len(self.vocab) <= 1:
             raise ValueError("term vocabulary holds only the end-of-set marker")
-        if beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
         memory = self.encode_objects(seq)
         keys = linear(memory, self.attn_mem)
         starts = [slot.image_index for slot in seq.slots]

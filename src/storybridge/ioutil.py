@@ -17,10 +17,6 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def read_jsonl(path: str) -> list[dict]:
-    return [rec for _lineno, rec in read_jsonl_lines(path)]
-
-
 def read_jsonl_lines(path: str) -> list[tuple[int, dict]]:
     """(line number, record) for every nonblank line of a JSONL file; each line must hold a JSON object."""
     if not os.path.exists(path):

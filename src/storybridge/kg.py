@@ -70,9 +70,6 @@ class RelationIndex:
     def __len__(self) -> int:
         return len(self._tuples)
 
-    def tuples(self) -> set[KGTuple]:
-        return set(self._tuples)
-
     def add(self, tup: KGTuple, two_hop_ok: bool = True) -> bool:
         if two_hop_ok:
             self._two_hop_sources.add(tup.source)

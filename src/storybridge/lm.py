@@ -17,10 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .ioutil import InputError, atomic_writer, canonical_dumps
+from .ioutil import InputError
 from .layers import GRUParams, linear
 from .optim import TrainConfig, fit
-from .params import ParameterStore, read_checkpoint
+from .params import ParameterStore
 
 BOS = "<s>"
 EOS = "</s>"
@@ -107,27 +107,15 @@ class NGramLM:
         return totals
 
     def save(self, path: str) -> None:
-        payload = {
+        """A checkpoint of the shared layout with no parameters: the tables are its ``extra``."""
+        ParameterStore(0).save(path, extra={
             "kind": "ngram",
             "order": self.order,
             "smoothing_k": self.smoothing_k,
             "vocab": self.vocab,
             "counts": [[list(ctx), dict(ws)] for ctx, ws in sorted(self.counts.items())],
             "context_counts": [[list(ctx), n] for ctx, n in sorted(self.context_counts.items())],
-        }
-        with atomic_writer(path) as fh:
-            fh.write(canonical_dumps(payload))
-
-    @classmethod
-    def from_payload(cls, payload, where: str) -> "NGramLM":
-        if not isinstance(payload, dict) or payload.get("kind") != "ngram":
-            raise InputError(f"{where}: not an n-gram checkpoint")
-        try:
-            counts = {tuple(ctx): ws for ctx, ws in payload["counts"]}
-            context_counts = {tuple(ctx): n for ctx, n in payload["context_counts"]}
-            return cls(payload["order"], payload["vocab"], counts, context_counts, payload["smoothing_k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{where}: malformed n-gram checkpoint ({exc})") from None
+        })
 
 
 class GRULanguageModel:
@@ -187,11 +175,6 @@ class GRULanguageModel:
     def save(self, path: str) -> None:
         self.store.save(path, extra={"kind": "gru_lm", "vocab": self.vocab, "hidden_size": self.hidden_size})
 
-    @classmethod
-    def from_payload(cls, payload, where: str) -> "GRULanguageModel":
-        store, extra = ParameterStore.from_payload(payload, where, kind="gru_lm")
-        return store.build_model(where, lambda: cls(extra["vocab"], extra["hidden_size"], store))
-
 
 def log_probs(model, seqs) -> np.ndarray:
     """Sum of conditional log-probabilities of seq[1:] for each sequence; always <= 0.
@@ -226,16 +209,14 @@ class LMConfig:
     holdout_fraction: float = 0.1
 
 
-def holdout_count(count: int, fraction: float) -> int:
-    """Sequences of a corpus of ``count`` held out for the per-epoch perplexity; at least one."""
-    return max(1, int(round(count * fraction)))
-
-
 def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None = None):
     """Train a term LM; returns (model, per-epoch held-out perplexity history).
 
     The n-gram variant trains in one counting pass, ignores ``train`` and has
-    an empty history.
+    an empty history. The GRU variant holds out the last
+    ``holdout_fraction`` of the corpus (at least one sequence) for the
+    per-epoch perplexity; a share that leaves nothing to train on raises
+    InputError.
     """
     config = config or LMConfig()
     corpus = [list(seq) for seq in corpus]
@@ -246,11 +227,12 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
     if config.kind != "gru":
         raise ValueError(f"unknown language model kind {config.kind!r}")
 
+    n_holdout = max(1, int(round(len(corpus) * config.holdout_fraction)))
+    if n_holdout >= len(corpus):
+        raise InputError(f"holdout_fraction {config.holdout_fraction} would hold out all {len(corpus)} term sequences")
     vocab = sorted({tok for seq in corpus for tok in seq} | {BOS, EOS, SEP, UNK})
     model = GRULanguageModel.build(vocab, hidden_size=config.hidden_size, seed=config.seed)
-    n_holdout = holdout_count(len(corpus), config.holdout_fraction)
-    holdout = corpus[-n_holdout:]
-    train_split = corpus[:-n_holdout] or corpus
+    holdout, train_split = corpus[-n_holdout:], corpus[:-n_holdout]
 
     history = fit(
         model.store,
@@ -263,21 +245,18 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
     return model, history
 
 
-def load_term_sequences(path: str) -> list[list[str]]:
-    """Read an LM corpus file: one {"tokens": [...]} record per line."""
-    from .ioutil import read_jsonl
-
-    sequences = []
-    for i, rec in enumerate(read_jsonl(path), start=1):
-        if "tokens" not in rec or not isinstance(rec["tokens"], list):
-            raise InputError(f"{path}:{i}: term-sequence record needs a 'tokens' list")
-        sequences.append([str(t) for t in rec["tokens"]])
-    return sequences
-
-
 def load_lm(path: str):
-    """Load either LM kind from one parse of the checkpoint."""
-    payload = read_checkpoint(path)
-    if isinstance(payload, dict) and payload.get("kind") == "ngram":
-        return NGramLM.from_payload(payload, path)
-    return GRULanguageModel.from_payload(payload, path)
+    """Load either LM kind from the one checkpoint layout, dispatching on ``extra.kind``.
+
+    Any other kind, or a checkpoint that does not fit its kind, raises
+    InputError naming the file.
+    """
+    store, extra = ParameterStore.load(path)
+    kind = extra.get("kind")
+    if kind == "ngram":
+        return store.build_model(path, lambda: NGramLM(
+            extra["order"], extra["vocab"], {tuple(ctx): ws for ctx, ws in extra["counts"]},
+            {tuple(ctx): n for ctx, n in extra["context_counts"]}, extra["smoothing_k"]))
+    if kind == "gru_lm":
+        return store.build_model(path, lambda: GRULanguageModel(extra["vocab"], extra["hidden_size"], store))
+    raise InputError(f"{path}: not a term LM checkpoint (kind {kind!r})")

@@ -136,45 +136,40 @@ class ParameterStore:
             fh.write("}," + tail[1:])
 
     @classmethod
-    def from_payload(
-        cls, payload: dict, where: str = "checkpoint", kind: str | None = None
-    ) -> tuple["ParameterStore", dict]:
-        """A frozen store and the checkpoint's ``extra`` from a payload; every value must be finite.
+    def load(cls, path: str, kind: str | None = None) -> tuple["ParameterStore", dict]:
+        """A frozen store and the checkpoint's ``extra`` from a file; every value must be finite.
 
-        A payload that is not a checkpoint of this format, or whose
+        A file that is not a checkpoint of this format, or whose
         ``extra.kind`` is not ``kind`` (when given), raises InputError naming
-        ``where``.
+        ``path``.
         """
+        payload = read_checkpoint(path)
         if not isinstance(payload, dict):
-            raise InputError(f"{where}: not a checkpoint (top level is not a JSON object)")
+            raise InputError(f"{path}: not a checkpoint (top level is not a JSON object)")
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
-            raise InputError(f"{where}: unsupported checkpoint format_version {version!r}")
+            raise InputError(f"{path}: unsupported checkpoint format_version {version!r}")
         params, extra, schedule = payload.get("params"), payload.get("extra", {}), payload.get("schedule")
         if not isinstance(params, dict) or not isinstance(extra, dict):
-            raise InputError(f"{where}: checkpoint needs a 'params' object and an 'extra' object")
+            raise InputError(f"{path}: checkpoint needs a 'params' object and an 'extra' object")
         if schedule is not None and not isinstance(schedule, dict):
-            raise InputError(f"{where}: checkpoint 'schedule' must be an object or null")
+            raise InputError(f"{path}: checkpoint 'schedule' must be an object or null")
         if kind is not None and extra.get("kind") != kind:
-            raise InputError(f"{where}: not a {kind} checkpoint")
+            raise InputError(f"{path}: not a {kind} checkpoint")
         try:
             store = cls(payload["rng_seed"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{where}: checkpoint has no usable rng_seed ({exc})") from None
+            raise InputError(f"{path}: checkpoint has no usable rng_seed ({exc})") from None
         store.schedule = schedule
         for name, entry in params.items():
             try:
                 data = np.asarray(entry["data"], dtype=np.float64).reshape(tuple(entry["shape"]))
             except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{where}: malformed parameter '{name}' ({exc})") from None
+                raise InputError(f"{path}: malformed parameter '{name}' ({exc})") from None
             if not np.isfinite(data).all():
-                raise InputError(f"{where}: parameter '{name}' holds non-finite values")
+                raise InputError(f"{path}: parameter '{name}' holds non-finite values")
             store._params[name] = Tensor(data)
         return store.freeze(), extra
-
-    @classmethod
-    def load(cls, path: str, kind: str | None = None) -> tuple["ParameterStore", dict]:
-        return cls.from_payload(read_checkpoint(path), where=path, kind=kind)
 
 
 def read_checkpoint(path: str) -> dict:

@@ -18,7 +18,7 @@ from .enrich import TermPath, build_candidates, check_base_path, select_best
 from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, UnknownWordsError, decode_story, train_generator
 from .ioutil import InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
-from .lm import LMConfig, holdout_count, load_lm, load_term_sequences, train_lm
+from .lm import LMConfig, load_lm, train_lm
 from .metrics import bleu_n, distinct_n
 from .optim import TrainConfig
 
@@ -81,14 +81,8 @@ def train_distiller_command(config: RunConfig, log=None) -> str:
 
 def train_lm_command(config: RunConfig, log=None) -> str:
     """Train the term LM (n-gram or recurrent) and save it at config.lm_model."""
-    if config.lm_sequences_path:
-        corpus = load_term_sequences(config.lm_sequences_path)
-    else:
-        corpus = build_training_pairs(_load_stories(config)[0], mode="lm")
-    if config.lm_kind == "gru" and holdout_count(len(corpus), config.holdout_fraction) >= len(corpus):
-        raise InputError(f"holdout_fraction {config.holdout_fraction} would hold out all {len(corpus)} term sequences")
     model, _ = train_lm(
-        corpus,
+        build_training_pairs(_load_stories(config)[0], mode="lm"),
         LMConfig(
             kind=config.lm_kind,
             order=config.ngram_order,
@@ -169,7 +163,7 @@ def stage_enrich(config: RunConfig, terms_path: str, out_path: str) -> list[dict
     lm = load_lm(_require(config.lm_model, "enrich", "term LM checkpoint (lm_model)"))
     out = []
     for base in bases:
-        candidates = build_candidates(base, index, cap=config.candidate_cap, allow_two_hop=config.two_hop)
+        candidates = build_candidates(base, index, cap=config.candidate_cap)
         choice = select_best(candidates, lm)
         selected = choice.path.to_record()
         selected["perplexity"] = choice.perplexity

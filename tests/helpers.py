@@ -367,11 +367,11 @@ def log_prob(model, seq) -> float:
     return float(log_probs(model, [seq])[0])
 
 
-def save_term_sequences(path: str, sequences) -> None:
-    """Write an LM corpus file: one {"tokens": [...]} record per line."""
-    from storybridge.ioutil import write_jsonl
+def read_jsonl(path: str) -> list[dict]:
+    """The records of a JSONL file, without their line numbers."""
+    from storybridge.ioutil import read_jsonl_lines
 
-    write_jsonl(path, ({"tokens": list(seq)} for seq in sequences))
+    return [rec for _lineno, rec in read_jsonl_lines(path)]
 
 
 # ------------------------------------------------------------ checkpoints

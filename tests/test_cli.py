@@ -3,9 +3,9 @@ import os
 
 import pytest
 
-from helpers import with_second_line
+from helpers import read_jsonl, with_second_line
 from storybridge.cli import EXIT_INPUT, EXIT_OK, main
-from storybridge.ioutil import read_json, read_jsonl, sha256_file, write_json
+from storybridge.ioutil import read_json, sha256_file, write_json
 
 
 def run_cli(capsys, *argv):
@@ -21,21 +21,6 @@ def test_make_fixtures_subcommand(tmp_path, capsys):
     paths = json.loads(out)
     for role in ("corpus", "text_corpus", "features", "kg_scene", "kg_textrel"):
         assert os.path.exists(paths[role]), role
-
-
-def test_make_fixtures_variants_and_bridged_copies(tmp_path, capsys):
-    out_dir = str(tmp_path / "world")
-    code, out, _ = run_cli(
-        capsys, "make-fixtures", "--out-dir", out_dir, "--variants", "2", "--bridged-copies", "3"
-    )
-    assert code == EXIT_OK
-    paths = json.loads(out)
-    vision = read_jsonl(paths["corpus"])
-    text_ids = [r["story_id"] for r in read_jsonl(paths["text_corpus"])]
-    assert len(vision) == 8  # four archetypes, two variants each
-    assert sorted(sid for sid in text_ids if sid.startswith("txt-picnic")) == [
-        f"txt-picnic{v}-{c}" for v in range(2) for c in range(3)
-    ]
 
 
 def run_stage(capsys, pipeline_run, out_dir, stage, terms_path, *settings):
@@ -69,12 +54,32 @@ def test_single_stage_pipeline_runs_match_the_full_run(pipeline_run, tmp_path, c
 
 def test_enrich_two_hop_off_drops_two_hop_candidates(pipeline_run, tmp_path, capsys):
     terms = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
-    code, _, _ = run_stage(capsys, pipeline_run, tmp_path, "enrich", terms, "two_hop=off")
+    config = read_json(pipeline_run["config_path"])
+    cfg_path = str(tmp_path / "one_hop.json")
+    write_json(cfg_path, {**config, "kg": [{**entry, "two_hop": False} for entry in config["kg"]]})
+    code, _, _ = run_cli(capsys, "pipeline", "--config", cfg_path, "--set", "stages=enrich", "--set",
+                         f"terms_path={terms}", "--out-dir", str(tmp_path))
     assert code == EXIT_OK
     with_two = {r["story_id"]: r["candidate_count"] for r in read_jsonl(os.path.join(pipeline_run["out_dir"], "paths.jsonl"))}
     without = {r["story_id"]: r["candidate_count"] for r in read_jsonl(str(tmp_path / "paths.jsonl"))}
     shore_ids = [sid for sid in with_two if "shore" in sid]
     assert shore_ids and all(without[sid] < with_two[sid] for sid in shore_ids)
+
+
+def test_enrich_with_a_checkpoint_that_is_no_term_lm_exits_two_naming_it(pipeline_run, tmp_path, capsys):
+    terms = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
+    old_ngram = str(tmp_path / "old_ngram.json")  # the n-gram layout before it shared the parameter store's
+    write_json(old_ngram, {"kind": "ngram", "order": 2, "smoothing_k": 1.0, "vocab": ["<unk>"], "counts": [],
+                           "context_counts": []})
+    cases = [
+        (old_ngram, "unsupported checkpoint format_version None"),
+        (pipeline_run["world"]["distiller_model"], "not a term LM checkpoint (kind 'distiller')"),
+    ]
+    for i, (lm_path, message) in enumerate(cases):
+        code, out, err = run_stage(capsys, pipeline_run, tmp_path / str(i), "enrich", terms, f"lm_model={lm_path}")
+        assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+        assert f"{lm_path}: {message}" in err
+        assert not (tmp_path / str(i) / "paths.jsonl").exists()
 
 
 def test_removed_stage_subcommands_are_unknown(capsys):
@@ -180,18 +185,6 @@ def test_finetune_on_words_outside_the_checkpoint_vocabulary_exits_two(fixture_w
     assert code == EXIT_INPUT
     assert fixture_world["corpus"] in err and repr(story_id) in err and str(words) in err and pre in err
     assert "Traceback" not in err and not os.path.exists(out)
-
-
-def test_train_lm_from_sequence_file(fixture_world, tmp_path, capsys):
-    from storybridge.corpus import build_training_pairs, load_corpus
-    from helpers import save_term_sequences
-
-    seq_path = str(tmp_path / "sequences.jsonl")
-    save_term_sequences(seq_path, build_training_pairs(load_corpus(fixture_world["corpus"]), mode="lm"))
-    cfg_path = str(tmp_path / "cfg.json")
-    write_json(cfg_path, {"lm_kind": "ngram", "lm_sequences_path": seq_path, "out_dir": str(tmp_path)})
-    code, out, _ = run_cli(capsys, "train-lm", "--config", cfg_path, "--out", str(tmp_path / "lm.json"))
-    assert code == EXIT_OK and os.path.exists(str(tmp_path / "lm.json"))
 
 
 def test_missing_input_exits_two(tmp_path, capsys):
@@ -408,12 +401,11 @@ def test_dedicated_flag_is_shorthand_for_set(command, flag, field, value, other)
     [
         (["train-lm", "--set", "epochs=ten"], "epochs"),
         (["pipeline", "--set", "candidate_cap=x"], "candidate_cap"),
-        (["pipeline", "--set", "two_hop=maybe"], "two_hop"),
         (["pipeline", "--set", "beam_size=3.5"], "beam_size"),
         (["pipeline", "--set", "alpha=high"], "alpha"),
         (["pipeline", "--set", "kg=scene.tsv"], "kg[0]"),
     ],
-    ids=["set-epochs", "cap", "two-hop", "beam", "alpha", "set-kg"],
+    ids=["set-epochs", "cap", "beam", "alpha", "set-kg"],
 )
 def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, *argv)
@@ -422,28 +414,28 @@ def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
 
 
 @pytest.mark.parametrize(
-    "field,value",
-    [
+    "field,value,rule",
+    [(field, value, "must be at least") for field, value in (
         ("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("sentence_budget", -3), ("top_k_objects", 0),
         ("ngram_order", 0), ("lm_hidden_size", 0), ("heads", 0), ("hidden_size", 0), ("learning_rate", -1),
         ("smoothing_k", -1),
-    ],
+    )] + [("hidden_size", 33, "must be even")],  # each sine of the position tables is paired with a cosine
     ids=[
         "beam", "alpha", "gamma", "cap", "sentence-budget", "top-k-objects",
-        "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate", "smoothing-k",
+        "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate", "smoothing-k", "odd-hidden-size",
     ],
 )
-def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value):
+def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value, rule):
     out_dir = tmp_path / "out"
     code, out, err = run_cli(capsys, "pipeline", "--config", pipeline_run["config_path"], "--set", f"{field}={value}",
                              "--out-dir", str(out_dir))
     assert code == EXIT_INPUT and out == ""
-    assert f"{field} must be at least" in err and "Traceback" not in err
+    assert f"{field} {rule}" in err and "Traceback" not in err
     cfg_path = str(tmp_path / "cfg.json")
     write_json(cfg_path, {**read_json(pipeline_run["config_path"]), field: value})
     code, out, err = run_cli(capsys, "pipeline", "--config", cfg_path, "--out-dir", str(out_dir))
     assert code == EXIT_INPUT and out == ""
-    assert f"{cfg_path}: {field} must be at least" in err
+    assert f"{cfg_path}: {field} {rule}" in err
     assert not out_dir.exists()
 
 
@@ -457,13 +449,13 @@ def test_hidden_size_that_heads_do_not_divide_exits_two_naming_both(pipeline_run
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "1.0"])
-def test_train_lm_holding_out_the_whole_corpus_exits_two(tmp_path, capsys, fraction):
-    from helpers import save_term_sequences
+def test_train_lm_holding_out_the_whole_corpus_exits_two(fixture_world, tmp_path, capsys, fraction):
+    from storybridge.corpus import load_corpus, save_corpus
 
-    seq_path = str(tmp_path / "sequences.jsonl")
-    save_term_sequences(seq_path, [["<s>", "a", "b", "</s>"], ["<s>", "b", "</s>"], ["<s>", "a", "</s>"]])
+    corpus_path = str(tmp_path / "corpus.jsonl")
+    save_corpus(corpus_path, load_corpus(fixture_world["corpus"])[:3])
     out = str(tmp_path / "lm.json")
-    code, _, err = run_cli(capsys, "train-lm", "--set", f"lm_sequences_path={seq_path}", "--set",
+    code, _, err = run_cli(capsys, "train-lm", "--set", f"corpus_path={corpus_path}", "--set",
                            f"holdout_fraction={fraction}", "--out", out)
     assert code == EXIT_INPUT and "Traceback" not in err
     assert f"holdout_fraction {float(fraction)} would hold out all 3 term sequences" in err
@@ -473,7 +465,6 @@ def test_train_lm_holding_out_the_whole_corpus_exits_two(tmp_path, capsys, fract
 @pytest.mark.parametrize(
     "config,key",
     [
-        ({"two_hop": "off"}, "two_hop"),
         ({"beam_size": "3"}, "beam_size"),
         ({"epochs": 2.5}, "epochs"),
         ({"alpha": True}, "alpha"),
@@ -481,7 +472,7 @@ def test_train_lm_holding_out_the_whole_corpus_exits_two(tmp_path, capsys, fract
         ({"kg": [{"path": "scene.tsv", "hops": 2}]}, "kg[0]"),
         ({"stages": "distill"}, "stages"),
     ],
-    ids=["two-hop-word", "beam-string", "epochs-float", "alpha-bool", "kg-two-hop-word", "kg-unknown-key", "stages"],
+    ids=["beam-string", "epochs-float", "alpha-bool", "kg-two-hop-word", "kg-unknown-key", "stages"],
 )
 def test_ill_typed_config_file_exits_two_naming_file_and_key(tmp_path, capsys, config, key):
     cfg_path = str(tmp_path / "cfg.json")

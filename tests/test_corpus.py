@@ -1,4 +1,6 @@
 import copy
+import json
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +222,18 @@ def test_corpus_roundtrip(tmp_path):
     save_corpus(path, [dog_story()])
     loaded = load_corpus(path)
     assert story_to_record(loaded[0]) == story_to_record(dog_story())
+
+
+def test_bad_story_record_names_its_line(tmp_path):
+    good = json.dumps(story_to_record(dog_story()))
+    bad = json.dumps({**story_to_record(dog_story()), "story_id": "cat", "version": 999})
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{good}\n\n{bad}\n")  # the bad record is on line 3, after a blank line
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: unsupported corpus schema version 999")):
+        load_corpus(str(path))
+    path.write_text(f"{good}\n\n" + json.dumps({**story_to_record(dog_story()), "sentences": [{"tokens": ["a"]}]}) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3 story 'dog': sentence record missing")):
+        load_corpus(str(path))
 
 
 def test_bad_schema_version_rejected():

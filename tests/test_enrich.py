@@ -3,10 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from helpers import enrich_path, reference_select, without_bridge
+from helpers import enrich_path, read_jsonl, reference_select, without_bridge
 from storybridge import lm as lm_module
 from storybridge.enrich import EnrichmentCandidate, TermPath, build_candidates, select_best
-from storybridge.ioutil import read_jsonl
 from storybridge.kg import Bridge, KGTuple, RelationIndex
 from storybridge.lm import BOS, EOS, SEP, UNK, GRULanguageModel, NGramLM, linearize_groups, perplexities, perplexity
 from storybridge.pipeline import load_kg_index
@@ -203,7 +202,7 @@ def test_fixture_pipeline_selection_matches_per_candidate_rescoring(pipeline_run
     assert len(selected) == len(bases) > 0
     bridged = 0
     for base, rec in zip(bases, selected):
-        cands = build_candidates(base, index, cap=config.candidate_cap, allow_two_hop=config.two_hop)
+        cands = build_candidates(base, index, cap=config.candidate_cap)
         best, best_ppl = reference_select(cands, model)
         chosen = TermPath.from_record(rec)
         assert (chosen.groups, chosen.origins, chosen.bridge) == (cands[best].groups, cands[best].origins, cands[best].bridge)

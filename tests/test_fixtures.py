@@ -60,6 +60,15 @@ def test_features_align_with_gold_terms():
                 )
 
 
+def test_write_fixtures_variants_and_bridged_copies(tmp_path):
+    paths = write_fixtures(str(tmp_path), variants=2, bridged_copies=3)
+    assert len(load_corpus(paths["corpus"])) == 8  # four archetypes, two variants each
+    text_ids = [s.story_id for s in load_corpus(paths["text_corpus"])]
+    assert sorted(sid for sid in text_ids if sid.startswith("txt-picnic")) == [
+        f"txt-picnic{v}-{c}" for v in range(2) for c in range(3)
+    ]
+
+
 def test_write_fixtures_outputs_parse(tmp_path):
     paths = write_fixtures(str(tmp_path), seed=1)
     assert len(load_corpus(paths["corpus"])) == 20

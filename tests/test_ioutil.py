@@ -48,13 +48,14 @@ def _store_save(path, monkeypatch):
 
 
 def _ngram_save(path, monkeypatch):
-    import storybridge.lm
+    import storybridge.params
 
     def failing(obj):
         raise Boom("serializer failed")
 
     model = NGramLM.train([["<s>", "a", "</s>"]], order=2)
-    monkeypatch.setattr(storybridge.lm, "canonical_dumps", failing)
+    # an n-gram LM is written by ParameterStore.save, like every checkpoint
+    monkeypatch.setattr(storybridge.params, "canonical_dumps", failing)
     model.save(path)
 
 

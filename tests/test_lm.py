@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import log_prob, next_token_distribution, reference_perplexity, save_term_sequences, sequence_log_probs
+from helpers import log_prob, next_token_distribution, reference_perplexity, sequence_log_probs
 from storybridge import lm as lm_module
 from storybridge.lm import (
     BOS,
@@ -88,7 +88,7 @@ def test_ngram_normalization_sums_to_one():
 
 
 def test_gru_normalization_sums_to_one():
-    corpus = [[BOS, "a", "b", EOS]]
+    corpus = [[BOS, "a", "b", EOS], [BOS, "b", EOS]]
     model, _ = train_lm(corpus, LMConfig(kind="gru", hidden_size=8, seed=1), TrainConfig(epochs=2))
     total = sum(next_token_distribution(model, [BOS, "a"]).values())
     assert abs(total - 1.0) < 1e-9
@@ -119,6 +119,19 @@ def test_empty_corpus_rejected():
         NGramLM.train([])
 
 
+def test_gru_holdout_that_leaves_nothing_to_train_on_is_rejected(monkeypatch):
+    from storybridge.ioutil import InputError
+
+    # the check comes before the model is built
+    monkeypatch.setattr(GRULanguageModel, "build", lambda *a, **k: pytest.fail("a model was built"))
+    with pytest.raises(InputError, match="holdout_fraction 0.1 would hold out all 1 term sequences"):
+        train_lm([[BOS, "a", EOS]], LMConfig(kind="gru", hidden_size=4))
+    with pytest.raises(InputError, match="holdout_fraction 1.0 would hold out all 2 term sequences"):
+        train_lm([[BOS, "a", EOS], [BOS, "b", EOS]], LMConfig(kind="gru", hidden_size=4, holdout_fraction=1.0))
+    model, history = train_lm([[BOS, "a", EOS]], LMConfig(kind="ngram"))  # an n-gram LM holds nothing out
+    assert isinstance(model, NGramLM) and history == []
+
+
 def test_gru_overfits_single_sequence_to_low_perplexity():
     seq = [BOS, "dog", "park", SEP, "ball", "dog", EOS]
     cfg = LMConfig(kind="gru", hidden_size=24, seed=3)
@@ -141,21 +154,8 @@ def test_gru_ranking_agrees_with_ngram_oracle_after_convergence():
     assert perplexity(ngram, liked) < perplexity(ngram, disliked)
 
 
-def test_term_sequence_file_roundtrip(tmp_path):
-    from storybridge.ioutil import InputError
-    from storybridge.lm import load_term_sequences
-
-    path = str(tmp_path / "sequences.jsonl")
-    seqs = [[BOS, "a", "b", EOS], [BOS, "c", EOS]]
-    save_term_sequences(path, seqs)
-    assert load_term_sequences(path) == seqs
-    (tmp_path / "bad.jsonl").write_text('{"nope": 1}\n')
-    with pytest.raises(InputError, match="tokens"):
-        load_term_sequences(str(tmp_path / "bad.jsonl"))
-
-
 def test_trained_gru_checkpoint_records_schedule(tmp_path):
-    corpus = [[BOS, "a", "b", EOS]]
+    corpus = [[BOS, "a", "b", EOS], [BOS, "b", EOS]]
     model, _ = train_lm(corpus, LMConfig(kind="gru", hidden_size=8, seed=1), TrainConfig(epochs=2))
     path = str(tmp_path / "lm.json")
     model.save(path)
@@ -181,6 +181,26 @@ def test_lm_checkpoints_roundtrip(tmp_path):
     loaded_gru = load_lm(gpath)
     assert isinstance(loaded_gru, GRULanguageModel)
     assert log_prob(loaded_gru, corpus[0]) == pytest.approx(log_prob(gru, corpus[0]), rel=1e-12)
+
+
+def test_ngram_checkpoint_shares_the_parameter_store_layout(tmp_path):
+    import json
+
+    from storybridge.params import FORMAT_VERSION
+
+    corpus = [[BOS, "a", "b", SEP, "c", EOS], [BOS, "b", "a", EOS], [BOS, "c", "c", "a", EOS]]
+    ngram = NGramLM.train(corpus, order=3, smoothing_k=0.25)
+    path = str(tmp_path / "ngram.json")
+    ngram.save(path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["format_version"] == FORMAT_VERSION and payload["params"] == {}
+    assert payload["extra"]["kind"] == "ngram"
+    loaded = load_lm(path)
+    assert (loaded.order, loaded.smoothing_k, loaded.vocab) == (ngram.order, ngram.smoothing_k, ngram.vocab)
+    assert (loaded.counts, loaded.context_counts) == (ngram.counts, ngram.context_counts)
+    probe = corpus + [[BOS, "never_seen", "a", EOS]]
+    assert loaded.log_probs(probe).tobytes() == ngram.log_probs(probe).tobytes()
 
 
 def _random_gru(seed, vocab_size=30, hidden=16):

@@ -6,9 +6,9 @@ import shutil
 import pytest
 
 from conftest import pipeline_config
-from helpers import with_second_line
+from helpers import read_jsonl, with_second_line
 from storybridge.config import RunConfig, apply_overrides
-from storybridge.ioutil import InputError, read_jsonl, sha256_file, write_jsonl
+from storybridge.ioutil import InputError, sha256_file, write_jsonl
 from storybridge.pipeline import (
     evaluate_stories,
     rerun_from_manifest,
@@ -31,12 +31,13 @@ def test_run_config_defaults_match_published_values():
 
 
 def test_config_overrides_and_validation():
-    config = apply_overrides(RunConfig(), ["hidden_size=64", "two_hop=off", "stages=enrich,generate"])
+    config = apply_overrides(RunConfig(), ["hidden_size=64", "stages=enrich,generate"])
     assert config.hidden_size == 64
-    assert config.two_hop is False
     assert config.stages == ["enrich", "generate"]
     with pytest.raises(InputError, match="unknown config key"):
         apply_overrides(RunConfig(), ["nope=1"])
+    with pytest.raises(InputError, match="unknown config key 'two_hop'"):  # set per kg entry
+        apply_overrides(RunConfig(), ["two_hop=off"])
     with pytest.raises(InputError, match="key=value"):
         apply_overrides(RunConfig(), ["hidden_size"])
     with pytest.raises(InputError, match="unknown config keys"):
