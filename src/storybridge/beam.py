@@ -62,17 +62,20 @@ def beam_search(
 ):
     """One beam search over token ids with inter/intra-sentence repetition penalties, as a generator.
 
-    At each beam step it yields its live prefixes (tuples of token ids) and
-    is sent their (B, V) next-token log-probabilities; it returns (token ids,
-    score, truncated) of the winner. Structural rules: ids in excluded_ids
-    are never emitted; a hypothesis finishes at its group_count-th sentence
-    boundary; a sentence hitting max_sentence_tokens is closed by a forced
-    boundary and flags the story as truncated. Marker tokens stay out of the
-    repetition sets S (current sentence) and R (earlier sentences), both
-    boolean (B, V) masks. Exact score ties resolve to the lower token id,
-    then the earlier hypothesis. The search stops once beam_size hypotheses
-    have finished, or with run_until_empty once none is live; the two rules
-    can pick different winners.
+    At each beam step it yields its frontier (parents, tokens) and is sent
+    the (B, V) next-token log-probabilities of its rows; it returns (token
+    ids, score, truncated) of the winner. tokens holds the live hypotheses'
+    (B, t) token ids, and row b extends row parents[b] of the previous
+    frontier; the first frontier is one empty row with parents [0].
+    Structural rules: ids in excluded_ids are never emitted; a hypothesis
+    finishes at its group_count-th sentence boundary; a sentence hitting
+    max_sentence_tokens is closed by a forced boundary and flags the story
+    as truncated. Marker tokens stay out of the repetition sets S (current
+    sentence) and R (earlier sentences), both boolean (B, V) masks. Exact
+    score ties resolve to the lower token id, then the earlier hypothesis.
+    The search stops once beam_size hypotheses have finished, or with
+    run_until_empty once none is live; the two rules can pick different
+    winners.
     """
     allowed = np.ones(vocab_size, dtype=bool)
     allowed[list(excluded_ids)] = False
@@ -80,6 +83,7 @@ def beam_search(
     only_sb = np.zeros(vocab_size, dtype=bool)
     only_sb[sb_id] = True
     # live hypotheses, one row each
+    parents = np.zeros(1, dtype=np.int64)
     scores = np.zeros(1)
     tokens = np.zeros((1, 0), dtype=np.int64)
     s_mask = np.zeros((1, vocab_size), dtype=bool)
@@ -89,7 +93,7 @@ def beam_search(
     trunc = np.zeros(1, dtype=bool)
     done = []  # (score, tokens, truncated) in finishing order
     while scores.size:
-        logp = np.asarray((yield [tuple(row) for row in tokens.tolist()]), dtype=np.float64)
+        logp = np.asarray((yield parents, tokens), dtype=np.float64)
         gamma_l = penalties.gamma / max(1, tokens.shape[1])  # l: tokens generated so far
         step_score = (logp - np.where(s_mask, penalties.alpha, 0.0)) - np.where(r_mask, gamma_l, 0.0)
         forced = sent_len >= max_sentence_tokens
@@ -110,7 +114,7 @@ def beam_search(
         for i in np.flatnonzero(finished):
             done.append((float(new_scores[i]), tokens[i].tolist(), bool(trunc[i])))
         keep = ~finished
-        scores, tokens, s_mask, r_mask = new_scores[keep], tokens[keep], s_mask[keep], r_mask[keep]
+        parents, scores, tokens, s_mask, r_mask = hyp[keep], new_scores[keep], tokens[keep], s_mask[keep], r_mask[keep]
         bounds, sent_len, trunc = bounds[keep], sent_len[keep], trunc[keep]
         if len(done) >= penalties.beam_size and not run_until_empty:
             break
@@ -121,20 +125,25 @@ def beam_search(
 def decode_lockstep(step_log_probs, searches) -> list:
     """Run beam_search generators together: one step_log_probs call per beam step.
 
-    step_log_probs takes the live prefixes of every live search as
-    (search index, prefix) pairs, grouped by search in index order, and gives
-    their (B, V) log-probabilities in the same order. A search drops out once
-    it finishes under its own stop rule, so the step runs as many times as
-    the longest search. Returns each search's (token ids, score, truncated).
+    step_log_probs takes one frontier (parents, tokens): the frontiers of the
+    live searches stacked in index order, and gives their (B, V)
+    log-probabilities in the same order. Row b extends row parents[b] of the
+    previous call; at the first call, search g's root is row g. A search
+    drops out once it finishes under its own stop rule, so the step runs as
+    many times as the longest search. Returns each search's (token ids,
+    score, truncated).
     """
     results = [None] * len(searches)
     asks = {g: next(search) for g, search in enumerate(searches)}
+    starts = list(range(len(searches)))  # each search's first row in the previous call
     while asks:
-        logp = step_log_probs([(g, prefix) for g, prefixes in asks.items() for prefix in prefixes])
+        parents = np.concatenate([starts[g] + own for g, (own, _) in asks.items()])
+        logp = step_log_probs((parents, np.concatenate([tokens for _, tokens in asks.values()])))
         start = 0
-        for g, prefixes in list(asks.items()):
-            rows = logp[start : start + len(prefixes)]
-            start += len(prefixes)
+        for g, (_, tokens) in list(asks.items()):
+            rows = logp[start : start + len(tokens)]
+            starts[g] = start
+            start += len(tokens)
             try:
                 asks[g] = searches[g].send(rows)
             except StopIteration as finished:
@@ -144,9 +153,8 @@ def decode_lockstep(step_log_probs, searches) -> list:
 
 
 def beam_decode(step_log_probs, **settings):
-    """One beam_search(**settings), with step_log_probs mapping its live prefixes to their (B, V) log-probabilities.
+    """One beam_search(**settings), with step_log_probs mapping its frontiers to (B, V) log-probabilities.
 
     Returns the winner's (token ids, score, truncated).
     """
-    search = beam_search(**settings)
-    return decode_lockstep(lambda tagged: step_log_probs([prefix for _, prefix in tagged]), [search])[0]
+    return decode_lockstep(step_log_probs, [beam_search(**settings)])[0]

@@ -60,7 +60,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "config") -> "RunConfig":
-        """A config from JSON data; an unknown key, an ill-typed value or one below its bound raises InputError.
+        """A config from JSON data; an unknown key, an ill-typed value or one out of its range raises InputError.
 
         The error names ``where`` and the key. Values are checked, never
         converted: a JSON int in a float field stays an int, so a config and
@@ -71,6 +71,8 @@ class RunConfig:
             if name in data and data[name] < low:
                 raise InputError(f"{where}: {name} must be at least {low}, got {data[name]!r}")
         config = cls(**data)
+        if config.lm_kind not in ("gru", "ngram"):
+            raise InputError(f"{where}: lm_kind must be gru or ngram, got {config.lm_kind!r}")
         if config.hidden_size % 2:  # the generator's position tables pair each sine with a cosine
             raise InputError(f"{where}: hidden_size must be even, got {config.hidden_size}")
         if config.hidden_size % config.heads:
@@ -92,7 +94,9 @@ _SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source"
 # Lower bounds of the numeric settings that a run would otherwise reject late
 # or misuse silently. A sentence_budget of 0 keeps the checkpoint's default.
 _AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "sentence_budget": 0, "top_k_objects": 1,
-             "hidden_size": 1, "heads": 1, "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0}
+             "hidden_size": 1, "heads": 1, "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0,
+             "epochs": 1, "warmup_steps": 0, "layers": 1, "decoder_layers": 1, "ff_multiple": 1, "num_slots": 1,
+             "max_terms_per_image": 1, "max_sentence_tokens": 1}
 _KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 

@@ -227,17 +227,14 @@ class DistillerModel:
         memory = self.encode_objects(seq)
         keys = linear(memory, self.attn_mem)
         starts = [slot.image_index for slot in seq.slots]
-        h = np.zeros((len(starts), self.config.hidden_size))
-        rows = {(g, ()): g for g in range(len(starts))}  # (search, prefix) -> its row of h, the GRU state after it
+        h = np.zeros((len(starts), self.config.hidden_size))  # row r: the GRU state after row r of the last call
 
-        def step(tagged) -> np.ndarray:
-            nonlocal h, rows
-            prev = np.stack(
-                [self.term_embedding.data[p[-1]] if p else self.order_embedding.data[starts[g]] for g, p in tagged]
-            )
-            parents = h[[rows[g, p[:-1]] for g, p in tagged]]
-            logits, h_next = self._step(Tensor(prev), Tensor(parents), memory, keys)
-            h, rows = h_next.data, {key: i for i, key in enumerate(tagged)}
+        def step(frontier) -> np.ndarray:
+            nonlocal h
+            parents, tokens = frontier
+            prev = self.term_embedding.data[tokens[:, -1]] if tokens.shape[1] else self.order_embedding.data[starts]
+            logits, h_next = self._step(Tensor(prev), Tensor(h[parents]), memory, keys)
+            h = h_next.data
             return ad.log_softmax_values(logits.data)
 
         penalties = BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size)
@@ -273,14 +270,11 @@ def train_distiller(
     pairs,
     config: DistillerConfig | None = None,
     train: TrainConfig | None = None,
-    vocab: list[str] | None = None,
 ):
-    """Train on (ImageSequence, per-image gold term lists) pairs.
+    """Train on (ImageSequence, per-image gold term lists) pairs, over the vocabulary of their gold terms.
 
-    Returns (model, per-epoch mean token cross-entropy). The vocabulary
-    defaults to the gold terms; with an explicit vocabulary, gold terms
-    outside it abort before any training step, as does a pair whose group
-    count differs from its image count.
+    Returns (model, per-epoch mean token cross-entropy). A pair whose group
+    count differs from its image count aborts before any training step.
     """
     config = config or DistillerConfig()
     pairs = list(pairs)
@@ -289,15 +283,7 @@ def train_distiller(
     for seq, groups in pairs:
         if len(groups) != len(seq.slots):
             raise ValueError(f"story {seq.story_id!r}: {len(groups)} gold groups for {len(seq.slots)} image slots")
-    if vocab is None:
-        vocab = build_term_vocab(groups for _, groups in pairs)
-    model = DistillerModel.build(vocab, config)
-    oov = sorted(
-        {t for _, groups in pairs for group in groups for t in group if t not in model.token_to_id}
-    )
-    if oov:
-        raise ValueError(f"gold terms missing from vocabulary: {oov}")
-
+    model = DistillerModel.build(build_term_vocab(groups for _, groups in pairs), config)
     eos = model.token_to_id[END_OF_SET]
 
     def loss_fn(pair):

@@ -134,29 +134,22 @@ class GeneratorModel:
         return ad.softmax_cross_entropy(logits, target_ids)
 
     def step_log_probs_fn(self, groups, budget: int):
-        """Batched next-token log-probs for the live decoder prefixes (no tape).
+        """Batched next-token log-probs for a beam frontier (no tape).
 
-        The returned step takes the B live prefixes (tuples of token ids)
-        and gives (B, V) log-probabilities. Each prefix must extend one
-        prefix of the previous call by one token (the first call takes only
-        the empty prefix), so the decoder runs just the B new positions over
-        a key/value cache; any other prefix raises ValueError.
+        The returned step takes the frontier (parents, tokens) of
+        ``beam.decode_lockstep`` and gives (B, V) log-probabilities. Row b
+        extends row parents[b] of the previous call, so the decoder runs
+        just the B new positions over a key/value cache.
         """
         cache = DecoderCache(self.decoder, self.encode_path(groups).data)
         bos = self.token_to_id[BOS_STORY]
-        rows = {None: 0}  # prefix -> cache row; the empty prefix extends the root
 
-        def step(prefixes) -> np.ndarray:
-            nonlocal rows
-            try:
-                parents = [rows[p[:-1] if p else None] for p in prefixes]
-            except KeyError:
-                raise ValueError("each prefix must extend a prefix of the previous step by one token") from None
-            pos = len(prefixes[0])
-            ids = [p[-1] if p else bos for p in prefixes]
+        def step(frontier) -> np.ndarray:
+            parents, tokens = frontier
+            pos = tokens.shape[1]
+            ids = tokens[:, -1] if pos else np.full(len(tokens), bos)
             x = self.dec_embedding.data[ids] + sinusoidal_encoding([max(budget - pos, 0)], self.config.hidden_size)
             h = cache.step(x, parents)
-            rows = {p: i for i, p in enumerate(prefixes)}
             return ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
 
         return step

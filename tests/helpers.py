@@ -213,8 +213,8 @@ def beam_penalty_score(log_p: float, in_current: bool, in_previous: bool, alpha:
 
 
 def batched(step):
-    """Lift a per-prefix step (prefix tuple -> (V,) log-probs) to beam_decode's batched contract."""
-    return lambda prefixes: np.stack([np.asarray(step(p), dtype=np.float64) for p in prefixes])
+    """Lift a per-prefix step (prefix tuple -> (V,) log-probs) to beam_decode's frontier contract."""
+    return lambda frontier: np.stack([np.asarray(step(tuple(p)), dtype=np.float64) for p in frontier[1].tolist()])
 
 
 def recompute_step(model, groups, budget: int):

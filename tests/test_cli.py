@@ -418,11 +418,15 @@ def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
     [(field, value, "must be at least") for field, value in (
         ("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("sentence_budget", -3), ("top_k_objects", 0),
         ("ngram_order", 0), ("lm_hidden_size", 0), ("heads", 0), ("hidden_size", 0), ("learning_rate", -1),
-        ("smoothing_k", -1),
-    )] + [("hidden_size", 33, "must be even")],  # each sine of the position tables is paired with a cosine
+        ("smoothing_k", -1), ("epochs", -1), ("warmup_steps", -5), ("layers", 0), ("decoder_layers", 0),
+        ("ff_multiple", 0), ("num_slots", 0), ("max_terms_per_image", 0), ("max_sentence_tokens", 0),
+    )] + [("hidden_size", 33, "must be even"),  # each sine of the position tables is paired with a cosine
+          ("lm_kind", "lstm", "must be gru or ngram")],
     ids=[
         "beam", "alpha", "gamma", "cap", "sentence-budget", "top-k-objects",
-        "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate", "smoothing-k", "odd-hidden-size",
+        "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate", "smoothing-k",
+        "epochs", "warmup-steps", "layers", "decoder-layers", "ff-multiple", "num-slots", "max-terms-per-image",
+        "max-sentence-tokens", "odd-hidden-size", "lm-kind",
     ],
 )
 def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value, rule):

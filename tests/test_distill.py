@@ -180,13 +180,6 @@ def test_identical_seeds_identical_loss_curves():
     assert h1 == h2
 
 
-def test_oov_gold_term_listed_in_error():
-    seq = make_sequence()
-    gold = [["Known_Noun"], ["Mystery_Noun"]]
-    with pytest.raises(ValueError, match="Mystery_Noun"):
-        train_distiller([(seq, gold)], SMALL, TrainConfig(epochs=1), vocab=[END_OF_SET, "Known_Noun"])
-
-
 def test_group_count_mismatch_rejected_before_any_step(monkeypatch):
     steps, lines = [], []
     collect = ParameterStore.collect_grads

@@ -473,10 +473,14 @@ def test_lockstep_searches_equal_separate_decodes(step):
         return lambda prefix: step((200 + g,) + prefix)
 
     calls, rows = [], []
+    owners = None  # each row's search, followed from the roots through parents
 
-    def lockstep_step(tagged):
-        calls.append([g for g, _ in tagged])
-        return np.stack([search_step(g)(prefix) for g, prefix in tagged])
+    def lockstep_step(frontier):
+        nonlocal owners
+        parents, tokens = frontier
+        owners = parents if owners is None else owners[parents]  # the roots are rows 0..G-1
+        calls.append(owners.tolist())
+        return np.stack([search_step(g)(tuple(p)) for g, p in zip(owners.tolist(), tokens.tolist())])
 
     searches = [beam_search(vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw) for kw in settings]
     got = decode_lockstep(lockstep_step, searches)
@@ -484,9 +488,9 @@ def test_lockstep_searches_equal_separate_decodes(step):
     for g, kw in enumerate(settings):
         sizes = []
 
-        def counted(prefixes, g=g, sizes=sizes):
-            sizes.append(len(prefixes))
-            return batched(search_step(g))(prefixes)
+        def counted(frontier, g=g, sizes=sizes):
+            sizes.append(len(frontier[1]))
+            return batched(search_step(g))(frontier)
 
         assert got[g] == beam_decode(counted, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw), kw
         steps.append(len(sizes))
@@ -496,6 +500,30 @@ def test_lockstep_searches_equal_separate_decodes(step):
     for g in range(len(settings)):  # each search took part in exactly its own steps, with its own rows
         assert sum(1 for call in calls if g in call) == steps[g]
         assert sum(call.count(g) for call in calls) == rows[g]
+
+
+def test_lockstep_parents_trace_each_row_to_the_row_it_extends():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        settings = [
+            dict(group_count=int(rng.integers(1, 4)), max_sentence_tokens=int(rng.integers(1, 6)),
+                 penalties=BeamPenaltyConfig(alpha=float(rng.choice([0.0, 20.0])), gamma=float(rng.choice([0.0, 5.0])),
+                                             beam_size=int(rng.integers(1, 6))),
+                 run_until_empty=bool(rng.integers(2)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        frontiers = []
+
+        def step(frontier):
+            frontiers.append(frontier)
+            return np.stack([tied_step(tuple(p)) for p in frontier[1].tolist()])
+
+        decode_lockstep(step, [beam_search(vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw) for kw in settings])
+        parents, tokens = frontiers[0]
+        assert parents.tolist() == list(range(len(settings))) and tokens.shape == (len(settings), 0)
+        for (_, previous), (parents, tokens) in zip(frontiers, frontiers[1:]):
+            assert len(parents) == len(tokens) and tokens.shape[1] == previous.shape[1] + 1
+            np.testing.assert_array_equal(tokens[:, :-1], previous[parents])
 
 
 def test_exact_ties_at_the_kth_slot_resolve_to_lower_token_then_hypothesis():
@@ -608,20 +636,3 @@ def test_kv_cached_decode_matches_full_recompute_on_trained_models(memorized, pi
         records = [json.loads(line) for line in fh]
     for rec in records[:8]:
         assert_story_matches_recompute(fixture_model, rec["groups"], BeamPenaltyConfig())
-
-
-def test_step_rejects_a_prefix_whose_parent_was_not_in_the_previous_call():
-    model = small_random_generator()
-    groups = [["w1", "w2"], ["w3"]]
-    step = model.step_log_probs_fn(groups, 9)
-    with pytest.raises(ValueError, match="previous step"):
-        step([(8,)])  # the first call must start from the empty prefix
-    step = model.step_log_probs_fn(groups, 9)
-    first = step([()])
-    assert first.shape == (1, len(model.vocab))
-    second = step([(8,), (9,)])
-    np.testing.assert_allclose(second[1], recompute_step(model, groups, 9)((9,)), rtol=0, atol=1e-12)
-    with pytest.raises(ValueError, match="previous step"):
-        step([(8, 8), (7, 8)])  # (7,) was not a live prefix
-    with pytest.raises(ValueError, match="previous step"):
-        step([()])

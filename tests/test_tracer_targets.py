@@ -23,10 +23,15 @@ def package_attributes() -> dict:
     return found
 
 
-def test_tracer_install_finds_every_target_and_uninstall_restores_it():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_finds_every_target_and_uninstall_restores_it():
+    module = load_tracer()
     before = package_attributes()
     tracer = module.Tracer()
     try:
@@ -40,3 +45,34 @@ def test_tracer_install_finds_every_target_and_uninstall_restores_it():
     after = package_attributes()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_traced_decode_gives_the_untraced_story_and_times_every_step(monkeypatch):
+    from storybridge import generate
+    from storybridge.generate import GeneratorConfig, GeneratorModel
+
+    vocab = ["<bos>", "<eos>", "<sb>", "<unk>", "<s>", "</s>", "<sep>"] + [f"w{i}" for i in range(40)]
+    config = GeneratorConfig(hidden_size=16, heads=2, encoder_layers=2, decoder_layers=2, ff_multiple=2,
+                             max_sentence_tokens=4, seed=5)
+    model = GeneratorModel.build(vocab, config, sentence_budget=3)
+    groups = [["w1", "w2"], ["w3"], ["w4", "w5"]]
+    frontiers = []
+    factory = GeneratorModel.step_log_probs_fn
+
+    def counted(self, groups, budget):
+        step = factory(self, groups, budget)
+        return lambda frontier: frontiers.append(frontier) or step(frontier)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GeneratorModel, "step_log_probs_fn", counted)
+        want = generate.decode_story(groups, model)
+    module = load_tracer()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        with module.recording(tracer, "round"):
+            got = generate.decode_story(groups, model)
+    finally:
+        tracer.uninstall()
+    assert got.tokens == want.tokens and got.score == want.score and got.truncated == want.truncated
+    assert len(tracer.stats["round"].step_times) == len(frontiers) > 1
