@@ -29,7 +29,6 @@ class RunConfig:
     gamma: float = 5.0
     top_k_objects: int = 25
     seed: int = 0
-    num_slots: int = 5
     max_terms_per_image: int = 8
     max_sentence_tokens: int = 24
     sentence_budget: int = 0  # 0 means use the generator checkpoint's default
@@ -73,6 +72,8 @@ class RunConfig:
         config = cls(**data)
         if config.lm_kind not in ("gru", "ngram"):
             raise InputError(f"{where}: lm_kind must be gru or ngram, got {config.lm_kind!r}")
+        if not 0 < config.holdout_fraction < 1:
+            raise InputError(f"{where}: holdout_fraction must be above 0 and below 1, got {config.holdout_fraction!r}")
         if config.hidden_size % 2:  # the generator's position tables pair each sine with a cosine
             raise InputError(f"{where}: hidden_size must be even, got {config.hidden_size}")
         if config.hidden_size % config.heads:
@@ -95,7 +96,7 @@ _SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source"
 # or misuse silently. A sentence_budget of 0 keeps the checkpoint's default.
 _AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "sentence_budget": 0, "top_k_objects": 1,
              "hidden_size": 1, "heads": 1, "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0,
-             "epochs": 1, "warmup_steps": 0, "layers": 1, "decoder_layers": 1, "ff_multiple": 1, "num_slots": 1,
+             "epochs": 1, "warmup_steps": 0, "layers": 1, "decoder_layers": 1, "ff_multiple": 1,
              "max_terms_per_image": 1, "max_sentence_tokens": 1}
 _KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 

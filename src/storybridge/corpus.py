@@ -198,19 +198,12 @@ class GeneratorExample:
     sentences: list[list[str]]  # original surface tokens, pronouns intact
 
 
-@dataclass
-class DistillerExample:
-    story_id: str
-    image_sequence: object  # distill.ImageSequence
-    term_groups: list[list[str]]
-
-
 def build_training_pairs(stories, mode: str, features=None):
     """Assemble records for one training mode.
 
     generator: (terms of the coref-replaced story, original story tokens)
     lm:        linearized marker-delimited term sequences
-    distiller: per-image gold term lists joined with feature records by id
+    distiller: (ImageSequence, per-image gold term lists), joined with the feature records by id
     """
     from .distill import ImageSequence  # local import, avoids a cycle
     from .lm import linearize_groups
@@ -246,13 +239,7 @@ def build_training_pairs(stories, mode: str, features=None):
                     f"story {story.story_id!r}: {len(story.sentences)} sentences "
                     f"but {len(seq.slots)} feature slots"
                 )
-            out.append(
-                DistillerExample(
-                    story_id=story.story_id,
-                    image_sequence=seq,
-                    term_groups=extract_term_groups(story),
-                )
-            )
+            out.append((seq, extract_term_groups(story)))
         return out
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -131,7 +131,6 @@ class DistillerConfig:
     ff_multiple: int = 4
     num_slots: int = 5
     max_terms_per_image: int = 8
-    attention_size: int = 0  # 0 means hidden_size
     seed: int = 0
 
 
@@ -146,16 +145,15 @@ class DistillerModel:
         self.config = config
         self.store = store
         d = config.hidden_size
-        a = config.attention_size or d
         self.w_proj = store.param("proj.w", (FEATURE_DIM, d))
         self.b_proj = store.param("proj.b", (d,), init="zeros")
         self.order_embedding = store.param("order_embedding", (config.num_slots, d))
         self.encoder = TransformerEncoder(store, "encoder", d, config.heads, config.layers, d * config.ff_multiple)
         self.term_embedding = store.param("decoder.term_embedding", (len(self.vocab), d))
-        self.attn_mem = store.param("decoder.attn.mem", (d, a))
-        self.attn_hidden = store.param("decoder.attn.hidden", (d, a))
-        self.attn_bias = store.param("decoder.attn.bias", (a,), init="zeros")
-        self.attn_v = store.param("decoder.attn.v", (a, 1))
+        self.attn_mem = store.param("decoder.attn.mem", (d, d))
+        self.attn_hidden = store.param("decoder.attn.hidden", (d, d))
+        self.attn_bias = store.param("decoder.attn.bias", (d,), init="zeros")
+        self.attn_v = store.param("decoder.attn.v", (d, 1))
         self.cell = GRUParams(store, "decoder.gru", d_in=2 * d, d=d)
         self.w_out = store.param("decoder.w_out", (2 * d, len(self.vocab)))
         self.b_out = store.param("decoder.b_out", (len(self.vocab),), init="zeros")
@@ -189,7 +187,7 @@ class DistillerModel:
     def _step(self, prev_embedding: Tensor, h: Tensor, memory: Tensor, keys: Tensor | None = None):
         """One decoder step for B rows, with additive attention of each row of h over memory (M, d).
 
-        keys is the memory's projection through attn_mem, (M, a), computed when None.
+        keys is the memory's projection through attn_mem, (M, d), computed when None.
         """
         keys = linear(memory, self.attn_mem) if keys is None else keys
         context = ad.additive_attention(keys, linear(h, self.attn_hidden, self.attn_bias), self.attn_v, memory)
@@ -198,13 +196,10 @@ class DistillerModel:
         logits = linear(ad.concat([h_next, context], axis=1), self.w_out, self.b_out)
         return logits, h_next
 
-    def _slot_start(self, image_index: int) -> Tensor:
-        return ad.embed(self.order_embedding, [image_index])
-
     def slot_logits(self, memory: Tensor, image_index: int, target_ids: list[int]) -> Tensor:
         """Teacher-forced logit rows for one image's gold terms plus end-of-set."""
         h = Tensor(np.zeros((1, self.config.hidden_size)))
-        prev = self._slot_start(image_index)
+        prev = ad.embed(self.order_embedding, [image_index])
         rows = []
         for tid in target_ids:
             logits, h = self._step(prev, h, memory)

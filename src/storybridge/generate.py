@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .beam import BeamPenaltyConfig, beam_decode
+from .enrich import TermPath
 from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
 from .lm import BOS as PATH_BOS
 from .lm import EOS as PATH_EOS
@@ -181,10 +182,10 @@ def story_tokens(sentences) -> list[str]:
     return tokens
 
 
-def decode_story(path, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None) -> Story:
+def decode_story(path: TermPath, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None) -> Story:
     """Generate one sentence per term group of the path."""
     penalties = penalties or BeamPenaltyConfig()
-    groups = list(path.groups) if hasattr(path, "groups") else list(path)
+    groups = list(path.groups)
     if not groups:
         raise ValueError("term path has no groups")
     per_sentence = target_len_per_sentence or model.sentence_budget
@@ -207,14 +208,13 @@ def decode_story(path, model: GeneratorModel, penalties: BeamPenaltyConfig | Non
             current = []
         else:
             current.append(tok)
-    bridge = getattr(path, "bridge", None)
     return Story(
-        story_id=getattr(path, "story_id", ""),
+        story_id=path.story_id,
         sentences=sentences,
         tokens=tokens,
         score=score,
         truncated=truncated,
-        bridge=bridge.to_record() if bridge is not None else None,
+        bridge=path.bridge.to_record() if path.bridge is not None else None,
     )
 
 

@@ -10,13 +10,12 @@ import numpy as np
 from . import autodiff as ad
 from .params import ParameterStore
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator offset
+
 
 @dataclass
 class AdamState:
     base_lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     warmup_steps: int = 100
     step_count: int = 0
     m: dict = field(default_factory=dict)
@@ -54,9 +53,8 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> float:
 
     state.step_count += 1
     lr = state.base_lr * schedule_scale(state.step_count, state.warmup_steps)
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1**state.step_count
-    bias2 = 1.0 - b2**state.step_count
+    bias1 = 1.0 - BETA1**state.step_count
+    bias2 = 1.0 - BETA2**state.step_count
     for name, tensor in params.items():
         g = grads[name]
         if g.shape != tensor.shape:
@@ -67,11 +65,11 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> float:
             state.m[name] = m
             state.v[name] = np.zeros_like(tensor.data)
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + EPS)
         tensor.data = tensor.data - lr * update
     return lr
 

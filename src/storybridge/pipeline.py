@@ -53,14 +53,16 @@ def _train_config(config: RunConfig, log) -> TrainConfig:
 
 
 def train_distiller_command(config: RunConfig, log=None) -> str:
-    """Train the image-to-term model and save it at config.distiller_model."""
+    """Train the image-to-term model and save it at config.distiller_model.
+
+    The model has one image-order slot per image of the longest training story.
+    """
     stories = load_corpus(_require(config.corpus_path, "train-distiller", "story corpus (corpus_path)"))
     features = load_feature_file(
         _require(config.features_path, "train-distiller", "object-feature file (features_path)"),
         top_k=config.top_k_objects,
     )
-    examples = build_training_pairs(stories, mode="distiller", features=features)
-    pairs = [(ex.image_sequence, ex.term_groups) for ex in examples]
+    pairs = build_training_pairs(stories, mode="distiller", features=features)
     model, _ = train_distiller(
         pairs,
         DistillerConfig(
@@ -68,7 +70,7 @@ def train_distiller_command(config: RunConfig, log=None) -> str:
             heads=config.heads,
             layers=config.layers,
             ff_multiple=config.ff_multiple,
-            num_slots=config.num_slots,
+            num_slots=max((len(seq.slots) for seq, _ in pairs), default=0),
             max_terms_per_image=config.max_terms_per_image,
             seed=config.seed,
         ),
@@ -141,6 +143,12 @@ def stage_distill(config: RunConfig, out_path: str) -> list[dict]:
         top_k=config.top_k_objects,
     )
     model = DistillerModel.load(_require(config.distiller_model, "distill", "distiller checkpoint (distiller_model)"))
+    for seq in features:
+        if len(seq.slots) > model.config.num_slots:
+            raise InputError(
+                f"{config.features_path}: story {seq.story_id!r} has {len(seq.slots)} images, but the distiller "
+                f"{config.distiller_model} was trained for at most {model.config.num_slots}"
+            )
     records = []
     for seq in features:
         groups = model.predict_terms(seq, beam_size=config.beam_size)

@@ -38,9 +38,8 @@ def trained_world(fixture_world, tmp_path_factory):
     features = load_feature_file(fixture_world["features"])
 
     t0 = time.time()
-    examples = build_training_pairs(vision, mode="distiller", features=features)
     distiller, _ = train_distiller(
-        [(ex.image_sequence, ex.term_groups) for ex in examples],
+        build_training_pairs(vision, mode="distiller", features=features),
         DistillerConfig(hidden_size=32, heads=2, layers=2, ff_multiple=2, num_slots=5, seed=0),
         TrainConfig(epochs=80, learning_rate=3e-3, warmup_steps=50),
     )

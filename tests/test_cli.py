@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -214,6 +215,44 @@ def test_bad_override_exits_two(capsys, tmp_path):
     assert "mystery" in err
 
 
+def test_num_slots_is_no_setting(tmp_path, capsys):
+    # the distiller's slot count comes from its training features
+    out = str(tmp_path / "d.json")
+    code, _, err = run_cli(capsys, "train-distiller", "--set", "num_slots=3", "--out", out)
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert "unknown config key 'num_slots'" in err
+    assert not os.path.exists(out)
+
+
+def test_story_with_more_images_than_the_distiller_slots_exits_two(pipeline_run, tmp_path, capsys):
+    features = pipeline_run["config"].features_path
+    with open(features, encoding="utf-8") as fh:
+        first = json.loads(fh.readline())
+    sixth = str(tmp_path / "features.jsonl")
+    shutil.copy(features, sixth)
+    with open(sixth, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**first, "image_index": 5}) + "\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_stage(capsys, pipeline_run, out_dir, "distill", "", f"features_path={sixth}")
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    distiller = pipeline_run["config"].distiller_model
+    assert f"{sixth}: story {first['story_id']!r} has 6 images, but the distiller {distiller} was trained for at most 5" in err
+    assert not (out_dir / "terms.jsonl").exists()
+
+
+def test_distiller_checkpoint_of_an_earlier_version_exits_two_naming_the_file(pipeline_run, tmp_path, capsys):
+    # checkpoints of earlier versions record the attention width, which is now always hidden_size
+    checkpoint = read_json(pipeline_run["config"].distiller_model)
+    checkpoint["extra"]["config"]["attention_size"] = 0
+    old = str(tmp_path / "distiller.json")
+    write_json(old, checkpoint)
+    out_dir = tmp_path / "out"
+    code, out, err = run_stage(capsys, pipeline_run, out_dir, "distill", "", f"distiller_model={old}")
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert f"{old}: checkpoint does not fit the model" in err and "attention_size" in err
+    assert not (out_dir / "terms.jsonl").exists()
+
+
 def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys, monkeypatch):
     import storybridge.pipeline
 
@@ -356,8 +395,9 @@ def test_eval_story_without_token_lists_exits_two_naming_the_line(pipeline_run, 
         (lambda m: {"format_version": m["format_version"]}, "config must be an object"),
         (lambda m: {**m, "inputs": []}, "'inputs' must map"),
         (lambda m: {**m, "inputs": {path: None for path in m["inputs"]}}, "'inputs' must map"),
+        (lambda m: {**m, "config": {**m["config"], "num_slots": 5}}, "unknown config keys ['num_slots']"),
     ],
-    ids=["list", "no config", "inputs list", "digest not a string"],
+    ids=["list", "no config", "inputs list", "digest not a string", "num_slots"],
 )
 def test_malformed_manifest_exits_two_naming_it(pipeline_run, tmp_path, capsys, change, message):
     with open(os.path.join(pipeline_run["out_dir"], "manifest.json"), encoding="utf-8") as fh:
@@ -419,14 +459,16 @@ def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
         ("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("sentence_budget", -3), ("top_k_objects", 0),
         ("ngram_order", 0), ("lm_hidden_size", 0), ("heads", 0), ("hidden_size", 0), ("learning_rate", -1),
         ("smoothing_k", -1), ("epochs", -1), ("warmup_steps", -5), ("layers", 0), ("decoder_layers", 0),
-        ("ff_multiple", 0), ("num_slots", 0), ("max_terms_per_image", 0), ("max_sentence_tokens", 0),
+        ("ff_multiple", 0), ("max_terms_per_image", 0), ("max_sentence_tokens", 0),
     )] + [("hidden_size", 33, "must be even"),  # each sine of the position tables is paired with a cosine
-          ("lm_kind", "lstm", "must be gru or ngram")],
+          ("lm_kind", "lstm", "must be gru or ngram")]
+      + [("holdout_fraction", value, "must be above 0 and below 1") for value in (0, -1, 1)],
     ids=[
         "beam", "alpha", "gamma", "cap", "sentence-budget", "top-k-objects",
         "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate", "smoothing-k",
-        "epochs", "warmup-steps", "layers", "decoder-layers", "ff-multiple", "num-slots", "max-terms-per-image",
-        "max-sentence-tokens", "odd-hidden-size", "lm-kind",
+        "epochs", "warmup-steps", "layers", "decoder-layers", "ff-multiple", "max-terms-per-image",
+        "max-sentence-tokens", "odd-hidden-size", "lm-kind", "holdout-fraction-0", "holdout-fraction--1",
+        "holdout-fraction-1",
     ],
 )
 def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value, rule):
@@ -452,8 +494,13 @@ def test_hidden_size_that_heads_do_not_divide_exits_two_naming_both(pipeline_run
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("fraction", ["1.5", "1.0"])
-def test_train_lm_holding_out_the_whole_corpus_exits_two(fixture_world, tmp_path, capsys, fraction):
+@pytest.mark.parametrize(
+    "fraction,message",
+    [("1.5", "holdout_fraction must be above 0 and below 1"), ("1.0", "holdout_fraction must be above 0 and below 1"),
+     ("0.9", "holdout_fraction 0.9 would hold out all 3 term sequences")],  # round(3 * 0.9) is 3
+    ids=["1.5", "1.0", "0.9"],
+)
+def test_train_lm_holding_out_the_whole_corpus_exits_two(fixture_world, tmp_path, capsys, fraction, message):
     from storybridge.corpus import load_corpus, save_corpus
 
     corpus_path = str(tmp_path / "corpus.jsonl")
@@ -462,7 +509,7 @@ def test_train_lm_holding_out_the_whole_corpus_exits_two(fixture_world, tmp_path
     code, _, err = run_cli(capsys, "train-lm", "--set", f"corpus_path={corpus_path}", "--set",
                            f"holdout_fraction={fraction}", "--out", out)
     assert code == EXIT_INPUT and "Traceback" not in err
-    assert f"holdout_fraction {float(fraction)} would hold out all 3 term sequences" in err
+    assert message in err
     assert not os.path.exists(out)
 
 

@@ -187,11 +187,11 @@ def features_for(story_id, n_slots):
 
 def test_distiller_mode_joins_by_story_id():
     story = dog_story()
-    examples = build_training_pairs([story], mode="distiller", features=[features_for("dog", 2)])
-    assert examples[0].story_id == "dog"
-    assert examples[0].term_groups == extract_term_groups(story)
+    [(seq, groups)] = build_training_pairs([story], mode="distiller", features=[features_for("dog", 2)])
+    assert seq.story_id == "dog"
+    assert groups == extract_term_groups(story)
     # raw extraction: the pronoun sentence has no Dog_Noun before replacement
-    assert "Dog_Noun" not in examples[0].term_groups[1]
+    assert "Dog_Noun" not in groups[1]
 
 
 def test_distiller_mode_missing_ids_listed():

@@ -109,7 +109,7 @@ def test_beam_size_one_equals_greedy_reference():
     greedy = []
     for slot in seq.slots:
         h = Tensor(np.zeros((1, model.config.hidden_size)))
-        prev = model._slot_start(slot.image_index)
+        prev = ad.embed(model.order_embedding, [slot.image_index])
         used = set()
         tokens = []
         for step in range(model.config.max_terms_per_image):
@@ -193,7 +193,7 @@ def test_group_count_mismatch_rejected_before_any_step(monkeypatch):
 
 def test_checkpoint_config_round_trip(tmp_path):
     config = DistillerConfig(
-        hidden_size=8, heads=4, layers=2, ff_multiple=3, num_slots=3, max_terms_per_image=5, attention_size=6, seed=11
+        hidden_size=8, heads=4, layers=2, ff_multiple=3, num_slots=3, max_terms_per_image=5, seed=11
     )
     assert all(getattr(config, f.name) != f.default for f in fields(DistillerConfig))
     model = DistillerModel.build([END_OF_SET, "a", "b"], config)

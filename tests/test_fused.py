@@ -110,7 +110,7 @@ def trained_parameter_bytes(world) -> dict[str, bytes]:
     train = TrainConfig(epochs=2, learning_rate=3e-3, warmup_steps=3)
     pairs = build_training_pairs(vision, mode="distiller", features=features)[:3]
     distiller, _ = train_distiller(
-        [(ex.image_sequence, ex.term_groups) for ex in pairs],
+        pairs,
         DistillerConfig(hidden_size=16, heads=2, layers=3, ff_multiple=2, num_slots=5, seed=3),
         train,
     )

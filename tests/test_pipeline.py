@@ -8,6 +8,8 @@ import pytest
 from conftest import pipeline_config
 from helpers import read_jsonl, with_second_line
 from storybridge.config import RunConfig, apply_overrides
+from storybridge.corpus import StoryRecord, load_corpus, save_corpus
+from storybridge.distill import DistillerModel, ImageSequence, load_feature_file, save_feature_file
 from storybridge.ioutil import InputError, sha256_file, write_jsonl
 from storybridge.pipeline import (
     evaluate_stories,
@@ -15,6 +17,7 @@ from storybridge.pipeline import (
     run_pipeline,
     stage_enrich,
     stage_generate,
+    train_distiller_command,
 )
 
 
@@ -38,6 +41,10 @@ def test_config_overrides_and_validation():
         apply_overrides(RunConfig(), ["nope=1"])
     with pytest.raises(InputError, match="unknown config key 'two_hop'"):  # set per kg entry
         apply_overrides(RunConfig(), ["two_hop=off"])
+    with pytest.raises(InputError, match="unknown config key 'num_slots'"):  # read from the training features
+        apply_overrides(RunConfig(), ["num_slots=3"])
+    with pytest.raises(InputError, match=r"unknown config keys \['num_slots'\]"):  # as a manifest of an earlier version holds
+        RunConfig.from_dict({"num_slots": 5})
     with pytest.raises(InputError, match="key=value"):
         apply_overrides(RunConfig(), ["hidden_size"])
     with pytest.raises(InputError, match="unknown config keys"):
@@ -217,3 +224,18 @@ def test_evaluate_stories_requires_matching_ids(pipeline_run, tmp_path):
     write_jsonl(orphan, [{"story_id": "ghost", "sentences": [["hi"]]}])
     with pytest.raises(InputError, match="ghost"):
         evaluate_stories(orphan, pipeline_run["world"]["corpus"])
+
+
+def test_train_distiller_takes_its_slot_count_from_the_training_features(fixture_world, tmp_path):
+    stories = [StoryRecord(s.story_id, s.sentences[:3], s.meta) for s in load_corpus(fixture_world["corpus"])[:3]]
+    ids = {story.story_id for story in stories}
+    sequences = [ImageSequence(seq.story_id, seq.slots[:3])
+                 for seq in load_feature_file(fixture_world["features"]) if seq.story_id in ids]
+    corpus_path, features_path = str(tmp_path / "corpus.jsonl"), str(tmp_path / "features.jsonl")
+    save_corpus(corpus_path, stories)
+    save_feature_file(features_path, sequences)
+    config = RunConfig(hidden_size=8, heads=2, layers=1, ff_multiple=1, epochs=1, corpus_path=corpus_path,
+                       features_path=features_path, distiller_model=str(tmp_path / "distiller.json"))
+    model = DistillerModel.load(train_distiller_command(config))
+    assert model.config.num_slots == 3
+    assert model.order_embedding.shape == (3, 8)

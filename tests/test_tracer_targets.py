@@ -49,13 +49,14 @@ def test_tracer_install_finds_every_target_and_uninstall_restores_it():
 
 def test_traced_decode_gives_the_untraced_story_and_times_every_step(monkeypatch):
     from storybridge import generate
+    from storybridge.enrich import TermPath
     from storybridge.generate import GeneratorConfig, GeneratorModel
 
     vocab = ["<bos>", "<eos>", "<sb>", "<unk>", "<s>", "</s>", "<sep>"] + [f"w{i}" for i in range(40)]
     config = GeneratorConfig(hidden_size=16, heads=2, encoder_layers=2, decoder_layers=2, ff_multiple=2,
                              max_sentence_tokens=4, seed=5)
     model = GeneratorModel.build(vocab, config, sentence_budget=3)
-    groups = [["w1", "w2"], ["w3"], ["w4", "w5"]]
+    path = TermPath.from_groups([["w1", "w2"], ["w3"], ["w4", "w5"]])
     frontiers = []
     factory = GeneratorModel.step_log_probs_fn
 
@@ -65,13 +66,13 @@ def test_traced_decode_gives_the_untraced_story_and_times_every_step(monkeypatch
 
     with monkeypatch.context() as patch:
         patch.setattr(GeneratorModel, "step_log_probs_fn", counted)
-        want = generate.decode_story(groups, model)
+        want = generate.decode_story(path, model)
     module = load_tracer()
     tracer = module.Tracer()
     try:
         tracer.install()
         with module.recording(tracer, "round"):
-            got = generate.decode_story(groups, model)
+            got = generate.decode_story(path, model)
     finally:
         tracer.uninstall()
     assert got.tokens == want.tokens and got.score == want.score and got.truncated == want.truncated
