@@ -500,6 +500,44 @@ def additive_attention(keys, query, v, memory) -> Tensor:
     return _make(weights @ memory.data, (keys, query, v, memory), vjp)
 
 
+def gru_cell(x, h, *, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, b_nx, w_hn, b_nh) -> Tensor:
+    """One gated recurrent step (Cho et al., 2014) over N rows; x is (N, Din), h is (N, D), returns (N, D).
+
+    r and z are sigmoid gates and n = tanh(x w_xn + b_nx + r * (h w_hn + b_nh)); the output is
+    (1 - z) * n + z * h. x has three uses and h four, and the node lists each input once per use
+    with its own gradient piece, in the order the composite's tape sums them.
+    """
+    x, h = as_tensor(x), as_tensor(h)
+    gates = tuple(as_tensor(t) for t in (w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, b_nx, w_hn, b_nh))
+    w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, b_nx, w_hn, b_nh = gates
+    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
+        raise ShapeError(f"gru_cell: expected matching 2-d inputs, got {x.shape} and {h.shape}")
+    try:
+        r = 1.0 / (1.0 + np.exp(-(x.data @ w_xr.data + h.data @ w_hr.data + b_r.data)))
+        z = 1.0 / (1.0 + np.exp(-(x.data @ w_xz.data + h.data @ w_hz.data + b_z.data)))
+        hn = h.data @ w_hn.data + b_nh.data
+        n = np.tanh(x.data @ w_xn.data + b_nx.data + r * hn)
+        keep = 1.0 - z
+        out = keep * n + z * h.data
+    except ValueError:
+        raise _shape_error("gru_cell", x, h, *gates) from None
+
+    def vjp(g):
+        gz = g * h.data - g * n
+        gaz = gz * z * (1.0 - z)
+        gan = g * keep * (1.0 - n**2)
+        ghn = gan * r
+        gar = gan * hn * r * (1.0 - r)
+        xs = (gan @ w_xn.data.T, gar @ w_xr.data.T, gaz @ w_xz.data.T) if _tracked(x) else (None,) * 3
+        hs = (gar @ w_hr.data.T, ghn @ w_hn.data.T, g * z, gaz @ w_hz.data.T) if _tracked(h) else (None,) * 4
+        return (*xs, *hs,
+                x.data.T @ gar, h.data.T @ gar, _unbroadcast(gar, b_r.shape),
+                x.data.T @ gaz, h.data.T @ gaz, _unbroadcast(gaz, b_z.shape),
+                x.data.T @ gan, _unbroadcast(gan, b_nx.shape), h.data.T @ ghn, _unbroadcast(ghn, b_nh.shape))
+
+    return _make(out, (x, x, x, h, h, h, h, *gates), vjp)
+
+
 def backward(loss: Tensor) -> dict[Tensor, Array]:
     """Backpropagate from a scalar loss.
 

@@ -184,25 +184,24 @@ class DistillerModel:
             raise ValueError("all slots must hold at least one object")
         return self.encoder(self.input_embeddings(seq))
 
-    def _step(self, prev_embedding: Tensor, h: Tensor, memory: Tensor, keys: Tensor | None = None):
+    def _step(self, prev_embedding: Tensor, h: Tensor, memory: Tensor, keys: Tensor):
         """One decoder step for B rows, with additive attention of each row of h over memory (M, d).
 
-        keys is the memory's projection through attn_mem, (M, d), computed when None.
+        keys is the memory's projection through attn_mem, (M, d).
         """
-        keys = linear(memory, self.attn_mem) if keys is None else keys
         context = ad.additive_attention(keys, linear(h, self.attn_hidden, self.attn_bias), self.attn_v, memory)
         u = ad.concat([prev_embedding, context], axis=1)
         h_next = self.cell(u, h)
         logits = linear(ad.concat([h_next, context], axis=1), self.w_out, self.b_out)
         return logits, h_next
 
-    def slot_logits(self, memory: Tensor, image_index: int, target_ids: list[int]) -> Tensor:
-        """Teacher-forced logit rows for one image's gold terms plus end-of-set."""
+    def slot_logits(self, memory: Tensor, keys: Tensor, image_index: int, target_ids: list[int]) -> Tensor:
+        """Teacher-forced logit rows for one image's gold terms plus end-of-set; keys as for ``_step``."""
         h = Tensor(np.zeros((1, self.config.hidden_size)))
         prev = ad.embed(self.order_embedding, [image_index])
         rows = []
         for tid in target_ids:
-            logits, h = self._step(prev, h, memory)
+            logits, h = self._step(prev, h, memory, keys)
             rows.append(logits)
             prev = ad.embed(self.term_embedding, [tid])
         return ad.concat(rows, axis=0)
@@ -284,10 +283,11 @@ def train_distiller(
     def loss_fn(pair):
         seq, groups = pair
         memory = model.encode_objects(seq)
+        keys = linear(memory, model.attn_mem)
         all_logits, all_targets = [], []
         for slot, gold in zip(seq.slots, groups):
             target_ids = [model.token_to_id[t] for t in gold] + [eos]
-            all_logits.append(model.slot_logits(memory, slot.image_index, target_ids))
+            all_logits.append(model.slot_logits(memory, keys, slot.image_index, target_ids))
             all_targets.extend(target_ids)
         return ad.softmax_cross_entropy(ad.concat(all_logits, axis=0), all_targets), len(all_targets)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, linear
+from .autodiff import ShapeError, Tensor, gru_cell, linear
 from .params import ParameterStore
 
 NEG_INF = -1e30
@@ -33,16 +33,6 @@ def multi_head_attention(
         raise ShapeError(f"multi_head_attention: hidden size {d} not divisible by {num_heads} heads")
     q, k, v = linear(query, wq, bq), linear(key, wk, bk), linear(value, wv, bv)
     return linear(ad.attention(q, k, v, num_heads, mask), wo, bo)
-
-
-def gru_cell(x: Tensor, h: Tensor, *, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, b_nx, w_hn, b_nh) -> Tensor:
-    """One gated recurrent step over N rows; x is (N, Din), h is (N, D), returns (N, D)."""
-    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
-        raise ShapeError(f"gru_cell: expected matching 2-d inputs, got {x.shape} and {h.shape}")
-    r = ad.sigmoid(linear(x, w_xr) + linear(h, w_hr) + b_r)
-    z = ad.sigmoid(linear(x, w_xz) + linear(h, w_hz) + b_z)
-    n = ad.tanh(linear(x, w_xn, b_nx) + r * linear(h, w_hn, b_nh))
-    return (1.0 - z) * n + z * h
 
 
 def causal_mask(t: int) -> np.ndarray:

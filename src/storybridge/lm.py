@@ -215,8 +215,8 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
     The n-gram variant trains in one counting pass, ignores ``train`` and has
     an empty history. The GRU variant holds out the last
     ``holdout_fraction`` of the corpus (at least one sequence) for the
-    per-epoch perplexity; a share that leaves nothing to train on raises
-    InputError.
+    per-epoch perplexity. A fraction outside (0, 1) raises ValueError; a
+    share that leaves nothing to train on raises InputError.
     """
     config = config or LMConfig()
     corpus = [list(seq) for seq in corpus]
@@ -227,6 +227,8 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
     if config.kind != "gru":
         raise ValueError(f"unknown language model kind {config.kind!r}")
 
+    if not 0 < config.holdout_fraction < 1:
+        raise ValueError(f"holdout_fraction must be above 0 and below 1, got {config.holdout_fraction}")
     n_holdout = max(1, int(round(len(corpus) * config.holdout_fraction)))
     if n_holdout >= len(corpus):
         raise InputError(f"holdout_fraction {config.holdout_fraction} would hold out all {len(corpus)} term sequences")

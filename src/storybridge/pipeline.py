@@ -34,14 +34,20 @@ def _require(path: str, stage: str, role: str) -> str:
     return path
 
 
-def _load_stories(config: RunConfig) -> tuple[list, dict]:
-    """The story corpus plus the text-only corpus if one is configured, and the file of each story id."""
-    paths = [_require(config.corpus_path, "train", "story corpus (corpus_path)"), config.text_corpus_path]
+def _load_stories(config: RunConfig, command: str, with_text: bool = True) -> tuple[list, dict]:
+    """The story corpus plus (with_text) the text-only corpus if one is configured, and the file of each story id.
+
+    Files that hold no story at all raise InputError naming them.
+    """
+    paths = [_require(config.corpus_path, command, "story corpus (corpus_path)")]
+    paths += [config.text_corpus_path] if with_text and config.text_corpus_path else []
     stories, source = [], {}
-    for path in filter(None, paths):
+    for path in paths:
         for story in load_corpus(path):
             stories.append(story)
             source.setdefault(story.story_id, path)
+    if not stories:
+        raise InputError(f"{command}: no story to train on in {' or '.join(paths)}")
     return stories, source
 
 
@@ -57,7 +63,7 @@ def train_distiller_command(config: RunConfig, log=None) -> str:
 
     The model has one image-order slot per image of the longest training story.
     """
-    stories = load_corpus(_require(config.corpus_path, "train-distiller", "story corpus (corpus_path)"))
+    stories = _load_stories(config, "train-distiller", with_text=False)[0]
     features = load_feature_file(
         _require(config.features_path, "train-distiller", "object-feature file (features_path)"),
         top_k=config.top_k_objects,
@@ -84,7 +90,7 @@ def train_distiller_command(config: RunConfig, log=None) -> str:
 def train_lm_command(config: RunConfig, log=None) -> str:
     """Train the term LM (n-gram or recurrent) and save it at config.lm_model."""
     model, _ = train_lm(
-        build_training_pairs(_load_stories(config)[0], mode="lm"),
+        build_training_pairs(_load_stories(config, "train-lm")[0], mode="lm"),
         LMConfig(
             kind=config.lm_kind,
             order=config.ngram_order,
@@ -102,7 +108,7 @@ def train_lm_command(config: RunConfig, log=None) -> str:
 
 def train_generator_command(config: RunConfig, log=None, finetune_from: str = "") -> str:
     """Train (or fine-tune) the term-to-story model; save at config.generator_model."""
-    stories, source = _load_stories(config)
+    stories, source = _load_stories(config, "train-generator")
     pairs = build_training_pairs(stories, mode="generator")
     base_model = GeneratorModel.load(finetune_from) if finetune_from else None
     model_config = GeneratorConfig(

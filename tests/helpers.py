@@ -111,6 +111,18 @@ def composite_additive_attention(keys, query, v, memory):
     return ad.matmul(weights, memory)
 
 
+def composite_gru_cell(x, h, *, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, b_nx, w_hn, b_nh):
+    from storybridge import autodiff as ad
+
+    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w_xr), ad.matmul(h, w_hr)), b_r))
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w_xz), ad.matmul(h, w_hz)), b_z))
+    n = ad.tanh(ad.add(composite_linear(x, w_xn, b_nx), ad.mul(r, composite_linear(h, w_hn, b_nh))))
+    return ad.add(ad.mul(ad.sub(1.0, z), n), ad.mul(z, h))
+
+
+GRU_GATES = ("w_xr", "w_hr", "b_r", "w_xz", "w_hz", "b_z", "w_xn", "b_nx", "w_hn", "b_nh")
+
+
 def composite_ops() -> dict:
     """Fused op name in storybridge.autodiff -> its composite oracle."""
     return {
@@ -119,16 +131,19 @@ def composite_ops() -> dict:
         "add_layernorm": composite_add_layernorm,
         "attention": composite_attention,
         "additive_attention": composite_additive_attention,
+        "gru_cell": composite_gru_cell,
     }
 
 
-def use_composite_ops(monkeypatch) -> None:
-    """Swap every fused op for its composite, in every storybridge module that holds it."""
+def use_composite_ops(monkeypatch, names=None) -> None:
+    """Swap the named fused ops (default: all) for their composites, in every storybridge module that holds them."""
     import sys
 
     from storybridge import autodiff as ad
 
     for name, composite in composite_ops().items():
+        if names is not None and name not in names:
+            continue
         fused = getattr(ad, name)
         for mod_name, mod in list(sys.modules.items()):
             if mod is not None and (mod_name == "storybridge" or mod_name.startswith("storybridge.")):

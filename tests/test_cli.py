@@ -513,6 +513,20 @@ def test_train_lm_holding_out_the_whole_corpus_exits_two(fixture_world, tmp_path
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["train-distiller", "train-lm", "train-generator"])
+def test_training_on_an_empty_corpus_exits_two_naming_it(fixture_world, tmp_path, capsys, command):
+    empty, empty_text = str(tmp_path / "empty.jsonl"), str(tmp_path / "empty_text.jsonl")
+    for path in (empty, empty_text):
+        open(path, "w", encoding="utf-8").close()
+    out = str(tmp_path / "model.json")
+    code, _, err = run_cli(capsys, command, "--set", f"corpus_path={empty}", "--set", f"text_corpus_path={empty_text}",
+                           "--set", f"features_path={fixture_world['features']}", "--out", out)
+    assert code == EXIT_INPUT and "Traceback" not in err
+    named = empty if command == "train-distiller" else f"{empty} or {empty_text}"  # the distiller reads no text corpus
+    assert f"{command}: no story to train on in {named}" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "config,key",
     [

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import reference_term_beam
 from storybridge import autodiff as ad
-from storybridge.autodiff import Tensor
+from storybridge.autodiff import Tensor, linear
 from storybridge.distill import (
     END_OF_SET,
     FEATURE_DIM,
@@ -105,6 +105,7 @@ def test_beam_size_one_equals_greedy_reference():
 
     # independent greedy decoder with the same repetition mask
     memory = Tensor(model.encode_objects(seq).data)
+    keys = linear(memory, model.attn_mem)
     eos = model.token_to_id[END_OF_SET]
     greedy = []
     for slot in seq.slots:
@@ -113,7 +114,7 @@ def test_beam_size_one_equals_greedy_reference():
         used = set()
         tokens = []
         for step in range(model.config.max_terms_per_image):
-            logits, h = model._step(prev, h, memory)
+            logits, h = model._step(prev, h, memory, keys)
             logp = ad.log_softmax_values(logits.data)[0]
             scores = logp.copy()
             for t in used:

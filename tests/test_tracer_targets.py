@@ -77,3 +77,27 @@ def test_traced_decode_gives_the_untraced_story_and_times_every_step(monkeypatch
         tracer.uninstall()
     assert got.tokens == want.tokens and got.score == want.score and got.truncated == want.truncated
     assert len(tracer.stats["round"].step_times) == len(frontiers) > 1
+
+
+def test_traced_gru_steps_go_through_the_gru_cell_span():
+    # a renamed or inlined cell would leave layers.gru_cell_calls at 0 in traced runs
+    import numpy as np
+
+    from storybridge.layers import GRUParams
+    from storybridge.lm import BOS, EOS, GRULanguageModel
+    from storybridge.params import ParameterStore
+
+    cell = GRUParams(ParameterStore(0), "cell", 3, 4)
+    lm = GRULanguageModel.build([BOS, EOS, "a"], hidden_size=4, seed=0)
+    module = load_tracer()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        calls = tracer.stats["round"].calls
+        with module.recording(tracer, "round"):
+            cell(np.ones((2, 3)), np.zeros((2, 4)))
+            assert calls["layers.gru_cell"] == 1
+            lm.log_probs([[BOS, "a", "a", EOS]])
+    finally:
+        tracer.uninstall()
+    assert calls["layers.gru_cell"] == 1 + 3  # one step per token but the last
