@@ -9,7 +9,7 @@ length-aware transformer decoder under repetition-penalized beam search.
 from .config import RunConfig
 from .distill import DistillerModel, ImageSequence, ObjectFeatureSet, train_distiller
 from .enrich import EnrichmentCandidate, TermPath, build_candidates, select_best
-from .generate import BeamPenaltyConfig, GeneratorModel, Story, decode_story, train_generator
+from .generate import BeamPenaltyConfig, GeneratorModel, Story, decode_stories, decode_story, train_generator
 from .kg import Bridge, KGTuple, RelationIndex, load_tuples
 from .lm import GRULanguageModel, NGramLM, linearize_groups, perplexities, perplexity, train_lm
 from .metrics import bleu_n, distinct_n
@@ -34,6 +34,7 @@ __all__ = [
     "TermPath",
     "bleu_n",
     "build_candidates",
+    "decode_stories",
     "decode_story",
     "distinct_n",
     "evaluate_stories",

@@ -317,6 +317,19 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _norm_node("layernorm", x.data, (x,), gain, bias, eps)
 
 
+class RowGradient:
+    """A gradient that is zero outside some rows: row indices, repeats allowed, and their (n, d) values.
+
+    ``backward`` scatter-adds it into the input's accumulated gradient in
+    place, so no zeroed table is made per call.
+    """
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, rows: Array, values: Array):
+        self.rows, self.values = rows, values
+
+
 def embed(table, ids) -> Tensor:
     """Gather rows of ``table`` by integer index; gradients scatter-add back."""
     table = as_tensor(table)
@@ -327,9 +340,7 @@ def embed(table, ids) -> Tensor:
         raise ShapeError(f"embed: index out of range for table with {table.shape[0]} rows")
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        return (RowGradient(idx.reshape(-1), g.reshape(-1, table.shape[1])),)
 
     return _make(table.data[idx], (table,), vjp)
 
@@ -566,6 +577,7 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
                 stack.append((p, False))
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()  # gradients this walk allocated itself, so it may add into them in place
     result: dict[Tensor, Array] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
@@ -577,8 +589,18 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
                 for parent, pg in zip(node._parents, node._vjp(g)):
                     if pg is None or not (parent.requires_grad or parent._vjp is not None):
                         continue
-                    acc = grads.get(id(parent))
-                    grads[id(parent)] = pg if acc is None else acc + pg
+                    key, acc = id(parent), grads.get(id(parent))
+                    if isinstance(pg, RowGradient):
+                        if key not in owned:
+                            acc = np.zeros(parent.shape) if acc is None else acc.copy()
+                            owned.add(key)
+                        np.add.at(acc, pg.rows, pg.values)
+                        grads[key] = acc
+                    elif acc is None:
+                        grads[key] = pg
+                    else:
+                        grads[key] = acc + pg
+                        owned.add(key)
         node._parents = ()
         node._vjp = None
     return result

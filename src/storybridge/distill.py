@@ -13,12 +13,13 @@ makes within-image repeats effectively impossible.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .beam import BeamPenaltyConfig, beam_search, decode_lockstep
+from .beam import BeamPenaltyConfig, Search, beam_decode, blocks
 from .ioutil import InputError, read_jsonl_lines, write_jsonl
 from .layers import GRUParams, TransformerEncoder, linear
 from .optim import TrainConfig, fit
@@ -28,6 +29,9 @@ FEATURE_DIM = 2048
 TOP_K_OBJECTS = 25
 END_OF_SET = "</set>"
 REPEAT_MASK = 1e19
+# Rows per term block, each image's beam_size rows counted in full: four five-image sequences at
+# beam 3. The GRU decoder keeps no cache that grows with the rows (README "Decoding").
+TERM_BLOCK_ROWS = 60
 
 
 @dataclass
@@ -184,66 +188,79 @@ class DistillerModel:
             raise ValueError("all slots must hold at least one object")
         return self.encoder(self.input_embeddings(seq))
 
-    def _step(self, prev_embedding: Tensor, h: Tensor, memory: Tensor, keys: Tensor):
-        """One decoder step for B rows, with additive attention of each row of h over memory (M, d).
+    def _context(self, h: Tensor, memory: Tensor, keys: Tensor) -> Tensor:
+        """Additive attention of each row of h over memory (M, d); keys is the memory's projection through attn_mem."""
+        return ad.additive_attention(keys, linear(h, self.attn_hidden, self.attn_bias), self.attn_v, memory)
 
-        keys is the memory's projection through attn_mem, (M, d).
-        """
-        context = ad.additive_attention(keys, linear(h, self.attn_hidden, self.attn_bias), self.attn_v, memory)
+    def _step(self, prev_embedding: Tensor, h: Tensor, context: Tensor):
+        """One decoder step for B rows, given each row's attention context (B, d)."""
         u = ad.concat([prev_embedding, context], axis=1)
         h_next = self.cell(u, h)
         logits = linear(ad.concat([h_next, context], axis=1), self.w_out, self.b_out)
         return logits, h_next
 
     def slot_logits(self, memory: Tensor, keys: Tensor, image_index: int, target_ids: list[int]) -> Tensor:
-        """Teacher-forced logit rows for one image's gold terms plus end-of-set; keys as for ``_step``."""
+        """Teacher-forced logit rows for one image's gold terms plus end-of-set; keys as for ``_context``."""
         h = Tensor(np.zeros((1, self.config.hidden_size)))
         prev = ad.embed(self.order_embedding, [image_index])
         rows = []
         for tid in target_ids:
-            logits, h = self._step(prev, h, memory, keys)
+            logits, h = self._step(prev, h, self._context(h, memory, keys))
             rows.append(logits)
             prev = ad.embed(self.term_embedding, [tid])
         return ad.concat(rows, axis=0)
 
     def predict_terms(self, seq: ImageSequence, beam_size: int = 3) -> list[list[str]]:
         """Per-image term lists, repetition-masked beam search, vocab order ties to low id."""
-        return [terms for terms, _score in self.term_beams(seq, beam_size)]
+        return [terms for terms, _score in self.term_beams([seq], beam_size)[0]]
 
-    def term_beams(self, seq: ImageSequence, beam_size: int = 3) -> list[tuple[list[str], float]]:
-        """Each image's best term list and its beam score: one sentence of terms closed by end-of-set.
+    def term_beams(self, seqs, beam_size: int = 3) -> list[list[tuple[list[str], float]]]:
+        """Per sequence, each image's best term list and its beam score: one sentence of terms closed by end-of-set.
 
-        The images' searches advance in lockstep, so each beam step is one
-        decoder step over the live hypotheses of every image.
+        The searches of every image of a block of sequences (as many
+        consecutive sequences as fit ``TERM_BLOCK_ROWS`` rows of beam_size
+        hypotheses per image) run as one batched search, so each beam step
+        is one decoder step over all their live hypotheses. The additive
+        attention runs per sequence, over its own memory; the GRU cell and
+        the output layer run over all rows at once.
         """
         if len(self.vocab) <= 1:
             raise ValueError("term vocabulary holds only the end-of-set marker")
-        memory = self.encode_objects(seq)
-        keys = linear(memory, self.attn_mem)
-        starts = [slot.image_index for slot in seq.slots]
+        seqs = list(seqs)
+        search = Search(
+            group_count=1,
+            penalties=BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size),
+            max_sentence_tokens=self.config.max_terms_per_image,
+            run_until_empty=True,
+        )
+        rows = [len(seq.slots) * beam_size for seq in seqs]
+        return [terms for block in blocks(rows, TERM_BLOCK_ROWS) for terms in self._term_block(seqs[block], search)]
+
+    def _term_block(self, seqs: list[ImageSequence], search: Search) -> list[list[tuple[list[str], float]]]:
+        """term_beams of the sequences by one batched search."""
+        memories = [self.encode_objects(seq) for seq in seqs]
+        keys = [linear(memory, self.attn_mem) for memory in memories]
+        starts = [slot.image_index for seq in seqs for slot in seq.slots]
+        seq_of = np.repeat(np.arange(len(seqs)), [len(seq.slots) for seq in seqs])  # each row's sequence
         h = np.zeros((len(starts), self.config.hidden_size))  # row r: the GRU state after row r of the last call
 
         def step(frontier) -> np.ndarray:
-            nonlocal h
+            nonlocal h, seq_of
             parents, tokens = frontier
+            seq_of = seq_of[parents]
             prev = self.term_embedding.data[tokens[:, -1]] if tokens.shape[1] else self.order_embedding.data[starts]
-            logits, h_next = self._step(Tensor(prev), Tensor(h[parents]), memory, keys)
+            h_rows = h[parents]
+            spans = np.searchsorted(seq_of, np.arange(len(seqs) + 1))  # rows are sequence by sequence
+            context = ad.concat(
+                [self._context(Tensor(h_rows[a:b]), memories[s], keys[s]) for s, (a, b) in enumerate(zip(spans, spans[1:])) if b > a],
+                axis=0,
+            )
+            logits, h_next = self._step(Tensor(prev), Tensor(h_rows), context)
             h = h_next.data
             return ad.log_softmax_values(logits.data)
 
-        penalties = BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size)
-        searches = [
-            beam_search(
-                vocab_size=len(self.vocab),
-                sb_id=self.token_to_id[END_OF_SET],
-                group_count=1,
-                penalties=penalties,
-                max_sentence_tokens=self.config.max_terms_per_image,
-                run_until_empty=True,
-            )
-            for _ in starts
-        ]
-        return [([self.vocab[t] for t in ids[:-1]], score) for ids, score, _truncated in decode_lockstep(step, searches)]
+        results = iter(beam_decode(step, [search] * len(starts), vocab_size=len(self.vocab), sb_id=self.token_to_id[END_OF_SET]))
+        return [[([self.vocab[t] for t in ids[:-1]], score) for ids, score, _truncated in islice(results, len(seq.slots))] for seq in seqs]
 
     def save(self, path: str) -> None:
         extra = {"kind": "distiller", "vocab": self.vocab, "config": asdict(self.config)}

@@ -8,9 +8,10 @@ the number of tokens generated so far (at least 1). A sentence-boundary
 marker closes each sentence; the decode finishes when as many sentences
 exist as the path has term groups.
 
-Inference runs the whole beam as one batch over a key/value cache: an
-emitted position's LDPE vector and, by the causal mask, its hidden states
-never change, so each decode step computes only the new positions.
+Inference runs the beams of a block of paths as one batch over a
+key/value cache: an emitted position's LDPE vector and, by the causal mask,
+its hidden states never change, so each decode step computes only the new
+positions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .beam import BeamPenaltyConfig, beam_decode
+from .beam import BeamPenaltyConfig, Search, beam_decode, blocks
 from .enrich import TermPath
 from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
 from .lm import BOS as PATH_BOS
@@ -34,6 +35,11 @@ from .params import ParameterStore
 BOS_STORY = "<bos>"
 EOS_STORY = "<eos>"
 SENTENCE_BOUNDARY = "<sb>"
+# Bytes of self-attention keys and values a story block may cache, each path's beam_size rows
+# counted at its longest story. It bounds the rows of a block by the decoder's size: four
+# five-group paths at the published size (hidden 512, 4 layers), which keeps a block's peak RSS
+# within 10% of one path at a time, and every quick-start path at the desk size (README "Decoding").
+STORY_BLOCK_CACHE_BYTES = 18 * 2**20
 
 
 @dataclass
@@ -134,23 +140,30 @@ class GeneratorModel:
         logits = self.decoder_logits(memory, input_ids, remaining)
         return ad.softmax_cross_entropy(logits, target_ids)
 
-    def step_log_probs_fn(self, groups, budget: int):
-        """Batched next-token log-probs for a beam frontier (no tape).
+    def step_log_probs_fn(self, path_groups, budgets):
+        """Batched next-token log-probs for the frontier of one search per path (no tape).
 
-        The returned step takes the frontier (parents, tokens) of
-        ``beam.decode_lockstep`` and gives (B, V) log-probabilities. Row b
-        extends row parents[b] of the previous call, so the decoder runs
-        just the B new positions over a key/value cache.
+        path_groups and budgets hold each path's term groups and LDPE length
+        budget. The returned step takes the frontier (parents, tokens) of
+        ``beam.beam_decode``, whose search g decodes path g, and gives
+        (B, V) log-probabilities. Row b extends row parents[b] of the
+        previous call, so the decoder runs just the B new positions over a
+        key/value cache; each row reads its own path's memory and takes its
+        position from its own path's budget.
         """
-        cache = DecoderCache(self.decoder, self.encode_path(groups).data)
+        cache = DecoderCache(self.decoder, [self.encode_path(groups).data for groups in path_groups])
+        budgets = np.asarray(budgets)
         bos = self.token_to_id[BOS_STORY]
+        path_of = np.arange(len(budgets))  # each row's path: at the first call, root g is path g
 
         def step(frontier) -> np.ndarray:
+            nonlocal path_of
             parents, tokens = frontier
+            path_of = path_of[parents]
             pos = tokens.shape[1]
             ids = tokens[:, -1] if pos else np.full(len(tokens), bos)
-            x = self.dec_embedding.data[ids] + sinusoidal_encoding([max(budget - pos, 0)], self.config.hidden_size)
-            h = cache.step(x, parents)
+            ldpe = sinusoidal_encoding(np.maximum(budgets - pos, 0), self.config.hidden_size)
+            h = cache.step(self.dec_embedding.data[ids] + ldpe[path_of], parents, path_of)
             return ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
 
         return step
@@ -182,24 +195,47 @@ def story_tokens(sentences) -> list[str]:
     return tokens
 
 
-def decode_story(path: TermPath, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None) -> Story:
-    """Generate one sentence per term group of the path."""
+def decode_stories(
+    paths, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None
+) -> list[Story]:
+    """One story per path, a sentence per term group; the paths' searches run as one batched search per block.
+
+    A block holds as many consecutive paths as fit ``STORY_BLOCK_CACHE_BYTES``
+    (at least one), each path's beam_size rows caching a key and a value
+    per layer for every position of its longest story, and every beam
+    step of a block is one decoder step over all its live rows.
+    """
     penalties = penalties or BeamPenaltyConfig()
-    groups = list(path.groups)
-    if not groups:
+    paths = list(paths)
+    if any(not path.groups for path in paths):
         raise ValueError("term path has no groups")
     per_sentence = target_len_per_sentence or model.sentence_budget
-    budget = len(groups) * (per_sentence + 1) + 1  # boundaries and end marker included
-    step = model.step_log_probs_fn(groups, budget)
-    token_ids, score, truncated = beam_decode(
-        step,
-        vocab_size=len(model.vocab),
-        sb_id=model.token_to_id[SENTENCE_BOUNDARY],
-        group_count=len(groups),
-        penalties=penalties,
-        max_sentence_tokens=model.config.max_sentence_tokens,
-        excluded_ids=(model.token_to_id[BOS_STORY], model.token_to_id[EOS_STORY], model.token_to_id[UNK]),
-    )
+    excluded = tuple(model.token_to_id[t] for t in (BOS_STORY, EOS_STORY, UNK))
+    config = model.config
+    position_bytes = penalties.beam_size * config.decoder_layers * 2 * config.hidden_size * 8  # float64 keys and values
+    cache_bytes = [len(path.groups) * (config.max_sentence_tokens + 1) * position_bytes for path in paths]
+    stories = []
+    for span in blocks(cache_bytes, STORY_BLOCK_CACHE_BYTES):
+        block = paths[span]
+        groups = [list(path.groups) for path in block]
+        budgets = [len(g) * (per_sentence + 1) + 1 for g in groups]  # boundaries and end marker included
+        results = beam_decode(
+            model.step_log_probs_fn(groups, budgets),
+            [Search(len(g), penalties, config.max_sentence_tokens) for g in groups],
+            vocab_size=len(model.vocab),
+            sb_id=model.token_to_id[SENTENCE_BOUNDARY],
+            excluded_ids=excluded,
+        )
+        stories += [_story(path, model, *result) for path, result in zip(block, results)]
+    return stories
+
+
+def decode_story(path: TermPath, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None) -> Story:
+    """Generate one sentence per term group of the path: ``decode_stories`` with one path."""
+    return decode_stories([path], model, penalties, target_len_per_sentence)[0]
+
+
+def _story(path: TermPath, model: GeneratorModel, token_ids, score: float, truncated: bool) -> Story:
     tokens = [model.vocab[t] for t in token_ids]
     sentences, current = [], []
     for tok in tokens:

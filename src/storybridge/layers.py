@@ -5,8 +5,9 @@ cell, and the sinusoidal positional table. Parameters live in a
 ParameterStore and are addressed by dotted names, so a stack built twice
 from the same seed is bit-identical and a loaded checkpoint slots straight
 back in. ``DecoderCache`` runs a trained decoder stack for inference in
-plain numpy, one new position per call, off the tape, through the same
-numpy forwards as the fused training ops.
+plain numpy, one new position per hypothesis per call, over one memory per
+decoded path, off the tape, through the same numpy forwards as the fused
+training ops.
 """
 
 from __future__ import annotations
@@ -74,9 +75,12 @@ class AttentionParams:
         y = x @ self.kw[f"w{which}"].data + self.kw[f"b{which}"].data
         return y.reshape(x.shape[0], num_heads, -1)
 
-    def attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Queries (B, H, 1, Dh) over keys/values (.., H, T, Dh) by ad.attention_values, projected; (B, D)."""
-        ctx = ad.attention_values(q, keys, values)[1]
+    def attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """Queries (B, H, 1, Dh) over keys/values (.., H, T, Dh) by ad.attention_values, projected; (B, D).
+
+        mask is an optional additive (.., 1, 1, T) mask on the scores.
+        """
+        ctx = ad.attention_values(q, keys, values, mask)[1]
         return ctx.reshape(q.shape[0], -1) @ self.kw["wo"].data + self.kw["bo"].data
 
 
@@ -154,40 +158,52 @@ class TransformerDecoder:
 
 
 class DecoderCache:
-    """Incremental numpy inference over a TransformerDecoder, no tape.
+    """Incremental numpy inference over a TransformerDecoder, no tape, over one or more memories.
 
-    The cross-attention keys and values of the memory are computed once.
-    Each layer keeps the self-attention keys and values of every position
-    already run, one row per hypothesis. ``step`` gathers those rows by
-    parent hypothesis, appends the new position and runs only the new rows.
-    Attention is causal, so an emitted position never changes and the
-    result equals recomputing each whole prefix, up to float reassociation.
+    The cross-attention keys and values of each memory are computed once;
+    memories of different lengths are padded to the longest, and the
+    padding is masked out of cross-attention. Each layer keeps the
+    self-attention keys and values of every position already run, one row
+    per hypothesis. ``step`` gathers those rows by parent hypothesis,
+    appends the new position and runs only the new rows, all memories'
+    rows as one batch. Attention is causal, so an emitted position never
+    changes and the result equals recomputing each whole prefix, up to
+    float reassociation.
     """
 
-    def __init__(self, decoder: TransformerDecoder, memory: np.ndarray):
+    def __init__(self, decoder: TransformerDecoder, memories: list[np.ndarray]):
         self.heads = decoder.heads
         self.blocks = decoder.blocks
-        self.cross = [
-            tuple(np.swapaxes(cross.project(memory, which, self.heads), 0, 1) for which in "kv")
-            for _s, _n1, cross, _n2, _ff, _n3 in self.blocks
-        ]
-        self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer: (B, H, T, Dh) keys, values
+        lengths = np.array([len(m) for m in memories])
+        width = int(lengths.max())
+        self.cross = []  # per layer: (P, H, T, Dh) keys, values
+        for _s, _n1, cross, _n2, _ff, _n3 in self.blocks:
+            pair = []
+            for which in "kv":
+                padded = np.zeros((len(memories), width, self.heads, memories[0].shape[1] // self.heads))
+                for p, memory in enumerate(memories):
+                    padded[p, : len(memory)] = cross.project(memory, which, self.heads)
+                pair.append(np.swapaxes(padded, 1, 2))
+            self.cross.append(tuple(pair))
+        self.pad_mask = np.where(np.arange(width) >= lengths[:, None], NEG_INF, 0.0)[:, None, None, :]  # (P, 1, 1, T)
+        self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer: (B, H, t, Dh) keys, values
 
-    def step(self, x: np.ndarray, parents) -> np.ndarray:
-        """Run new rows x (B, D); row b extends cached hypothesis parents[b]. Returns (B, D)."""
+    def step(self, x: np.ndarray, parents, memory_of) -> np.ndarray:
+        """Run new rows x (B, D); row b extends cached hypothesis parents[b] and reads memory memory_of[b]. Returns (B, D)."""
         parents = np.asarray(parents, dtype=np.int64)
-        past = []
+        mask = self.pad_mask[memory_of]
+        first = not self.past
         for i, (self_attn, norm1, cross, norm2, ff, norm3) in enumerate(self.blocks):
             q, k, v = (self_attn.project(x, which, self.heads)[:, :, None, :] for which in "qkv")
-            if self.past:
-                k = np.concatenate([self.past[i][0][parents], k], axis=2)
-                v = np.concatenate([self.past[i][1][parents], v], axis=2)
-            past.append((k, v))
-            x = _norm(norm1, x, self_attn.attend(q, k, v))
+            if first:
+                self.past.append((k, v))
+            else:  # replaced layer by layer, so no more than one layer's keys and values are held twice
+                self.past[i] = tuple(np.concatenate([old[parents], new], axis=2) for old, new in zip(self.past[i], (k, v)))
+            x = _norm(norm1, x, self_attn.attend(q, *self.past[i]))
             q = cross.project(x, "q", self.heads)[:, :, None, :]
-            x = _norm(norm2, x, cross.attend(q, *self.cross[i]))
+            keys, values = (a[memory_of] for a in self.cross[i])
+            x = _norm(norm2, x, cross.attend(q, keys, values, mask))
             x = _norm(norm3, x, ad.feed_forward_values(x, ff.w1.data, ff.b1.data, ff.w2.data, ff.b2.data)[0])
-        self.past = past
         return x
 
 

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .corpus import build_training_pairs, load_corpus
 from .distill import DistillerConfig, DistillerModel, load_feature_file, train_distiller
 from .enrich import TermPath, build_candidates, check_base_path, select_best
-from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, UnknownWordsError, decode_story, train_generator
+from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, UnknownWordsError, decode_stories, train_generator
 from .ioutil import InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
 from .lm import LMConfig, load_lm, train_lm
@@ -155,10 +155,10 @@ def stage_distill(config: RunConfig, out_path: str) -> list[dict]:
                 f"{config.features_path}: story {seq.story_id!r} has {len(seq.slots)} images, but the distiller "
                 f"{config.distiller_model} was trained for at most {model.config.num_slots}"
             )
-    records = []
-    for seq in features:
-        groups = model.predict_terms(seq, beam_size=config.beam_size)
-        records.append(TermPath.from_groups(groups, story_id=seq.story_id).to_record())
+    records = [
+        TermPath.from_groups([terms for terms, _score in beams], story_id=seq.story_id).to_record()
+        for seq, beams in zip(features, model.term_beams(features, beam_size=config.beam_size))
+    ]
     write_jsonl(out_path, records)
     return records
 
@@ -194,29 +194,23 @@ def stage_generate(config: RunConfig, paths_path: str, out_path: str) -> list[di
         _require(config.generator_model, "generate", "generator checkpoint (generator_model)")
     )
     penalties = BeamPenaltyConfig(alpha=config.alpha, gamma=config.gamma, beam_size=config.beam_size)
-    out = []
-    for lineno, rec in records:
-        path = TermPath.from_record(rec, where=f"{paths_path}:{lineno}")
-        story = decode_story(
-            path,
-            model,
-            penalties,
-            target_len_per_sentence=config.sentence_budget or None,
-        )
-        out.append(
-            {
-                "story_id": path.story_id,
-                "sentences": story.sentences,
-                "tokens": story.tokens,
-                "text": " ".join(" ".join(s) for s in story.sentences),
-                "score": story.score,
-                "sentence_spans": [list(span) for span in story.sentence_spans],
-                "truncated": story.truncated,
-                "bridge": story.bridge,
-                "bridge_slot": rec.get("bridge_slot"),
-                "origins": rec.get("origins"),
-            }
-        )
+    paths = [TermPath.from_record(rec, where=f"{paths_path}:{lineno}") for lineno, rec in records]
+    stories = decode_stories(paths, model, penalties, target_len_per_sentence=config.sentence_budget or None)
+    out = [
+        {
+            "story_id": path.story_id,
+            "sentences": story.sentences,
+            "tokens": story.tokens,
+            "text": " ".join(" ".join(s) for s in story.sentences),
+            "score": story.score,
+            "sentence_spans": [list(span) for span in story.sentence_spans],
+            "truncated": story.truncated,
+            "bridge": story.bridge,
+            "bridge_slot": rec.get("bridge_slot"),
+            "origins": rec.get("origins"),
+        }
+        for path, story, (_lineno, rec) in zip(paths, stories, records)
+    ]
     write_jsonl(out_path, out)
     return out
 

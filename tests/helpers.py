@@ -263,7 +263,7 @@ def reference_term_beam(model, memory, image_index: int, beam_size: int, eos: in
         candidates = []
         for hyp_idx, (score, tokens, h, used) in enumerate(live):
             prev = start if not tokens else ad.embed(model.term_embedding, [tokens[-1]])
-            logits, h_next = model._step(prev, h, memory, keys)
+            logits, h_next = model._step(prev, h, model._context(h, memory, keys))
             logp = ad.log_softmax_values(logits.data)[0]
             token_range = [eos] if step == model.config.max_terms_per_image else range(len(model.vocab))
             for tok in token_range:
@@ -319,6 +319,105 @@ def reference_story_beam(step, *, vocab_size, sb_id, group_count, penalties, max
             break
     best = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
     return list(best[1]), best[0], best[6]
+
+
+def per_search_beam(
+    *,
+    vocab_size: int,
+    sb_id: int,
+    group_count: int,
+    penalties,
+    max_sentence_tokens: int,
+    excluded_ids=(),
+    run_until_empty: bool = False,
+):
+    """One beam search as a generator, with its own top-k: the search that the batched beam_decode replaced.
+
+    At each beam step it yields its frontier (parents, tokens) and is sent
+    the (B, V) log-probabilities of its rows; it returns (token ids, score,
+    truncated) of the winner, under the rules of ``beam.Search``.
+    """
+    allowed = np.ones(vocab_size, dtype=bool)
+    allowed[list(excluded_ids)] = False
+    allowed[sb_id] = True
+    only_sb = np.zeros(vocab_size, dtype=bool)
+    only_sb[sb_id] = True
+    parents = np.zeros(1, dtype=np.int64)
+    scores = np.zeros(1)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    s_mask = np.zeros((1, vocab_size), dtype=bool)
+    r_mask = np.zeros((1, vocab_size), dtype=bool)
+    bounds = np.zeros(1, dtype=np.int64)
+    sent_len = np.zeros(1, dtype=np.int64)
+    trunc = np.zeros(1, dtype=bool)
+    done = []  # (score, tokens, truncated) in finishing order
+    while scores.size:
+        logp = np.asarray((yield parents, tokens), dtype=np.float64)
+        gamma_l = penalties.gamma / max(1, tokens.shape[1])
+        step_score = (logp - np.where(s_mask, penalties.alpha, 0.0)) - np.where(r_mask, gamma_l, 0.0)
+        forced = sent_len >= max_sentence_tokens
+        open_ids = np.where(forced[:, None], only_sb, allowed)
+        candidates = scores[:, None] + step_score
+        hyp, tok = one_search_top_k(np.where(open_ids, candidates, -np.inf), penalties.beam_size)
+        new_scores = candidates[hyp, tok]
+        is_sb = tok == sb_id
+        s_mask, r_mask = s_mask[hyp], r_mask[hyp]
+        r_mask[is_sb] |= s_mask[is_sb]
+        s_mask[is_sb] = False
+        s_mask[~is_sb, tok[~is_sb]] = True
+        bounds = bounds[hyp] + is_sb
+        sent_len = np.where(is_sb, 0, sent_len[hyp] + 1)
+        trunc = trunc[hyp] | forced[hyp]
+        tokens = np.concatenate([tokens[hyp], tok[:, None]], axis=1)
+        finished = is_sb & (bounds == group_count)
+        for i in np.flatnonzero(finished):
+            done.append((float(new_scores[i]), tokens[i].tolist(), bool(trunc[i])))
+        keep = ~finished
+        parents, scores, tokens, s_mask, r_mask = hyp[keep], new_scores[keep], tokens[keep], s_mask[keep], r_mask[keep]
+        bounds, sent_len, trunc = bounds[keep], sent_len[keep], trunc[keep]
+        if len(done) >= penalties.beam_size and not run_until_empty:
+            break
+    score, token_ids, truncated = max(enumerate(done), key=lambda kv: (kv[1][0], -kv[0]))[1]
+    return token_ids, score, truncated
+
+
+def one_search_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """top_k of one (B, V) table by a threshold and one sort, independent of the grouped ``beam.top_k``.
+
+    Flat index column * B + row is the tie order (lower token, then earlier row).
+    """
+    b = scores.shape[0]
+    flat = scores.T.reshape(-1)
+    finite = np.isfinite(flat)
+    k = min(k, int(finite.sum()))
+    if k == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    neg = np.where(finite, -flat, np.inf)
+    kth = -neg[np.argpartition(neg, k - 1)[k - 1]]
+    above = np.flatnonzero(finite & (flat > kth))
+    tied = np.flatnonzero(flat == kth)[: k - above.size]
+    chosen = np.concatenate([above, tied])
+    chosen = chosen[np.lexsort((chosen, -flat[chosen]))]
+    return chosen % b, chosen // b
+
+
+def per_search_decode(step_log_probs, **settings):
+    """Run one per_search_beam(**settings) to its end; returns its (token ids, score, truncated)."""
+    search = per_search_beam(**settings)
+    frontier = next(search)
+    while True:
+        try:
+            frontier = search.send(step_log_probs(frontier))
+        except StopIteration as finished:
+            return finished.value
+
+
+def decode_one(step_log_probs, *, vocab_size, sb_id, excluded_ids=(), **search):
+    """beam_decode with one search whose settings are given as keywords; returns its (token ids, score, truncated)."""
+    from storybridge.beam import Search, beam_decode
+
+    return beam_decode(step_log_probs, [Search(**search)], vocab_size=vocab_size, sb_id=sb_id, excluded_ids=excluded_ids)[0]
 
 
 # ------------------------------------------------------------ LM scoring references

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import batched, beam_penalty_score, ldpe, next_token_distribution, numeric_grad, rel_err
+from helpers import batched, beam_penalty_score, decode_one, ldpe, next_token_distribution, numeric_grad, rel_err
 from storybridge import autodiff as ad
 from storybridge.autodiff import Tensor
 from storybridge.corpus import (
@@ -36,7 +36,6 @@ from storybridge.enrich import TermPath, build_candidates, select_best
 from storybridge.generate import (
     BeamPenaltyConfig,
     GeneratorConfig,
-    beam_decode,
     decode_story,
     train_generator,
 )
@@ -154,7 +153,7 @@ EXC = 21
 
 
 def _stub_beam(step, groups, alpha, gamma, beam=3, max_sentence_tokens=5):
-    return beam_decode(
+    return decode_one(
         batched(step),
         vocab_size=V,
         sb_id=SB,

@@ -111,6 +111,8 @@ def test_embed_gradient_scatter_adds():
     table = RNG.normal(size=(5, 3))
     ids = np.array([0, 2, 2, 4])
     check_grads(lambda t: proj_loss(ad.embed(t, ids)), table)
+    ids_2d = np.array([[1, 3, 1], [4, 4, 0]])
+    check_grads(lambda t: proj_loss(ad.embed(t, ids_2d)), table)
 
 
 def test_cross_entropy_gradient():

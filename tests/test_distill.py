@@ -9,6 +9,7 @@ from storybridge.autodiff import Tensor, linear
 from storybridge.distill import (
     END_OF_SET,
     FEATURE_DIM,
+    TERM_BLOCK_ROWS,
     DistillerConfig,
     DistillerModel,
     ImageSequence,
@@ -114,7 +115,7 @@ def test_beam_size_one_equals_greedy_reference():
         used = set()
         tokens = []
         for step in range(model.config.max_terms_per_image):
-            logits, h = model._step(prev, h, memory, keys)
+            logits, h = model._step(prev, h, model._context(h, memory, keys))
             logp = ad.log_softmax_values(logits.data)[0]
             scores = logp.copy()
             for t in used:
@@ -210,7 +211,7 @@ def test_beam_scores_are_log_probability_sums():
     # so a finished hypothesis's score never exceeds zero
     vocab = [END_OF_SET] + [f"t{i}" for i in range(4)]
     model = DistillerModel.build(vocab, SMALL)
-    for _terms, score in model.term_beams(make_sequence(), beam_size=3):
+    for _terms, score in model.term_beams([make_sequence()], beam_size=3)[0]:
         assert score <= 0.0
         assert score > -1e18  # the winner never carries a repeat penalty
 
@@ -232,7 +233,7 @@ def assert_terms_match_reference(model, seq, beam_size):
     memory = Tensor(model.encode_objects(seq).data)
     eos = model.token_to_id[END_OF_SET]
     want = [reference_term_beam(model, memory, slot.image_index, beam_size, eos) for slot in seq.slots]
-    got = model.term_beams(seq, beam_size=beam_size)
+    got = model.term_beams([seq], beam_size=beam_size)[0]
     assert [terms for terms, _ in got] == [terms for terms, _ in want]
     assert all(abs(got_score - want_score) <= SCORE_TOLERANCE for (_, got_score), (_, want_score) in zip(got, want))
     assert model.predict_terms(seq, beam_size=beam_size) == [terms for terms, _ in want]
@@ -257,3 +258,28 @@ def test_batched_term_beam_matches_reference_on_trained_fixture(trained_world):
     model = DistillerModel.load(trained_world["distiller_model"])
     for seq in load_feature_file(trained_world["features"])[:6]:
         assert_terms_match_reference(model, seq, 3)
+
+
+def test_term_beams_over_many_sequences_equal_one_sequence_at_a_time():
+    vocab = [END_OF_SET] + [f"t{i}" for i in range(12)]
+    config = DistillerConfig(hidden_size=16, heads=2, layers=1, ff_multiple=2, num_slots=4, max_terms_per_image=4, seed=8)
+    model = DistillerModel.build(vocab, config)
+    model.b_out.data[1:4] += 6.0
+    rng = np.random.default_rng(2)
+    seqs = [  # at least 3 rows each at beam 3, so more sequences than one block holds
+        ImageSequence(f"m{k}", [make_slot(i, int(rng.integers(1, 4)), rng) for i in range(int(rng.integers(1, 5)))])
+        for k in range(TERM_BLOCK_ROWS // 3 + 2)
+    ]
+    got = model.term_beams(seqs, beam_size=3)
+    assert [[terms for terms, _ in beams] for beams in got] == [model.predict_terms(seq, beam_size=3) for seq in seqs]
+    for beams, seq in zip(got, seqs):
+        want = model.term_beams([seq], beam_size=3)[0]
+        assert all(abs(a - b) <= SCORE_TOLERANCE for (_, a), (_, b) in zip(beams, want))
+    assert model.term_beams([], beam_size=3) == []
+
+
+def test_term_beams_over_the_fixture_file_equal_one_sequence_at_a_time(trained_world):
+    model = DistillerModel.load(trained_world["distiller_model"])
+    seqs = load_feature_file(trained_world["features"])
+    got = model.term_beams(seqs, beam_size=3)
+    assert [[terms for terms, _ in beams] for beams in got] == [model.predict_terms(seq, beam_size=3) for seq in seqs]

@@ -6,8 +6,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import batched, beam_penalty_score, checkpoint_payload, ldpe, recompute_step, reference_story_beam
-from storybridge.beam import beam_search, decode_lockstep, top_k
+from helpers import (
+    batched,
+    beam_penalty_score,
+    checkpoint_payload,
+    decode_one,
+    ldpe,
+    one_search_top_k,
+    per_search_decode,
+    recompute_step,
+    reference_story_beam,
+)
+from storybridge import generate
+from storybridge.beam import Search, beam_decode, blocks, top_k
 from storybridge.enrich import TermPath
 from storybridge.generate import (
     BOS_STORY,
@@ -18,8 +29,8 @@ from storybridge.generate import (
     GeneratorModel,
     Story,
     UnknownWordsError,
-    beam_decode,
     build_generator_vocab,
+    decode_stories,
     decode_story,
     story_tokens,
     train_generator,
@@ -111,7 +122,7 @@ EXC = 21
 
 
 def run_stub_beam(step, groups=2, alpha=20.0, gamma=5.0, beam=3, max_sentence_tokens=5):
-    return beam_decode(
+    return decode_one(
         batched(step),
         vocab_size=V,
         sb_id=SB,
@@ -300,8 +311,8 @@ def test_zero_penalty_decode_on_trained_model_matches_reference(memorized):
         model.token_to_id[EOS_STORY],
         model.token_to_id["<unk>"],
     )
-    got_ids, got_score, _ = beam_decode(
-        model.step_log_probs_fn(groups, budget),
+    got_ids, got_score, _ = decode_one(
+        model.step_log_probs_fn([groups], [budget]),
         vocab_size=len(model.vocab),
         sb_id=model.token_to_id[SENTENCE_BOUNDARY],
         group_count=len(groups),
@@ -436,7 +447,7 @@ def stub_case(step, groups, penalties, max_sentence_tokens):
         max_sentence_tokens=max_sentence_tokens,
         excluded_ids=(EXC,),
     )
-    return beam_decode(batched(step), **kwargs), reference_story_beam(step, **kwargs)
+    return decode_one(batched(step), **kwargs), reference_story_beam(step, **kwargs)
 
 
 def tied_step(prefix):
@@ -482,8 +493,7 @@ def test_lockstep_searches_equal_separate_decodes(step):
         calls.append(owners.tolist())
         return np.stack([search_step(g)(tuple(p)) for g, p in zip(owners.tolist(), tokens.tolist())])
 
-    searches = [beam_search(vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw) for kw in settings]
-    got = decode_lockstep(lockstep_step, searches)
+    got = beam_decode(lockstep_step, [Search(**kw) for kw in settings], vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
     steps = []
     for g, kw in enumerate(settings):
         sizes = []
@@ -492,7 +502,7 @@ def test_lockstep_searches_equal_separate_decodes(step):
             sizes.append(len(frontier[1]))
             return batched(search_step(g))(frontier)
 
-        assert got[g] == beam_decode(counted, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw), kw
+        assert got[g] == per_search_decode(counted, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw), kw
         steps.append(len(sizes))
         rows.append(sum(sizes))
     assert len(set(steps)) > 1
@@ -518,12 +528,81 @@ def test_lockstep_parents_trace_each_row_to_the_row_it_extends():
             frontiers.append(frontier)
             return np.stack([tied_step(tuple(p)) for p in frontier[1].tolist()])
 
-        decode_lockstep(step, [beam_search(vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw) for kw in settings])
+        beam_decode(step, [Search(**kw) for kw in settings], vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
         parents, tokens = frontiers[0]
         assert parents.tolist() == list(range(len(settings))) and tokens.shape == (len(settings), 0)
         for (_, previous), (parents, tokens) in zip(frontiers, frontiers[1:]):
             assert len(parents) == len(tokens) and tokens.shape[1] == previous.shape[1] + 1
             np.testing.assert_array_equal(tokens[:, :-1], previous[parents])
+
+
+def masked_step(prefix):
+    """hashed_step with a prefix-dependent share of the words at -inf, candidates no search may pick."""
+    logp = hashed_step(prefix)
+    hidden = np.random.default_rng(zlib.crc32(bytes(t % 256 for t in prefix) + b"mask")).random(SB) < 0.35
+    logp[:SB][hidden] = -np.inf
+    return logp
+
+
+def routed(step):
+    """One frontier step over many searches: each row runs step((200 + g,) + prefix) for its search g.
+
+    A row's search is followed from the roots (rows 0..G-1 of the first call) through parents.
+    """
+    owners = None
+
+    def frontier_step(frontier):
+        nonlocal owners
+        parents, tokens = frontier
+        owners = parents if owners is None else owners[parents]
+        return np.stack([step((200 + g,) + tuple(p)) for g, p in zip(owners.tolist(), tokens.tolist())])
+
+    return frontier_step
+
+
+@pytest.mark.parametrize("step", [hashed_step, tied_step, masked_step], ids=["hashed", "tied", "masked"])
+def test_batched_search_equals_independent_reference_searches(step):
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        settings = [
+            dict(group_count=int(rng.integers(1, 4)), max_sentence_tokens=int(rng.integers(1, 6)),
+                 penalties=BeamPenaltyConfig(alpha=float(rng.choice([0.0, 1.0, 20.0, 1e19])),
+                                             gamma=float(rng.choice([0.0, 3.0, 5.0])), beam_size=int(rng.integers(1, 6))),
+                 run_until_empty=bool(rng.integers(2)))
+            for _ in range(int(rng.integers(1, 9)))
+        ]
+        got = beam_decode(routed(step), [Search(**kw) for kw in settings], vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
+        for g, kw in enumerate(settings):
+            own = batched(lambda prefix, g=g: step((200 + g,) + prefix))
+            want = per_search_decode(own, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw)
+            assert got[g] == want, kw  # tokens, the score's bits and the truncation flag
+
+
+def test_grouped_top_k_equals_one_top_k_per_search():
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        sizes = rng.integers(1, 5, size=int(rng.integers(1, 6)))
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        table = rng.integers(-3, 1, size=(owner.size, int(rng.integers(1, 8)))).astype(float)  # many exact ties
+        table[rng.random(table.shape) < 0.3] = -np.inf
+        table[rng.random(table.shape) < 0.05] = np.nan
+        k = rng.integers(1, 7, size=sizes.size)
+        want_rows, want_cols = [], []
+        for g, first in enumerate(np.cumsum(sizes) - sizes):
+            rows, cols = one_search_top_k(table[first : first + sizes[g]], int(k[g]))
+            want_rows += (rows + first).tolist()
+            want_cols += cols.tolist()
+        rows, cols = top_k(table, k, owner)
+        assert rows.tolist() == want_rows and cols.tolist() == want_cols
+        rows, cols = top_k(table, int(k[0]))
+        want = one_search_top_k(table, int(k[0]))
+        assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+
+
+def test_blocks_split_items_by_their_sizes():
+    assert blocks([30, 30, 30], 60) == [slice(0, 2), slice(2, 3)]
+    assert blocks([61, 1, 30, 60], 60) == [slice(0, 1), slice(1, 3), slice(3, 4)]
+    assert blocks([], 60) == []
 
 
 def test_exact_ties_at_the_kth_slot_resolve_to_lower_token_then_hypothesis():
@@ -570,7 +649,7 @@ def test_stop_rules_pick_different_winners():
     }
 
     def decode(**rule):
-        return beam_decode(
+        return decode_one(
             batched(lambda prefix: np.array(table[prefix])),
             vocab_size=3,
             sb_id=0,
@@ -636,3 +715,88 @@ def test_kv_cached_decode_matches_full_recompute_on_trained_models(memorized, pi
         records = [json.loads(line) for line in fh]
     for rec in records[:8]:
         assert_story_matches_recompute(fixture_model, rec["groups"], BeamPenaltyConfig())
+
+
+# ------------------------------------------------------- many paths, one search
+
+
+def record_blocks(monkeypatch) -> list[list[int]]:
+    """Wrap step_log_probs_fn: per story block, [its path count, its step calls]."""
+    made = []
+    factory = GeneratorModel.step_log_probs_fn
+
+    def recorded(self, path_groups, budgets):
+        step = factory(self, path_groups, budgets)
+        block = [len(path_groups), 0]
+        made.append(block)
+
+        def counting(frontier):
+            block[1] += 1
+            return step(frontier)
+
+        return counting
+
+    monkeypatch.setattr(GeneratorModel, "step_log_probs_fn", recorded)
+    return made
+
+
+def assert_same_stories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.story_id, a.tokens, a.sentences, a.truncated) == (b.story_id, b.tokens, b.sentences, b.truncated)
+        assert abs(a.score - b.score) <= 1e-9  # more rows in one matmul round differently
+
+
+def test_decode_stories_equals_one_path_decodes_on_random_generator(monkeypatch):
+    model = small_random_generator()
+    rng = np.random.default_rng(9)
+    count = 23
+    paths = [
+        TermPath.from_groups(
+            [[f"w{i}" for i in rng.integers(0, 40, size=int(rng.integers(1, 4)))] for _ in range(int(rng.integers(2, 7)))],
+            story_id=f"p{n}",
+        )
+        for n in range(count)
+    ]
+    paths[1] = TermPath.from_groups([["w7"]], story_id="short")  # finishes many beam steps before the others
+    monkeypatch.setattr(generate, "STORY_BLOCK_CACHE_BYTES", 2**17)  # a few of these paths per block
+    for penalties in (BeamPenaltyConfig(), BeamPenaltyConfig(alpha=0.5, gamma=2.0, beam_size=4)):
+        made = record_blocks(monkeypatch)
+        got = decode_stories(paths, model, penalties)
+        assert 1 < len(made) < count and sum(paths_in for paths_in, _ in made) == count  # more paths than one block holds
+        assert_same_stories(got, [decode_story(path, model, penalties) for path in paths])
+    assert len(got[1].sentences) == 1 and max(len(s.sentences) for s in got) >= 5
+    assert decode_stories([], model) == []
+
+
+def test_decode_stories_equals_one_path_decodes_on_fixture_generator(pipeline_run):
+    model = GeneratorModel.load(pipeline_run["world"]["generator_model"])
+    with open(f"{pipeline_run['out_dir']}/paths.jsonl", "r", encoding="utf-8") as fh:
+        paths = [TermPath.from_record(json.loads(line)) for line in fh]
+    assert len({len(path.groups) for path in paths}) > 1
+    assert_same_stories(decode_stories(paths, model), [decode_story(path, model) for path in paths])
+
+
+def test_stage_generate_makes_one_step_call_per_beam_step_per_block(pipeline_run, monkeypatch, tmp_path):
+    from storybridge.pipeline import stage_generate
+
+    monkeypatch.setattr(generate, "STORY_BLOCK_CACHE_BYTES", 2**19)  # a few fixture paths per block
+    made = record_blocks(monkeypatch)
+    config = pipeline_run["config"]
+    paths_path = f"{pipeline_run['out_dir']}/paths.jsonl"
+    stage_generate(config, paths_path, str(tmp_path / "stories.jsonl"))
+    batched = list(made)
+    made.clear()
+    model = GeneratorModel.load(config.generator_model)
+    penalties = BeamPenaltyConfig(alpha=config.alpha, gamma=config.gamma, beam_size=config.beam_size)
+    with open(paths_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            decode_story(TermPath.from_record(json.loads(line)), model, penalties, config.sentence_budget or None)
+    per_story = [steps for _, steps in made]
+    assert len(batched) > 1 and max(count for count, _ in batched) > 1
+    start = 0
+    for count, steps in batched:  # the block's longest search, not the sum over its stories
+        assert steps == max(per_story[start : start + count])
+        start += count
+    assert start == len(per_story)
+    assert min(per_story) < max(per_story) and sum(steps for _, steps in batched) < sum(per_story)
