@@ -3,8 +3,7 @@
 One flat dataclass; a JSON config file sets fields, and command-line
 overrides (--set and the dedicated flags) replace them. Model
 hyperparameter defaults are the published ones (hidden 512, 2 heads, 4
-encoder layers, beam 3, learning rate 1e-3, penalties 20 and 5, top 25
-objects per image).
+encoder layers, beam 3, learning rate 1e-3, penalties 20 and 5).
 """
 
 from __future__ import annotations
@@ -27,17 +26,14 @@ class RunConfig:
     learning_rate: float = 1e-3
     alpha: float = 20.0
     gamma: float = 5.0
-    top_k_objects: int = 25
     seed: int = 0
     max_terms_per_image: int = 8
     max_sentence_tokens: int = 24
-    sentence_budget: int = 0  # 0 means use the generator checkpoint's default
     # enrichment
     candidate_cap: int = 500
     # training
     epochs: int = 60
     warmup_steps: int = 100
-    holdout_fraction: float = 0.1
     lm_kind: str = "gru"
     lm_hidden_size: int = 64
     ngram_order: int = 2
@@ -72,8 +68,6 @@ class RunConfig:
         config = cls(**data)
         if config.lm_kind not in ("gru", "ngram"):
             raise InputError(f"{where}: lm_kind must be gru or ngram, got {config.lm_kind!r}")
-        if not 0 < config.holdout_fraction < 1:
-            raise InputError(f"{where}: holdout_fraction must be above 0 and below 1, got {config.holdout_fraction!r}")
         if config.hidden_size % 2:  # the generator's position tables pair each sine with a cosine
             raise InputError(f"{where}: hidden_size must be even, got {config.hidden_size}")
         if config.hidden_size % config.heads:
@@ -93,11 +87,11 @@ class RunConfig:
 # holds one example item, whose type every item must have.
 _SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source": "", "two_hop": True}]}
 # Lower bounds of the numeric settings that a run would otherwise reject late
-# or misuse silently. A sentence_budget of 0 keeps the checkpoint's default.
-_AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "sentence_budget": 0, "top_k_objects": 1,
-             "hidden_size": 1, "heads": 1, "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0,
-             "epochs": 1, "warmup_steps": 0, "layers": 1, "decoder_layers": 1, "ff_multiple": 1,
-             "max_terms_per_image": 1, "max_sentence_tokens": 1}
+# or misuse silently.
+_AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "hidden_size": 1, "heads": 1,
+             "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0, "epochs": 1,
+             "warmup_steps": 0, "layers": 1, "decoder_layers": 1, "ff_multiple": 1, "max_terms_per_image": 1,
+             "max_sentence_tokens": 1}
 _KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 

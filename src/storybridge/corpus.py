@@ -20,10 +20,9 @@ SCHEMA_VERSION = 1
 NOUN_TAGS = {"NOUN", "PROPN"}
 VERB_TAGS = {"VERB"}
 
-# Closed list of replaceable pronouns. Possessives are deliberately left
-# alone and surfaced in story metadata instead.
+# Closed list of replaceable pronouns. Possessives ("his", "its", ...) are
+# deliberately left alone.
 REPLACEABLE_PRONOUNS = {"he", "him", "she", "her", "it", "they", "them"}
-POSSESSIVE_PRONOUNS = {"his", "hers", "its", "their", "theirs"}
 
 # No automatic plural stripping: lemma = lowercased surface unless excepted.
 LEMMA_EXCEPTIONS = {
@@ -148,7 +147,6 @@ def apply_coref_replacement(story: StoryRecord) -> StoryRecord:
     no-op because replaced mentions are no longer pronouns.
     """
     out = copy.deepcopy(story)
-    possessives = list(out.meta.get("possessive_pronouns", []))
     for sent_idx, sent in enumerate(out.sentences):
         # rightmost first so earlier edits in the sentence need no rescan
         for chain_idx, chain in sorted(enumerate(sent.coref), key=lambda ic: -ic[1].mention[0]):
@@ -165,13 +163,7 @@ def apply_coref_replacement(story: StoryRecord) -> StoryRecord:
                     f"story {out.story_id!r}: coref chain {sent_idx}.{chain_idx} "
                     f"root span ({rs}, {re}) outside its sentence"
                 )
-            if e - s != 1:
-                continue
-            surface = sent.tokens[s].lower()
-            if surface in POSSESSIVE_PRONOUNS:
-                possessives.append([sent_idx, s])
-                continue
-            if surface not in REPLACEABLE_PRONOUNS:
+            if e - s != 1 or sent.tokens[s].lower() not in REPLACEABLE_PRONOUNS:
                 continue
             root_tokens = list(root_sent.tokens[rs:re])
             root_pos = list(root_sent.pos[rs:re])
@@ -182,8 +174,6 @@ def apply_coref_replacement(story: StoryRecord) -> StoryRecord:
             # edit point and stays put, then gets rewritten to the new span
             _shift_sentence_spans(out, sent_idx, s + 1, delta)
             chain.mention = (s, s + len(root_tokens))
-    if possessives:
-        out.meta["possessive_pronouns"] = sorted(possessives)
     return out
 
 

@@ -26,7 +26,7 @@ from .optim import TrainConfig, fit
 from .params import ParameterStore
 
 FEATURE_DIM = 2048
-TOP_K_OBJECTS = 25
+TOP_K_OBJECTS = 25  # objects kept per image, the most confident: the paper's cut
 END_OF_SET = "</set>"
 REPEAT_MASK = 1e19
 # Rows per term block, each image's beam_size rows counted in full: four five-image sequences at
@@ -43,8 +43,8 @@ class ObjectFeatureSet:
     confidences: np.ndarray  # (n,)
 
     @classmethod
-    def from_objects(cls, image_index: int, objects, top_k: int = TOP_K_OBJECTS) -> "ObjectFeatureSet":
-        """objects is an iterable of (feature vector, confidence)."""
+    def from_objects(cls, image_index: int, objects) -> "ObjectFeatureSet":
+        """objects is an iterable of (feature vector, confidence); the TOP_K_OBJECTS most confident are kept."""
         feats, confs = [], []
         for feature, confidence in objects:
             vec = np.asarray(feature, dtype=np.float64)
@@ -54,7 +54,7 @@ class ObjectFeatureSet:
             confs.append(float(confidence))
         if not feats:
             raise ValueError(f"image slot {image_index} has no objects")
-        order = np.argsort(-np.asarray(confs), kind="stable")[:top_k]
+        order = np.argsort(-np.asarray(confs), kind="stable")[:TOP_K_OBJECTS]
         return cls(
             image_index=image_index,
             features=np.stack([feats[i] for i in order]),
@@ -76,7 +76,7 @@ class ImageSequence:
                 )
 
 
-def load_feature_file(path: str, top_k: int = TOP_K_OBJECTS) -> list[ImageSequence]:
+def load_feature_file(path: str) -> list[ImageSequence]:
     """Read object-feature JSONL: one record per image, grouped by story_id.
 
     A malformed record raises InputError naming its line.
@@ -95,9 +95,7 @@ def load_feature_file(path: str, top_k: int = TOP_K_OBJECTS) -> list[ImageSequen
         ):
             raise InputError(f"{where}: 'objects' must be a list of objects with 'feature' and 'confidence'")
         try:
-            slot = ObjectFeatureSet.from_objects(
-                index, [(obj["feature"], obj["confidence"]) for obj in objects], top_k=top_k
-            )
+            slot = ObjectFeatureSet.from_objects(index, [(obj["feature"], obj["confidence"]) for obj in objects])
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}") from None
         grouped.setdefault(str(rec["story_id"]), []).append(slot)

@@ -28,6 +28,8 @@ class TermPath:
     story_id: str = ""
 
     def __post_init__(self):
+        if not self.groups:
+            raise ValueError("term path has no groups")
         if len(self.groups) != len(self.origins):
             raise ValueError("groups and origins must align")
         bridge_positions = [i for i, o in enumerate(self.origins) if o[0] == "bridge"]
@@ -108,17 +110,12 @@ class EnrichmentCandidate:
             raise ValueError("perplexity is never below 1")
 
 
-BASE_GROUP_COUNT = 5
-
-
 def check_base_path(base: TermPath) -> None:
-    """Raise ValueError unless the path can be enriched: five groups, no bridge.
+    """Raise ValueError unless the path can be enriched: it carries no bridge yet.
 
-    A group may be empty (the distiller can predict no term for an image);
-    no bridge then touches it.
+    It may have any number of groups, one per image. A group may be empty
+    (the distiller can predict no term for an image); no bridge then touches it.
     """
-    if len(base.groups) != BASE_GROUP_COUNT:
-        raise ValueError(f"enrichment expects {BASE_GROUP_COUNT} groups, got {len(base.groups)}")
     if base.bridge is not None:
         raise ValueError("base path already carries a bridge")
 
@@ -129,7 +126,7 @@ def build_candidates(
     cap: int | None = 500,
     allow_two_hop: bool = True,
 ) -> list[TermPath]:
-    """All bridge-enriched variants of a five-group path, base first.
+    """All bridge-enriched variants of a path, base first: one bridge between any adjacent pair of groups.
 
     Enumeration is exhaustive per adjacent slot pair, ordered by slot then
     bridge (head, relations, tail), and truncated to ``cap`` paths total.

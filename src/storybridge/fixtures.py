@@ -32,6 +32,7 @@ BUILDS = ["castle", "tower", "fort", "wall", "boat"]
 SHORES = ["beach", "coast", "bay", "shore", "island"]
 PLANTS = ["tree", "rose", "fern", "vine", "shrub"]
 WORKERS = ["neighbors", "farmers", "students", "scouts", "helpers"]
+VARIANTS = 5  # stories per archetype: variant v takes entry v of each noun pool
 
 
 def transitive(subject: str, verb: str, frame: str, obj: str) -> AnnotatedSentence:
@@ -106,20 +107,20 @@ ARCHETYPES = {
 }
 
 
-def build_vision_stories(variants: int = 5) -> list[StoryRecord]:
+def build_vision_stories() -> list[StoryRecord]:
     """Twenty five-sentence stories, image features available for all of them."""
     stories = []
     for name, build in ARCHETYPES.items():
-        for v in range(variants):
+        for v in range(VARIANTS):
             stories.append(StoryRecord(f"vis-{name}{v}", build(v)))
     return stories
 
 
-def build_text_stories(variants: int = 5, bridged_copies: int = 2) -> list[StoryRecord]:
-    """Text-only stories: bridged picnic variants plus short ones for length variety."""
+def build_text_stories() -> list[StoryRecord]:
+    """Text-only stories: two copies of each bridged picnic variant plus short ones for length variety."""
     stories = []
-    for v in range(variants):
-        for c in range(bridged_copies):
+    for v in range(VARIANTS):
+        for c in range(2):
             base = picnic_sentences(v)
             six = base[:3] + [picnic_bridge_sentence(v)] + base[3:]
             stories.append(StoryRecord(f"txt-picnic{v}-{c}", six))
@@ -149,7 +150,7 @@ def term_signature(term: str, seed: int) -> np.ndarray:
     return rng.normal(size=FEATURE_DIM)
 
 
-def build_feature_sequences(stories, seed: int = 0, noise: float = 0.05) -> list[ImageSequence]:
+def build_feature_sequences(stories, seed: int = 0) -> list[ImageSequence]:
     """One image per sentence; its objects are that sentence's term signatures."""
     sequences = []
     for story in stories:
@@ -158,7 +159,7 @@ def build_feature_sequences(stories, seed: int = 0, noise: float = 0.05) -> list
         for i, sent in enumerate(story.sentences):
             terms = extract_terms(sent)
             feats = np.stack(
-                [term_signature(t, seed) + noise * rng.normal(size=FEATURE_DIM) for t in terms]
+                [term_signature(t, seed) + 0.05 * rng.normal(size=FEATURE_DIM) for t in terms]
             )
             confs = np.round(np.linspace(0.95, 0.55, len(terms)), 6)
             slots.append(ObjectFeatureSet(i, np.round(feats, 6), confs))
@@ -166,11 +167,11 @@ def build_feature_sequences(stories, seed: int = 0, noise: float = 0.05) -> list
     return sequences
 
 
-def write_fixtures(out_dir: str, seed: int = 0, variants: int = 5, bridged_copies: int = 2) -> dict:
+def write_fixtures(out_dir: str, seed: int = 0) -> dict:
     """Write the full fixture suite; returns the paths keyed by role."""
     os.makedirs(out_dir, exist_ok=True)
-    vision = build_vision_stories(variants)
-    text = build_text_stories(variants, bridged_copies)
+    vision = build_vision_stories()
+    text = build_text_stories()
     paths = {
         "corpus": os.path.join(out_dir, "corpus_vision.jsonl"),
         "text_corpus": os.path.join(out_dir, "corpus_text.jsonl"),

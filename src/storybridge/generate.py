@@ -91,7 +91,7 @@ class GeneratorModel:
                 raise ValueError(f"generator vocabulary must contain {marker!r}")
         self.config = config
         self.store = store
-        self.sentence_budget = sentence_budget  # default decode length budget per sentence
+        self.sentence_budget = sentence_budget  # LDPE length budget per sentence: the mean training sentence length
         d = config.hidden_size
         v = len(self.vocab)
         self.enc_embedding = store.param("enc.embedding", (v, d))
@@ -195,9 +195,7 @@ def story_tokens(sentences) -> list[str]:
     return tokens
 
 
-def decode_stories(
-    paths, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None
-) -> list[Story]:
+def decode_stories(paths, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None) -> list[Story]:
     """One story per path, a sentence per term group; the paths' searches run as one batched search per block.
 
     A block holds as many consecutive paths as fit ``STORY_BLOCK_CACHE_BYTES``
@@ -207,9 +205,6 @@ def decode_stories(
     """
     penalties = penalties or BeamPenaltyConfig()
     paths = list(paths)
-    if any(not path.groups for path in paths):
-        raise ValueError("term path has no groups")
-    per_sentence = target_len_per_sentence or model.sentence_budget
     excluded = tuple(model.token_to_id[t] for t in (BOS_STORY, EOS_STORY, UNK))
     config = model.config
     position_bytes = penalties.beam_size * config.decoder_layers * 2 * config.hidden_size * 8  # float64 keys and values
@@ -218,7 +213,7 @@ def decode_stories(
     for span in blocks(cache_bytes, STORY_BLOCK_CACHE_BYTES):
         block = paths[span]
         groups = [list(path.groups) for path in block]
-        budgets = [len(g) * (per_sentence + 1) + 1 for g in groups]  # boundaries and end marker included
+        budgets = [len(g) * (model.sentence_budget + 1) + 1 for g in groups]  # boundaries and end marker included
         results = beam_decode(
             model.step_log_probs_fn(groups, budgets),
             [Search(len(g), penalties, config.max_sentence_tokens) for g in groups],
@@ -230,9 +225,9 @@ def decode_stories(
     return stories
 
 
-def decode_story(path: TermPath, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None, target_len_per_sentence: int | None = None) -> Story:
+def decode_story(path: TermPath, model: GeneratorModel, penalties: BeamPenaltyConfig | None = None) -> Story:
     """Generate one sentence per term group of the path: ``decode_stories`` with one path."""
-    return decode_stories([path], model, penalties, target_len_per_sentence)[0]
+    return decode_stories([path], model, penalties)[0]
 
 
 def _story(path: TermPath, model: GeneratorModel, token_ids, score: float, truncated: bool) -> Story:

@@ -122,9 +122,9 @@ class TransformerEncoder:
                 )
             )
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         for attn, norm1, ff, norm2 in self.blocks:
-            x = norm1(x, attn(x, x, x, self.heads, mask))
+            x = norm1(x, attn(x, x, x, self.heads))
             x = norm2(x, ff(x))
         return x
 

@@ -29,6 +29,8 @@ UNK = "<unk>"
 
 # Rows per batched GRU scoring pass: bounds the (rows, vocabulary) temporaries.
 SCORE_BLOCK_ROWS = 512
+# Share of a GRU LM's training sequences, the last ones, kept for its per-epoch perplexity.
+HOLDOUT_FRACTION = 0.1
 
 
 def linearize_groups(groups) -> list[str]:
@@ -206,7 +208,6 @@ class LMConfig:
     smoothing_k: float = 1.0
     hidden_size: int = 64
     seed: int = 0
-    holdout_fraction: float = 0.1
 
 
 def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None = None):
@@ -214,9 +215,9 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
 
     The n-gram variant trains in one counting pass, ignores ``train`` and has
     an empty history. The GRU variant holds out the last
-    ``holdout_fraction`` of the corpus (at least one sequence) for the
-    per-epoch perplexity. A fraction outside (0, 1) raises ValueError; a
-    share that leaves nothing to train on raises InputError.
+    ``HOLDOUT_FRACTION`` of the corpus (at least one sequence) for the
+    per-epoch perplexity; a corpus that this would leave nothing to train
+    on raises InputError.
     """
     config = config or LMConfig()
     corpus = [list(seq) for seq in corpus]
@@ -227,11 +228,11 @@ def train_lm(corpus, config: LMConfig | None = None, train: TrainConfig | None =
     if config.kind != "gru":
         raise ValueError(f"unknown language model kind {config.kind!r}")
 
-    if not 0 < config.holdout_fraction < 1:
-        raise ValueError(f"holdout_fraction must be above 0 and below 1, got {config.holdout_fraction}")
-    n_holdout = max(1, int(round(len(corpus) * config.holdout_fraction)))
+    n_holdout = max(1, int(round(len(corpus) * HOLDOUT_FRACTION)))
     if n_holdout >= len(corpus):
-        raise InputError(f"holdout_fraction {config.holdout_fraction} would hold out all {len(corpus)} term sequences")
+        raise InputError(
+            f"holding out {HOLDOUT_FRACTION:.0%} of {len(corpus)} term sequences (at least one) would hold out all of them"
+        )
     vocab = sorted({tok for seq in corpus for tok in seq} | {BOS, EOS, SEP, UNK})
     model = GRULanguageModel.build(vocab, hidden_size=config.hidden_size, seed=config.seed)
     holdout, train_split = corpus[-n_holdout:], corpus[:-n_holdout]

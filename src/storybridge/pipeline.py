@@ -64,10 +64,7 @@ def train_distiller_command(config: RunConfig, log=None) -> str:
     The model has one image-order slot per image of the longest training story.
     """
     stories = _load_stories(config, "train-distiller", with_text=False)[0]
-    features = load_feature_file(
-        _require(config.features_path, "train-distiller", "object-feature file (features_path)"),
-        top_k=config.top_k_objects,
-    )
+    features = load_feature_file(_require(config.features_path, "train-distiller", "object-feature file (features_path)"))
     pairs = build_training_pairs(stories, mode="distiller", features=features)
     model, _ = train_distiller(
         pairs,
@@ -97,7 +94,6 @@ def train_lm_command(config: RunConfig, log=None) -> str:
             smoothing_k=config.smoothing_k,
             hidden_size=config.lm_hidden_size,
             seed=config.seed,
-            holdout_fraction=config.holdout_fraction,
         ),
         _train_config(config, log),
     )
@@ -144,10 +140,7 @@ def load_kg_index(config: RunConfig) -> RelationIndex:
 
 
 def stage_distill(config: RunConfig, out_path: str) -> list[dict]:
-    features = load_feature_file(
-        _require(config.features_path, "distill", "object-feature file (features_path)"),
-        top_k=config.top_k_objects,
-    )
+    features = load_feature_file(_require(config.features_path, "distill", "object-feature file (features_path)"))
     model = DistillerModel.load(_require(config.distiller_model, "distill", "distiller checkpoint (distiller_model)"))
     for seq in features:
         if len(seq.slots) > model.config.num_slots:
@@ -195,7 +188,7 @@ def stage_generate(config: RunConfig, paths_path: str, out_path: str) -> list[di
     )
     penalties = BeamPenaltyConfig(alpha=config.alpha, gamma=config.gamma, beam_size=config.beam_size)
     paths = [TermPath.from_record(rec, where=f"{paths_path}:{lineno}") for lineno, rec in records]
-    stories = decode_stories(paths, model, penalties, target_len_per_sentence=config.sentence_budget or None)
+    stories = decode_stories(paths, model, penalties)
     out = [
         {
             "story_id": path.story_id,

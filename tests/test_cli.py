@@ -209,10 +209,15 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     assert "not_a_field" in err
 
 
-def test_bad_override_exits_two(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "pipeline", "--set", "mystery=1", "--out-dir", str(tmp_path))
-    assert code == EXIT_INPUT
-    assert "mystery" in err
+# the generator checkpoint's mean sentence length, the paper's top 25 objects and the LM's 10% held out are
+# no settings: an older config or manifest may still name them
+@pytest.mark.parametrize("setting", ["mystery=1", "sentence_budget=12", "top_k_objects=10", "holdout_fraction=0.2"])
+def test_bad_override_exits_two(capsys, tmp_path, setting):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "pipeline", "--set", setting, "--out-dir", str(out_dir))
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert f"unknown config key {setting.split('=')[0]!r}" in err
+    assert not out_dir.exists()
 
 
 def test_num_slots_is_no_setting(tmp_path, capsys):
@@ -222,6 +227,32 @@ def test_num_slots_is_no_setting(tmp_path, capsys):
     assert code == EXIT_INPUT and "Traceback" not in err
     assert "unknown config key 'num_slots'" in err
     assert not os.path.exists(out)
+
+
+def test_four_image_world_runs_distill_enrich_and_generate(pipeline_run, tmp_path, capsys):
+    # a distiller trained on four-image stories writes four-group paths, which enrich and generate take as they are
+    from storybridge.corpus import StoryRecord, load_corpus, save_corpus
+    from storybridge.distill import ImageSequence, load_feature_file, save_feature_file
+
+    world = pipeline_run["world"]
+    corpus, features = str(tmp_path / "corpus4.jsonl"), str(tmp_path / "features4.jsonl")
+    save_corpus(corpus, [StoryRecord(s.story_id, s.sentences[:4], s.meta) for s in load_corpus(world["corpus"])])
+    save_feature_file(features, [ImageSequence(seq.story_id, seq.slots[:4]) for seq in load_feature_file(world["features"])])
+    distiller = str(tmp_path / "distiller4.json")
+    code, _, err = run_cli(capsys, "train-distiller", "--set", f"corpus_path={corpus}", "--set", f"features_path={features}",
+                           "--set", "hidden_size=8", "--set", "layers=1", "--set", "ff_multiple=1", "--set", "epochs=1",
+                           "--out", distiller)
+    assert code == EXIT_OK, err
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "pipeline", "--config", pipeline_run["config_path"], "--set", f"features_path={features}",
+                           "--set", f"distiller_model={distiller}", "--out-dir", str(out_dir))
+    assert code == EXIT_OK, err
+    paths = read_jsonl(str(out_dir / "paths.jsonl"))
+    stories = read_jsonl(str(out_dir / "stories.jsonl"))
+    assert len(paths) == len(stories) == 20
+    for path, story in zip(paths, stories):
+        assert len(path["groups"]) == (5 if path["bridge"] else 4)
+        assert len(story["sentences"]) == len(path["groups"])
 
 
 def test_story_with_more_images_than_the_distiller_slots_exits_two(pipeline_run, tmp_path, capsys):
@@ -307,14 +338,25 @@ def test_bad_lm_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, cap
 
 
 def test_enrich_bad_term_path_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
-    from storybridge.enrich import TermPath
     from storybridge.ioutil import write_jsonl
 
-    six = str(tmp_path / "six.jsonl")
-    write_jsonl(six, [TermPath.from_groups([[f"t{i}"] for i in range(6)], story_id="six").to_record()])
-    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "enrich", six)
-    assert code == EXIT_INPUT
-    assert f"{six}:1" in err and "got 6" in err
+    bridged = str(tmp_path / "bridged.jsonl")
+    first_bridged = next(rec for rec in read_jsonl(os.path.join(pipeline_run["out_dir"], "paths.jsonl")) if rec["bridge"])
+    write_jsonl(bridged, [first_bridged])
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "enrich", bridged)
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert f"{bridged}:1: base path already carries a bridge" in err
+
+
+@pytest.mark.parametrize("stage", ["enrich", "generate"])
+def test_term_path_without_groups_exits_two_naming_the_line(pipeline_run, tmp_path, capsys, stage):
+    empty = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "terms.jsonl"),
+                             json.dumps({"story_id": "empty", "groups": [], "origins": [], "bridge": None}))
+    out_dir = tmp_path / "out"
+    code, out, err = run_stage(capsys, pipeline_run, out_dir, stage, empty)
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert f"{empty}:2: malformed term-path record (term path has no groups)" in err
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_enrich_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
@@ -396,8 +438,13 @@ def test_eval_story_without_token_lists_exits_two_naming_the_line(pipeline_run, 
         (lambda m: {**m, "inputs": []}, "'inputs' must map"),
         (lambda m: {**m, "inputs": {path: None for path in m["inputs"]}}, "'inputs' must map"),
         (lambda m: {**m, "config": {**m["config"], "num_slots": 5}}, "unknown config keys ['num_slots']"),
+        # settings of earlier versions, now read from the data or fixed by the paper, at their old defaults
+        (lambda m: {**m, "config": {**m["config"], "sentence_budget": 0}}, "unknown config keys ['sentence_budget']"),
+        (lambda m: {**m, "config": {**m["config"], "top_k_objects": 25}}, "unknown config keys ['top_k_objects']"),
+        (lambda m: {**m, "config": {**m["config"], "holdout_fraction": 0.1}}, "unknown config keys ['holdout_fraction']"),
     ],
-    ids=["list", "no config", "inputs list", "digest not a string", "num_slots"],
+    ids=["list", "no config", "inputs list", "digest not a string", "num_slots", "sentence_budget", "top_k_objects",
+         "holdout_fraction"],
 )
 def test_malformed_manifest_exits_two_naming_it(pipeline_run, tmp_path, capsys, change, message):
     with open(os.path.join(pipeline_run["out_dir"], "manifest.json"), encoding="utf-8") as fh:
@@ -456,19 +503,16 @@ def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
 @pytest.mark.parametrize(
     "field,value,rule",
     [(field, value, "must be at least") for field, value in (
-        ("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("sentence_budget", -3), ("top_k_objects", 0),
-        ("ngram_order", 0), ("lm_hidden_size", 0), ("heads", 0), ("hidden_size", 0), ("learning_rate", -1),
-        ("smoothing_k", -1), ("epochs", -1), ("warmup_steps", -5), ("layers", 0), ("decoder_layers", 0),
-        ("ff_multiple", 0), ("max_terms_per_image", 0), ("max_sentence_tokens", 0),
+        ("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("ngram_order", 0),
+        ("lm_hidden_size", 0), ("heads", 0), ("hidden_size", 0), ("learning_rate", -1), ("smoothing_k", -1),
+        ("epochs", -1), ("warmup_steps", -5), ("layers", 0), ("decoder_layers", 0), ("ff_multiple", 0),
+        ("max_terms_per_image", 0), ("max_sentence_tokens", 0),
     )] + [("hidden_size", 33, "must be even"),  # each sine of the position tables is paired with a cosine
-          ("lm_kind", "lstm", "must be gru or ngram")]
-      + [("holdout_fraction", value, "must be above 0 and below 1") for value in (0, -1, 1)],
+          ("lm_kind", "lstm", "must be gru or ngram")],
     ids=[
-        "beam", "alpha", "gamma", "cap", "sentence-budget", "top-k-objects",
-        "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate", "smoothing-k",
-        "epochs", "warmup-steps", "layers", "decoder-layers", "ff-multiple", "max-terms-per-image",
-        "max-sentence-tokens", "odd-hidden-size", "lm-kind", "holdout-fraction-0", "holdout-fraction--1",
-        "holdout-fraction-1",
+        "beam", "alpha", "gamma", "cap", "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate",
+        "smoothing-k", "epochs", "warmup-steps", "layers", "decoder-layers", "ff-multiple", "max-terms-per-image",
+        "max-sentence-tokens", "odd-hidden-size", "lm-kind",
     ],
 )
 def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value, rule):
@@ -494,22 +538,15 @@ def test_hidden_size_that_heads_do_not_divide_exits_two_naming_both(pipeline_run
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize(
-    "fraction,message",
-    [("1.5", "holdout_fraction must be above 0 and below 1"), ("1.0", "holdout_fraction must be above 0 and below 1"),
-     ("0.9", "holdout_fraction 0.9 would hold out all 3 term sequences")],  # round(3 * 0.9) is 3
-    ids=["1.5", "1.0", "0.9"],
-)
-def test_train_lm_holding_out_the_whole_corpus_exits_two(fixture_world, tmp_path, capsys, fraction, message):
+def test_train_lm_holding_out_the_whole_corpus_exits_two(fixture_world, tmp_path, capsys):
     from storybridge.corpus import load_corpus, save_corpus
 
     corpus_path = str(tmp_path / "corpus.jsonl")
-    save_corpus(corpus_path, load_corpus(fixture_world["corpus"])[:3])
+    save_corpus(corpus_path, load_corpus(fixture_world["corpus"])[:1])  # one story, one term sequence
     out = str(tmp_path / "lm.json")
-    code, _, err = run_cli(capsys, "train-lm", "--set", f"corpus_path={corpus_path}", "--set",
-                           f"holdout_fraction={fraction}", "--out", out)
+    code, _, err = run_cli(capsys, "train-lm", "--set", f"corpus_path={corpus_path}", "--out", out)
     assert code == EXIT_INPUT and "Traceback" not in err
-    assert message in err
+    assert "holding out 10% of 1 term sequences (at least one) would hold out all of them" in err
     assert not os.path.exists(out)
 
 

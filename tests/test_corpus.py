@@ -111,7 +111,7 @@ def test_story_without_chains_unchanged():
     assert story_to_record(replaced) == story_to_record(story)
 
 
-def test_possessive_pronouns_left_and_noted():
+def test_possessive_pronouns_left_alone():
     sent = AnnotatedSentence(
         tokens=["his", "ball", "bounced"],
         pos=["PRON", "NOUN", "VERB"],
@@ -119,7 +119,6 @@ def test_possessive_pronouns_left_and_noted():
     )
     replaced = apply_coref_replacement(StoryRecord("p", [sent]))
     assert replaced.sentences[0].tokens == ["his", "ball", "bounced"]
-    assert replaced.meta["possessive_pronouns"] == [[0, 0]]
 
 
 def test_chain_outside_story_raises_with_chain_id():

@@ -34,19 +34,21 @@ def test_figure_bridge_inserts_expected_group():
     assert bridged.bridge == Bridge("graduates_NOUN", ("Arriving_Frame",), None, "diplomas_NOUN")
 
 
-def test_candidate_count_matches_per_pair_enumeration():
+@pytest.mark.parametrize("group_count", [1, 2, 4, 5, 6])  # a path of any length, one group per image
+def test_candidate_count_matches_per_pair_enumeration(group_count):
     rng = np.random.default_rng(4)
     index = RelationIndex()
     terms = [f"t{i}" for i in range(10)]
     for _ in range(60):
         index.add(KGTuple(terms[rng.integers(10)], f"r{rng.integers(3)}", terms[rng.integers(10)], "g"))
-    groups = [list(rng.choice(terms, size=2, replace=False)) for _ in range(5)]
+    groups = [list(rng.choice(terms, size=2, replace=False)) for _ in range(group_count)]
     base = base_path(groups)
     cands = build_candidates(base, index, cap=None)
     expected = 1 + sum(
-        len(index.enumerate_bridges(set(groups[k]), set(groups[k + 1]), True)) for k in range(4)
+        len(index.enumerate_bridges(set(groups[k]), set(groups[k + 1]), True)) for k in range(group_count - 1)
     )
     assert len(cands) == expected
+    assert {cand.bridge_slot for cand in cands[1:]} <= set(range(group_count - 1))
     # base path must be recoverable from every candidate
     for cand in cands[1:]:
         assert without_bridge(cand) == base
@@ -63,8 +65,13 @@ def test_cap_truncates_but_keeps_base():
 
 
 def test_build_candidates_validates_base():
-    with pytest.raises(ValueError, match="5 groups"):
-        build_candidates(TermPath.from_groups([["a"], ["b"]]), RelationIndex())
+    index = RelationIndex()
+    index.add(KGTuple("a", "r", "b", "g"))
+    bridged = build_candidates(TermPath.from_groups([["a"], ["b"]]), index)[1]
+    with pytest.raises(ValueError, match="already carries a bridge"):
+        build_candidates(bridged, index)
+    with pytest.raises(ValueError, match="term path has no groups"):
+        TermPath.from_groups([])
     # an empty group is allowed and gets no bridge on either side
     index = RelationIndex()
     for head, tail in [("a", "c"), ("c", "a"), ("c", "d")]:

@@ -31,7 +31,7 @@ def test_no_token_repeats_inside_fixture_sentences():
 
 
 def test_bridged_text_story_realizes_kg_relation():
-    text = build_text_stories(bridged_copies=1)
+    text = build_text_stories()
     six = next(s for s in text if len(s.sentences) == 6)
     groups = extract_term_groups(six)
     assert groups[3] == ["Dog_Noun", "Desiring_Frame", "Cake_Noun"]
@@ -58,15 +58,6 @@ def test_features_align_with_gold_terms():
                 assert np.linalg.norm(row - term_signature(term, 0)) < np.linalg.norm(
                     row - term_signature("Unrelated_Noun", 0)
                 )
-
-
-def test_write_fixtures_variants_and_bridged_copies(tmp_path):
-    paths = write_fixtures(str(tmp_path), variants=2, bridged_copies=3)
-    assert len(load_corpus(paths["corpus"])) == 8  # four archetypes, two variants each
-    text_ids = [s.story_id for s in load_corpus(paths["text_corpus"])]
-    assert sorted(sid for sid in text_ids if sid.startswith("txt-picnic")) == [
-        f"txt-picnic{v}-{c}" for v in range(2) for c in range(3)
-    ]
 
 
 def test_write_fixtures_outputs_parse(tmp_path):

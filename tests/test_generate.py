@@ -673,9 +673,9 @@ def small_random_generator(seed=5):
     return GeneratorModel.build(vocab, config, sentence_budget=3)
 
 
-def assert_story_matches_recompute(model, groups, penalties, per_sentence=None):
-    budget = len(groups) * ((per_sentence or model.sentence_budget) + 1) + 1
-    story = decode_story(TermPath.from_groups(groups), model, penalties, target_len_per_sentence=per_sentence)
+def assert_story_matches_recompute(model, groups, penalties):
+    budget = len(groups) * (model.sentence_budget + 1) + 1
+    story = decode_story(TermPath.from_groups(groups), model, penalties)
     excluded = tuple(model.token_to_id[t] for t in (BOS_STORY, EOS_STORY, "<unk>"))
     want_ids, want_score, want_trunc = reference_story_beam(
         recompute_step(model, groups, budget),
@@ -709,7 +709,9 @@ def test_kv_cached_decode_matches_full_recompute_on_random_generator():
 def test_kv_cached_decode_matches_full_recompute_on_trained_models(memorized, pipeline_run):
     model, _, pairs = memorized
     assert_story_matches_recompute(model, pairs[0].term_groups, BeamPenaltyConfig())
-    assert_story_matches_recompute(model, pairs[0].term_groups, BeamPenaltyConfig(), per_sentence=7)
+    longer = GeneratorModel(model.vocab, model.config, model.store, sentence_budget=7)  # the same weights
+    assert longer.sentence_budget != model.sentence_budget
+    assert_story_matches_recompute(longer, pairs[0].term_groups, BeamPenaltyConfig())
     fixture_model = GeneratorModel.load(pipeline_run["world"]["generator_model"])
     with open(f"{pipeline_run['out_dir']}/paths.jsonl", "r", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
@@ -791,7 +793,7 @@ def test_stage_generate_makes_one_step_call_per_beam_step_per_block(pipeline_run
     penalties = BeamPenaltyConfig(alpha=config.alpha, gamma=config.gamma, beam_size=config.beam_size)
     with open(paths_path, "r", encoding="utf-8") as fh:
         for line in fh:
-            decode_story(TermPath.from_record(json.loads(line)), model, penalties, config.sentence_budget or None)
+            decode_story(TermPath.from_record(json.loads(line)), model, penalties)
     per_story = [steps for _, steps in made]
     assert len(batched) > 1 and max(count for count, _ in batched) > 1
     start = 0

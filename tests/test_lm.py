@@ -124,20 +124,10 @@ def test_gru_holdout_that_leaves_nothing_to_train_on_is_rejected(monkeypatch):
 
     # the check comes before the model is built
     monkeypatch.setattr(GRULanguageModel, "build", lambda *a, **k: pytest.fail("a model was built"))
-    with pytest.raises(InputError, match="holdout_fraction 0.1 would hold out all 1 term sequences"):
+    with pytest.raises(InputError, match=r"holding out 10% of 1 term sequences \(at least one\) would hold out all"):
         train_lm([[BOS, "a", EOS]], LMConfig(kind="gru", hidden_size=4))
-    with pytest.raises(InputError, match="holdout_fraction 0.9 would hold out all 2 term sequences"):
-        train_lm([[BOS, "a", EOS], [BOS, "b", EOS]], LMConfig(kind="gru", hidden_size=4, holdout_fraction=0.9))
     model, history = train_lm([[BOS, "a", EOS]], LMConfig(kind="ngram"))  # an n-gram LM holds nothing out
     assert isinstance(model, NGramLM) and history == []
-
-
-@pytest.mark.parametrize("fraction", [-1, 0, 1])
-def test_gru_holdout_fraction_outside_zero_one_is_rejected_before_training(monkeypatch, fraction):
-    monkeypatch.setattr(GRULanguageModel, "build", lambda *a, **k: pytest.fail("a model was built"))
-    corpus = [[BOS, "a", EOS], [BOS, "b", EOS], [BOS, "a", "b", EOS]]
-    with pytest.raises(ValueError, match=f"holdout_fraction must be above 0 and below 1, got {fraction}"):
-        train_lm(corpus, LMConfig(kind="gru", hidden_size=4, holdout_fraction=fraction))
 
 
 def test_gru_overfits_single_sequence_to_low_perplexity():

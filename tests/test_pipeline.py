@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,6 +8,8 @@ import pytest
 
 from conftest import pipeline_config
 from helpers import read_jsonl, with_second_line
+from storybridge import config as config_module
+from storybridge import distill
 from storybridge.config import RunConfig, apply_overrides
 from storybridge.corpus import StoryRecord, load_corpus, save_corpus
 from storybridge.distill import DistillerModel, ImageSequence, load_feature_file, save_feature_file
@@ -30,7 +33,12 @@ def test_run_config_defaults_match_published_values():
     assert config.learning_rate == pytest.approx(1e-3)
     assert config.alpha == pytest.approx(20.0)
     assert config.gamma == pytest.approx(5.0)
-    assert config.top_k_objects == 25
+    assert distill.TOP_K_OBJECTS == 25  # the paper's cut, a constant rather than a setting
+
+
+def test_every_lower_bound_names_a_run_config_field():
+    # from_dict checks only the bounds of the keys a config holds, so a stale name would be skipped silently
+    assert set(config_module._AT_LEAST) <= {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_config_overrides_and_validation():
