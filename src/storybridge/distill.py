@@ -12,6 +12,8 @@ makes within-image repeats effectively impossible.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -20,13 +22,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .beam import BeamPenaltyConfig, Search, beam_decode, blocks
-from .ioutil import InputError, read_jsonl_lines, write_jsonl
+from .ioutil import InputError, atomic_writer, canonical_dumps
 from .layers import GRUParams, TransformerEncoder, linear
 from .optim import TrainConfig, fit
 from .params import ParameterStore
 
 FEATURE_DIM = 2048
 TOP_K_OBJECTS = 25  # objects kept per image, the most confident: the paper's cut
+FEATURE_FORMAT = {"format": "storybridge-features", "version": 2}  # the object-feature container's header keys
 END_OF_SET = "</set>"
 REPEAT_MASK = 1e19
 # Rows per term block, each image's beam_size rows counted in full: four five-image sequences at
@@ -77,28 +80,42 @@ class ImageSequence:
 
 
 def load_feature_file(path: str) -> list[ImageSequence]:
-    """Read object-feature JSONL: one record per image, grouped by story_id.
+    """Read an object-feature container (README "File formats"), grouped by story_id.
 
-    A malformed record raises InputError naming its line.
+    Each image keeps its TOP_K_OBJECTS most confident objects, as
+    ``ObjectFeatureSet.from_objects`` keeps them. A malformed file raises
+    InputError naming it.
     """
-    grouped: dict[str, list[ObjectFeatureSet]] = {}
-    for lineno, rec in read_jsonl_lines(path):
-        where = f"{path}:{lineno}"
-        for key in ("story_id", "image_index", "objects"):
-            if key not in rec:
-                raise InputError(f"{where}: feature record missing '{key}'")
-        index, objects = rec["image_index"], rec["objects"]
-        if not isinstance(index, int):
-            raise InputError(f"{where}: image_index must be an integer, got {index!r}")
-        if not isinstance(objects, list) or not all(
-            isinstance(obj, dict) and "feature" in obj and "confidence" in obj for obj in objects
-        ):
-            raise InputError(f"{where}: 'objects' must be a list of objects with 'feature' and 'confidence'")
+    if not os.path.exists(path):
+        raise InputError(f"input file not found: {path}")
+    with open(path, "rb") as fh:
         try:
-            slot = ObjectFeatureSet.from_objects(index, [(obj["feature"], obj["confidence"]) for obj in objects])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: {exc}") from None
-        grouped.setdefault(str(rec["story_id"]), []).append(slot)
+            header = json.loads(fh.readline())
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        images = header.get("images") if isinstance(header, dict) else None
+        if not isinstance(images, list) or any(header.get(k) != v for k, v in FEATURE_FORMAT.items()):
+            raise InputError(f"{path}: not an object-feature container (format storybridge-features, version 2: "
+                             "one JSON header line, then the raw float64 rows)")
+        for i, image in enumerate(images):
+            n, confidences = (image.get("objects"), image.get("confidences")) if isinstance(image, dict) else (0, None)
+            if not (isinstance(n, int) and n >= 1 and isinstance(confidences, list) and len(confidences) == n
+                    and all(isinstance(c, (int, float)) for c in confidences) and np.isfinite(confidences).all()
+                    and isinstance(image.get("image_index"), int) and "story_id" in image):
+                raise InputError(f"{path}: header image {i} needs a story_id, an integer image_index, "
+                                 "objects >= 1 and as many finite confidences")
+        offsets = np.cumsum([0] + [image["objects"] * FEATURE_DIM for image in images])
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * offsets[-1]:
+            raise InputError(f"{path}: the float64 rows take {size} bytes, but the header's objects need {8 * offsets[-1]}")
+        values = np.fromfile(fh, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise InputError(f"{path}: feature values must be finite")
+    grouped: dict[str, list[ObjectFeatureSet]] = {}
+    for image, start, stop in zip(images, offsets, offsets[1:]):
+        rows = values[start:stop].reshape(-1, FEATURE_DIM)
+        slot = ObjectFeatureSet.from_objects(image["image_index"], zip(rows, image["confidences"]))
+        grouped.setdefault(str(image["story_id"]), []).append(slot)
     sequences = []
     for sid, slots in grouped.items():
         try:
@@ -109,20 +126,16 @@ def load_feature_file(path: str) -> list[ImageSequence]:
 
 
 def save_feature_file(path: str, sequences) -> None:
-    records = []
-    for seq in sequences:
-        for slot in seq.slots:
-            records.append(
-                {
-                    "story_id": seq.story_id,
-                    "image_index": slot.image_index,
-                    "objects": [
-                        {"confidence": float(c), "feature": f.tolist()}
-                        for f, c in zip(slot.features, slot.confidences)
-                    ],
-                }
-            )
-    write_jsonl(path, records)
+    """Write the object-feature container: a canonical JSON header line, then each image's rows as raw float64."""
+    slots = [(seq.story_id, slot) for seq in sequences for slot in seq.slots]
+    images = [
+        {"story_id": sid, "image_index": slot.image_index, "objects": len(slot.features), "confidences": slot.confidences.tolist()}
+        for sid, slot in slots
+    ]
+    with atomic_writer(path, binary=True) as fh:
+        fh.write((canonical_dumps({**FEATURE_FORMAT, "images": images}) + "\n").encode("utf-8"))
+        for _sid, slot in slots:
+            fh.write(np.ascontiguousarray(slot.features, dtype="<f8").tobytes())
 
 
 @dataclass
@@ -163,7 +176,9 @@ class DistillerModel:
     @classmethod
     def build(cls, vocab, config: DistillerConfig | None = None) -> "DistillerModel":
         config = config or DistillerConfig()
-        return cls(vocab, config, ParameterStore(config.seed))
+        model = cls(vocab, config, ParameterStore(config.seed))
+        model.store.freeze()  # constants until fit trains them
+        return model
 
     def input_embeddings(self, seq: ImageSequence) -> Tensor:
         """Projected object features plus the image-order embedding, pre-encoder."""

@@ -90,9 +90,17 @@ class TermPath:
     def from_record(cls, rec: dict, where: str = "term path") -> "TermPath":
         try:
             bridge = None if rec.get("bridge") is None else Bridge.from_record(rec["bridge"])
+            groups, origins = rec["groups"], rec["origins"]
+            if not isinstance(groups, list) or not all(isinstance(g, list) and all(isinstance(t, str) for t in g) for g in groups):
+                raise ValueError("every group must be a list of strings")
+            slots = [o for o in origins if isinstance(o, list) and o[:1] == ["slot"]]
+            bridges = [["bridge", k] for k in range(len(slots) - 1)]
+            if slots != [["slot", k] for k in range(len(slots))] or not all(
+                    (o in slots or o in bridges) and type(o[1]) is int for o in origins):
+                raise ValueError("origins must be ['slot', 0], ['slot', 1], ... in order, and ['bridge', k] between slots k and k + 1")
             return cls(
-                groups=tuple(tuple(g) for g in rec["groups"]),
-                origins=tuple(tuple(o) for o in rec["origins"]),
+                groups=tuple(tuple(g) for g in groups),
+                origins=tuple(tuple(o) for o in origins),
                 bridge=bridge,
                 story_id=str(rec.get("story_id", "")),
             )

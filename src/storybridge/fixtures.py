@@ -175,7 +175,7 @@ def write_fixtures(out_dir: str, seed: int = 0) -> dict:
     paths = {
         "corpus": os.path.join(out_dir, "corpus_vision.jsonl"),
         "text_corpus": os.path.join(out_dir, "corpus_text.jsonl"),
-        "features": os.path.join(out_dir, "features.jsonl"),
+        "features": os.path.join(out_dir, "features.bin"),
         "kg_scene": os.path.join(out_dir, "kg_scene.tsv"),
         "kg_textrel": os.path.join(out_dir, "kg_textrel.tsv"),
     }

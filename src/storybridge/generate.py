@@ -104,7 +104,9 @@ class GeneratorModel:
     @classmethod
     def build(cls, vocab, config: GeneratorConfig | None = None, sentence_budget: int = 10) -> "GeneratorModel":
         config = config or GeneratorConfig()
-        return cls(vocab, config, ParameterStore(config.seed), sentence_budget)
+        model = cls(vocab, config, ParameterStore(config.seed), sentence_budget)
+        model.store.freeze()  # constants until fit trains them
+        return model
 
     def _ids(self, tokens, strict: bool = False) -> list[int]:
         ids = []

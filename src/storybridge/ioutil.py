@@ -38,8 +38,8 @@ def read_jsonl_lines(path: str) -> list[tuple[int, dict]]:
 
 
 @contextlib.contextmanager
-def atomic_writer(path: str):
-    """Text handle on a temp file beside path; path is replaced only once the block completes.
+def atomic_writer(path: str, binary: bool = False):
+    """Text (or binary) handle on a temp file beside path; path is replaced only once the block completes.
 
     If the block raises, the temp file is removed and any previous file at
     path is left as it was.
@@ -48,7 +48,7 @@ def atomic_writer(path: str):
     os.makedirs(parent, exist_ok=True)
     tmp = os.path.join(parent, f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

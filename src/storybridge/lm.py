@@ -137,7 +137,9 @@ class GRULanguageModel:
 
     @classmethod
     def build(cls, vocab, hidden_size: int = 64, seed: int = 0) -> "GRULanguageModel":
-        return cls(vocab, hidden_size, ParameterStore(seed))
+        model = cls(vocab, hidden_size, ParameterStore(seed))
+        model.store.freeze()  # constants until fit trains them
+        return model
 
     def _ids(self, tokens) -> list[int]:
         return [self.token_to_id[_map_token(t, self._vocab_set)] for t in tokens]

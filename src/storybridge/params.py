@@ -28,9 +28,10 @@ class ParameterStore:
     Creation order is deterministic for a fixed seed, so two stores built by
     the same code with the same seed hold bit-identical values. Parameters
     train from creation until ``freeze``, which makes them constants that
-    record no tape and refuses further allocation. Loaded stores come back
-    frozen. ``schedule`` is the optimizer schedule of the last training run
-    (None before any); checkpoints save and restore it.
+    record no tape and refuses further allocation. Loaded stores, and the
+    stores of built models, come back frozen. ``schedule`` is the optimizer
+    schedule of the last training run (None before any); checkpoints save
+    and restore it.
     """
 
     def __init__(self, rng_seed: int):

@@ -1,7 +1,7 @@
 import json
 import os
-import shutil
 
+import numpy as np
 import pytest
 
 from helpers import read_jsonl, with_second_line
@@ -235,7 +235,7 @@ def test_four_image_world_runs_distill_enrich_and_generate(pipeline_run, tmp_pat
     from storybridge.distill import ImageSequence, load_feature_file, save_feature_file
 
     world = pipeline_run["world"]
-    corpus, features = str(tmp_path / "corpus4.jsonl"), str(tmp_path / "features4.jsonl")
+    corpus, features = str(tmp_path / "corpus4.jsonl"), str(tmp_path / "features4.bin")
     save_corpus(corpus, [StoryRecord(s.story_id, s.sentences[:4], s.meta) for s in load_corpus(world["corpus"])])
     save_feature_file(features, [ImageSequence(seq.story_id, seq.slots[:4]) for seq in load_feature_file(world["features"])])
     distiller = str(tmp_path / "distiller4.json")
@@ -256,18 +256,17 @@ def test_four_image_world_runs_distill_enrich_and_generate(pipeline_run, tmp_pat
 
 
 def test_story_with_more_images_than_the_distiller_slots_exits_two(pipeline_run, tmp_path, capsys):
-    features = pipeline_run["config"].features_path
-    with open(features, encoding="utf-8") as fh:
-        first = json.loads(fh.readline())
-    sixth = str(tmp_path / "features.jsonl")
-    shutil.copy(features, sixth)
-    with open(sixth, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({**first, "image_index": 5}) + "\n")
+    from storybridge.distill import ImageSequence, ObjectFeatureSet, load_feature_file, save_feature_file
+
+    first, *rest = load_feature_file(pipeline_run["config"].features_path)
+    extra = ObjectFeatureSet(5, first.slots[0].features, first.slots[0].confidences)
+    sixth = str(tmp_path / "features.bin")
+    save_feature_file(sixth, [ImageSequence(first.story_id, [*first.slots, extra]), *rest])
     out_dir = tmp_path / "out"
     code, out, err = run_stage(capsys, pipeline_run, out_dir, "distill", "", f"features_path={sixth}")
     assert code == EXIT_INPUT and out == "" and "Traceback" not in err
     distiller = pipeline_run["config"].distiller_model
-    assert f"{sixth}: story {first['story_id']!r} has 6 images, but the distiller {distiller} was trained for at most 5" in err
+    assert f"{sixth}: story {first.story_id!r} has 6 images, but the distiller {distiller} was trained for at most 5" in err
     assert not (out_dir / "terms.jsonl").exists()
 
 
@@ -359,6 +358,40 @@ def test_term_path_without_groups_exits_two_naming_the_line(pipeline_run, tmp_pa
     assert not (out_dir / "manifest.json").exists()
 
 
+BAD_GROUPS = "every group must be a list of strings"
+BAD_ORIGINS = "origins must be ['slot', 0], ['slot', 1], ... in order, and ['bridge', k] between slots k and k + 1"
+BRIDGE = {"head": "a", "relations": ["r"], "middle": None, "tail": "b"}
+
+
+@pytest.mark.parametrize("stage", ["enrich", "generate"])
+@pytest.mark.parametrize(
+    "groups, origins, bridge, message",
+    [
+        ("ab", [["slot", 0], ["slot", 1]], None, BAD_GROUPS),
+        ([[1, 2]], [["slot", 0]], None, BAD_GROUPS),
+        (["a", "b"], [["slot", 0], ["slot", 1]], None, BAD_GROUPS),
+        ([["a"]], [["slot", 7]], None, BAD_ORIGINS),
+        ([["a"], ["b"]], [["slot", 1], ["slot", 0]], None, BAD_ORIGINS),
+        ([["a"], ["b"]], [["slot", 0], ["image", 1]], None, BAD_ORIGINS),
+        ([["a"], ["b"]], ["slot", "slot"], None, BAD_ORIGINS),
+        ([["a"], ["b"]], [["slot", 0], ["slot", 1.0]], None, BAD_ORIGINS),
+        ([["a"], ["a", "r", "b"], ["b"]], [["slot", 0], ["bridge", 1], ["slot", 1]], BRIDGE, BAD_ORIGINS),
+    ],
+    ids=["groups a string", "integer terms", "string groups", "slot out of range", "slots out of order",
+         "unknown origin kind", "origins not pairs", "float slot", "bridge out of range"],
+)
+def test_term_path_of_the_wrong_shape_exits_two_naming_the_line(
+    pipeline_run, tmp_path, capsys, stage, groups, origins, bridge, message
+):
+    record = {"story_id": "bad", "groups": groups, "origins": origins, "bridge": bridge}
+    bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "terms.jsonl"), json.dumps(record))
+    out_dir = tmp_path / "out"
+    code, out, err = run_stage(capsys, pipeline_run, out_dir, stage, bad)
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert f"{bad}:2: malformed term-path record ({message})" in err
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_enrich_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):
     bad = with_second_line(tmp_path, os.path.join(pipeline_run["out_dir"], "terms.jsonl"), "[1]")
     code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "enrich", bad)
@@ -385,32 +418,69 @@ def test_eval_non_object_line_exits_two_naming_the_line(pipeline_run, tmp_path, 
     assert f"{bad}:2: expected a JSON object" in err
 
 
+def edited_features(tmp_path, source, edit):
+    """A copy of the feature container at source, its header and raw rows passed through edit; its path.
+
+    edit takes the header (a dict) and the rows (bytes) and returns the header line (a str) and the rows.
+    """
+    with open(source, "rb") as fh:
+        header, rows = json.loads(fh.readline()), fh.read()
+    header_line, rows = edit(header, rows)
+    out = str(tmp_path / "bad_features.bin")
+    with open(out, "wb") as fh:
+        fh.write(header_line.encode("utf-8") + b"\n" + rows)
+    return out
+
+
+def first_image(change):
+    """An edit that replaces the header's first image by change(image)."""
+    return lambda header, rows: (json.dumps({**header, "images": [change(header["images"][0]), *header["images"][1:]]}), rows)
+
+
+JSONL_RECORD = json.dumps({"story_id": "x", "image_index": 0, "objects": [{"confidence": 1.0, "feature": [0.0] * 2048}]})
+NOT_A_CONTAINER = "not an object-feature container (format storybridge-features, version 2"
+BAD_IMAGE = "header image 0 needs a story_id, an integer image_index, objects >= 1 and as many finite confidences"
+BAD_SIZE = "the float64 rows take"
+
+
 @pytest.mark.parametrize(
-    "objects,image_index,message",
+    "edit, message",
     [
-        ([{"confidence": 1.0}], 0, "'objects' must be a list of objects with 'feature' and 'confidence'"),
-        ([{"feature": [0.0, 1.0], "confidence": 1.0}], 0, "object feature must have dimension 2048"),
-        ([], 0, "image slot 0 has no objects"),
-        ([{"feature": [0.0] * 2048, "confidence": 1.0}], "1", "image_index must be an integer"),
-        ({"feature": [0.0] * 2048, "confidence": 1.0}, 0, "'objects' must be a list"),
+        (lambda header, rows: (json.dumps(header), np.float64(np.nan).tobytes() + rows[8:]), "feature values must be finite"),
+        (first_image(lambda image: {**image, "confidences": [float("inf"), *image["confidences"][1:]]}), BAD_IMAGE),
+        (lambda header, rows: (json.dumps(header), rows[:-8]), BAD_SIZE),
+        (lambda header, rows: (json.dumps(header), rows + rows[:8]), BAD_SIZE),
+        (lambda header, rows: (JSONL_RECORD, b""), NOT_A_CONTAINER),
+        (lambda header, rows: (json.dumps({**header, "version": 1}), rows), NOT_A_CONTAINER),
+        (lambda header, rows: (json.dumps({**header, "format": "features"}), rows), NOT_A_CONTAINER),
+        (lambda header, rows: ("[]", rows), NOT_A_CONTAINER),
+        (first_image(lambda image: {**image, "image_index": "0"}), BAD_IMAGE),
+        (first_image(lambda image: {**image, "objects": 0, "confidences": []}), BAD_IMAGE),
+        (first_image(lambda image: {**image, "confidences": image["confidences"][1:]}), BAD_IMAGE),
+        (first_image(lambda image: {**image, "image_index": 7}), "story 'vis-picnic0': image_index values must be consecutive"),
     ],
-    ids=["no feature", "short feature", "no objects", "string index", "objects not a list"],
+    ids=["nan feature", "infinite confidence", "truncated rows", "trailing values", "jsonl file", "wrong version",
+         "wrong format", "header not an object", "string index", "no objects", "too few confidences", "index gap"],
 )
-def test_malformed_feature_record_exits_two_naming_the_line(
-    fixture_world, tmp_path, capsys, objects, image_index, message
-):
-    record = {"story_id": "x", "image_index": image_index, "objects": objects}
-    bad = with_second_line(tmp_path, fixture_world["features"], json.dumps(record))
-    code, _, err = run_cli(
-        capsys,
-        "train-distiller",
-        "--set", f"corpus_path={fixture_world['corpus']}",
-        "--set", f"features_path={bad}",
-        "--out", str(tmp_path / "d.json"),
-    )
-    assert code == EXIT_INPUT
-    assert f"{bad}:2: {message}" in err
-    assert not os.path.exists(tmp_path / "d.json")
+def test_malformed_feature_file_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, edit, message):
+    bad = edited_features(tmp_path, pipeline_run["config"].features_path, edit)
+    out_dir = tmp_path / "out"
+    code, out, err = run_stage(capsys, pipeline_run, out_dir, "distill", "", f"features_path={bad}")
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert f"{bad}: {message}" in err
+    assert not (out_dir / "terms.jsonl").exists()
+
+
+def test_train_distiller_refuses_a_jsonl_feature_file(fixture_world, tmp_path, capsys):
+    jsonl = str(tmp_path / "features.jsonl")
+    with open(jsonl, "w", encoding="utf-8") as fh:
+        fh.write(JSONL_RECORD + "\n")
+    out = str(tmp_path / "d.json")
+    code, _, err = run_cli(capsys, "train-distiller", "--set", f"corpus_path={fixture_world['corpus']}",
+                           "--set", f"features_path={jsonl}", "--out", out)
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert f"{jsonl}: {NOT_A_CONTAINER}" in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from storybridge.distill import (
     END_OF_SET,
     FEATURE_DIM,
     TERM_BLOCK_ROWS,
+    TOP_K_OBJECTS,
     DistillerConfig,
     DistillerModel,
     ImageSequence,
@@ -217,13 +218,33 @@ def test_beam_scores_are_log_probability_sums():
 
 
 def test_feature_file_roundtrip(tmp_path):
-    path = str(tmp_path / "features.jsonl")
-    seqs = [make_sequence(sid="a"), make_sequence(sid="b")]
+    path, again = str(tmp_path / "features.bin"), str(tmp_path / "again.bin")
+    seqs = [make_sequence(sid="a"), make_sequence(n_slots=3, n_objects=30, sid="b")]
     save_feature_file(path, seqs)
     loaded = load_feature_file(path)
     assert [s.story_id for s in loaded] == ["a", "b"]
-    np.testing.assert_allclose(loaded[0].slots[0].features, seqs[0].slots[0].features)
-    np.testing.assert_allclose(loaded[1].slots[1].confidences, seqs[1].slots[1].confidences)
+    for seq, got in zip(seqs, loaded):
+        assert [slot.image_index for slot in got.slots] == [slot.image_index for slot in seq.slots]
+        for want, slot in zip(seq.slots, got.slots):
+            for name in ("features", "confidences"):
+                array = getattr(slot, name)
+                # owned, C-contiguous and writeable, like the arrays from_objects stacks, and bit for bit the saved values
+                assert type(array) is np.ndarray and array.dtype == np.float64
+                assert array.flags.owndata and array.flags.c_contiguous and array.flags.writeable
+                assert np.array_equal(array.view(np.uint64), getattr(want, name).view(np.uint64))
+    save_feature_file(again, seqs)
+    with open(path, "rb") as fh, open(again, "rb") as gh:
+        assert fh.read() == gh.read()
+
+
+def test_feature_file_keeps_the_top_k_objects_by_stable_confidence_order(tmp_path):
+    path = str(tmp_path / "features.bin")
+    features = RNG.normal(size=(30, FEATURE_DIM))
+    confidences = np.round(RNG.uniform(size=30), 1)  # ties, which keep file order
+    save_feature_file(path, [ImageSequence("s", [ObjectFeatureSet(0, features, confidences)])])
+    [[slot]] = [seq.slots for seq in load_feature_file(path)]
+    order = np.argsort(-confidences, kind="stable")[:TOP_K_OBJECTS]
+    assert np.array_equal(slot.features, features[order]) and np.array_equal(slot.confidences, confidences[order])
 
 
 SCORE_TOLERANCE = 1e-9  # one decoder matmul over every image's rows rounds differently from one over a single row

@@ -180,6 +180,7 @@ def test_distiller_through_the_fused_cell_stays_within_float_order_of_the_compos
 def test_lm_gradients_through_the_fused_cell_equal_the_composites_bit_for_bit(monkeypatch):
     """Each use of x and h gets its own gradient piece, summed in the composite's order, over many steps."""
     model = GRULanguageModel.build([BOS, EOS, SEP, "a", "b", "c"], hidden_size=8, seed=4)
+    model.store.freeze(False)  # a built model starts frozen; this test takes gradients without fit
     ids = model._ids([BOS, "a", "b", SEP, "c", "a", SEP, "b", "b", "c", EOS])
 
     def gradients():

@@ -5,9 +5,17 @@ import numpy as np
 from helpers import count_tape_nodes
 from storybridge import lm as lm_module
 from storybridge.corpus import build_training_pairs, load_corpus
-from storybridge.distill import DistillerModel, load_feature_file
+from storybridge.distill import END_OF_SET, DistillerConfig, DistillerModel, load_feature_file
 from storybridge.enrich import TermPath
-from storybridge.generate import GeneratorModel, decode_story, train_generator
+from storybridge.generate import (
+    BOS_STORY,
+    EOS_STORY,
+    SENTENCE_BOUNDARY,
+    GeneratorConfig,
+    GeneratorModel,
+    decode_story,
+    train_generator,
+)
 from storybridge.lm import BOS, EOS, SEP, GRULanguageModel, LMConfig, load_lm, perplexities, train_lm
 from storybridge.optim import TrainConfig
 
@@ -30,8 +38,21 @@ def test_inference_on_loaded_checkpoints_records_no_tape(trained_world):
     assert tape.nodes == 0 and len(story.sentences) == len(groups)
 
 
+def test_a_built_model_starts_frozen():
+    distiller = DistillerModel.build([END_OF_SET, "a"], DistillerConfig(hidden_size=4, heads=2, layers=1, ff_multiple=1))
+    generator = GeneratorModel.build([BOS_STORY, EOS_STORY, SENTENCE_BOUNDARY, "<unk>", "a"],
+                                     GeneratorConfig(hidden_size=4, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=1))
+    lm = GRULanguageModel.build([BOS, EOS, "a"], hidden_size=4, seed=0)
+    for model in (distiller, generator, lm):
+        assert model.store.frozen and not any(t.requires_grad for _, t in model.store.items())
+    with count_tape_nodes() as tape:
+        perplexities(lm, [[BOS, "a", EOS]])
+    assert tape.nodes == 0
+
+
 def test_the_tape_counter_sees_a_trainable_model():
     model = GRULanguageModel.build([BOS, EOS, "a"], hidden_size=4, seed=0)
+    model.store.freeze(False)
     with count_tape_nodes() as tape:
         perplexities(model, [[BOS, "a", EOS]])
     assert tape.nodes > 0

@@ -239,7 +239,7 @@ def test_train_distiller_takes_its_slot_count_from_the_training_features(fixture
     ids = {story.story_id for story in stories}
     sequences = [ImageSequence(seq.story_id, seq.slots[:3])
                  for seq in load_feature_file(fixture_world["features"]) if seq.story_id in ids]
-    corpus_path, features_path = str(tmp_path / "corpus.jsonl"), str(tmp_path / "features.jsonl")
+    corpus_path, features_path = str(tmp_path / "corpus.jsonl"), str(tmp_path / "features.bin")
     save_corpus(corpus_path, stories)
     save_feature_file(features_path, sequences)
     config = RunConfig(hidden_size=8, heads=2, layers=1, ff_multiple=1, epochs=1, corpus_path=corpus_path,
