@@ -32,9 +32,11 @@ TOP_K_OBJECTS = 25  # objects kept per image, the most confident: the paper's cu
 FEATURE_FORMAT = {"format": "storybridge-features", "version": 2}  # the object-feature container's header keys
 END_OF_SET = "</set>"
 REPEAT_MASK = 1e19
-# Rows per term block, each image's beam_size rows counted in full: four five-image sequences at
-# beam 3. The GRU decoder keeps no cache that grows with the rows (README "Decoding").
-TERM_BLOCK_ROWS = 60
+# Bytes of a term block's (rows, vocabulary) float64 candidate table, each image's beam_size rows counted
+# in full: four five-image sequences at beam 3 over 2000 terms. The GRU decoder keeps no cache that grows
+# with the rows, so that table is what does; each sequence's encoded objects stay live for its block
+# (README "Decoding").
+TERM_BLOCK_BYTES = 60 * 2000 * 8
 
 
 @dataclass
@@ -47,12 +49,14 @@ class ObjectFeatureSet:
 
     @classmethod
     def from_objects(cls, image_index: int, objects) -> "ObjectFeatureSet":
-        """objects is an iterable of (feature vector, confidence); the TOP_K_OBJECTS most confident are kept."""
+        """objects is an iterable of finite (feature vector, confidence); the TOP_K_OBJECTS most confident are kept."""
         feats, confs = [], []
         for feature, confidence in objects:
             vec = np.asarray(feature, dtype=np.float64)
             if vec.shape != (FEATURE_DIM,):
                 raise ValueError(f"object feature must have dimension {FEATURE_DIM}, got {vec.shape}")
+            if not (np.isfinite(vec).all() and np.isfinite(float(confidence))):
+                raise ValueError(f"image slot {image_index} has a non-finite object feature or confidence")
             feats.append(vec)
             confs.append(float(confidence))
         if not feats:
@@ -231,9 +235,10 @@ class DistillerModel:
         """Per sequence, each image's best term list and its beam score: one sentence of terms closed by end-of-set.
 
         The searches of every image of a block of sequences (as many
-        consecutive sequences as fit ``TERM_BLOCK_ROWS`` rows of beam_size
-        hypotheses per image) run as one batched search, so each beam step
-        is one decoder step over all their live hypotheses. The additive
+        consecutive sequences as fit ``TERM_BLOCK_BYTES`` of (rows,
+        vocabulary) float64 candidates, beam_size rows per image) run as one
+        batched search, so each beam step is one decoder step over all their
+        live hypotheses. The additive
         attention runs per sequence, over its own memory; the GRU cell and
         the output layer run over all rows at once.
         """
@@ -246,8 +251,8 @@ class DistillerModel:
             max_sentence_tokens=self.config.max_terms_per_image,
             run_until_empty=True,
         )
-        rows = [len(seq.slots) * beam_size for seq in seqs]
-        return [terms for block in blocks(rows, TERM_BLOCK_ROWS) for terms in self._term_block(seqs[block], search)]
+        table_bytes = [len(seq.slots) * beam_size * len(self.vocab) * 8 for seq in seqs]
+        return [terms for block in blocks(table_bytes, TERM_BLOCK_BYTES) for terms in self._term_block(seqs[block], search)]
 
     def _term_block(self, seqs: list[ImageSequence], search: Search) -> list[list[tuple[list[str], float]]]:
         """term_beams of the sequences by one batched search."""

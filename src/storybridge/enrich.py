@@ -2,9 +2,9 @@
 
 Every bridge between terms of adjacent images becomes a candidate path with
 the bridge's terms as an extra group; the unenriched path always competes.
-Candidates are scored by term-LM perplexity of their linearization, all in
-one batched call, and the lowest wins, earlier construction order breaking
-exact ties.
+Candidates are scored by term-LM perplexity of their linearization, those of
+every path of a file in one batched call, and each path's lowest wins,
+earlier construction order breaking exact ties.
 """
 
 from __future__ import annotations
@@ -153,10 +153,17 @@ def build_candidates(
 
 def select_best(candidates, lm) -> EnrichmentCandidate:
     """Lowest-perplexity candidate; construction order breaks exact ties."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("no candidates to select from")
-    scores = perplexities(lm, [path.linearized() for path in candidates])
-    best = int(np.argmin(scores))  # the first of equal minima
-    return EnrichmentCandidate(candidates[best], float(scores[best]))
+    return select_best_of_each([candidates], lm)[0]
 
+
+def select_best_of_each(candidate_lists, lm) -> list[EnrichmentCandidate]:
+    """select_best of every list, all lists' candidates scored by one ``perplexities`` call."""
+    lists = [list(candidates) for candidates in candidate_lists]
+    if not all(lists):
+        raise ValueError("no candidates to select from")
+    scores = perplexities(lm, [path.linearized() for candidates in lists for path in candidates])
+    chosen = []
+    for candidates, scored in zip(lists, np.split(scores, np.cumsum([len(c) for c in lists])[:-1])):
+        best = int(np.argmin(scored))  # the first of equal minima
+        chosen.append(EnrichmentCandidate(candidates[best], float(scored[best])))
+    return chosen

@@ -5,7 +5,7 @@ model trained with the neural core. Both score a sequence as the sum of
 conditional log-probabilities of every token after the first, and report
 perplexity normalized by that token count. The GRU model has one forward
 over an id matrix: training runs it on one sequence, scoring on padded
-blocks of up to ``SCORE_BLOCK_ROWS`` sequences.
+blocks of sequences whose logits tables fit ``SCORE_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ EOS = "</s>"
 SEP = "<sep>"
 UNK = "<unk>"
 
-# Rows per batched GRU scoring pass: bounds the (rows, vocabulary) temporaries.
-SCORE_BLOCK_ROWS = 512
+# Bytes of a scoring block's (rows, vocabulary) float64 logits table: 100 rows of a 2048-word LM, one
+# story's capped candidates at the published size. 512-row blocks scored a published-size file more
+# slowly, also with the allocator's cost taken out (README "Enrichment scoring").
+SCORE_BLOCK_BYTES = 100 * 2048 * 8
 # Share of a GRU LM's training sequences, the last ones, kept for its per-epoch perplexity.
 HOLDOUT_FRACTION = 0.1
 
@@ -156,15 +158,18 @@ class GRULanguageModel:
 
         Each distinct id sequence is scored once, so sequences that map to
         the same ids (say, through <unk>) get the very same float. Distinct
-        sequences run through the GRU cell as padded (rows, d) batches of at
-        most SCORE_BLOCK_ROWS rows.
+        sequences, shortest first, run through the GRU cell as padded
+        (rows, d) batches whose (rows, vocabulary) tables fit SCORE_BLOCK_BYTES.
         """
         first: dict[tuple, int] = {}
         owner = [first.setdefault(tuple(self._ids(seq)), len(first)) for seq in seqs]
         distinct = list(first)
+        order = sorted(range(len(distinct)), key=lambda i: len(distinct[i]))  # blocks of like lengths pad little
         totals = np.empty(len(distinct))
-        for lo in range(0, len(distinct), SCORE_BLOCK_ROWS):
-            block = distinct[lo : lo + SCORE_BLOCK_ROWS]
+        block_rows = max(1, SCORE_BLOCK_BYTES // (8 * len(self.vocab)))
+        for lo in range(0, len(order), block_rows):
+            rows = order[lo : lo + block_rows]
+            block = [distinct[i] for i in rows]
             lengths = np.array([len(ids) for ids in block])
             ids = np.zeros((len(block), lengths.max()), dtype=np.int64)
             for row, seq_ids in enumerate(block):
@@ -173,7 +178,7 @@ class GRULanguageModel:
             for j, logits in enumerate(self._forward(ids[:, :-1])):
                 live = j + 1 < lengths
                 gathered[live, j] = ad.log_softmax_at(logits.data, ids[:, j + 1])[live]
-            totals[lo : lo + len(block)] = gathered.sum(axis=1)
+            totals[rows] = gathered.sum(axis=1)
         return totals[owner]
 
     def save(self, path: str) -> None:

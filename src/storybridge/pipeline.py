@@ -14,7 +14,7 @@ import os
 from .config import RunConfig
 from .corpus import build_training_pairs, load_corpus
 from .distill import DistillerConfig, DistillerModel, load_feature_file, train_distiller
-from .enrich import TermPath, build_candidates, check_base_path, select_best
+from .enrich import TermPath, build_candidates, check_base_path, select_best_of_each
 from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, UnknownWordsError, decode_stories, train_generator
 from .ioutil import InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
@@ -168,10 +168,9 @@ def stage_enrich(config: RunConfig, terms_path: str, out_path: str) -> list[dict
         bases.append(base)
     index = load_kg_index(config)
     lm = load_lm(_require(config.lm_model, "enrich", "term LM checkpoint (lm_model)"))
+    candidate_lists = [build_candidates(base, index, cap=config.candidate_cap) for base in bases]
     out = []
-    for base in bases:
-        candidates = build_candidates(base, index, cap=config.candidate_cap)
-        choice = select_best(candidates, lm)
+    for candidates, choice in zip(candidate_lists, select_best_of_each(candidate_lists, lm)):
         selected = choice.path.to_record()
         selected["perplexity"] = choice.perplexity
         selected["candidate_count"] = len(candidates)

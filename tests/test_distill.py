@@ -5,11 +5,12 @@ import pytest
 
 from helpers import reference_term_beam
 from storybridge import autodiff as ad
+from storybridge import distill
 from storybridge.autodiff import Tensor, linear
 from storybridge.distill import (
     END_OF_SET,
     FEATURE_DIM,
-    TERM_BLOCK_ROWS,
+    TERM_BLOCK_BYTES,
     TOP_K_OBJECTS,
     DistillerConfig,
     DistillerModel,
@@ -49,6 +50,18 @@ def test_top_k_truncation_keeps_highest_confidence():
 def test_wrong_feature_dimension_rejected():
     with pytest.raises(ValueError, match="2048"):
         ObjectFeatureSet.from_objects(0, [(np.zeros(100), 0.5)])
+
+
+@pytest.mark.parametrize("feature, confidence", [
+    (np.full(FEATURE_DIM, np.nan), 0.5),
+    (np.ones(FEATURE_DIM), float("inf")),
+    (np.r_[np.ones(FEATURE_DIM - 1), -np.inf], 0.5),
+    (np.ones(FEATURE_DIM), float("nan")),
+])
+def test_non_finite_features_and_confidences_are_refused_naming_the_slot(feature, confidence):
+    finite = (np.zeros(FEATURE_DIM), 0.9)
+    with pytest.raises(ValueError, match="image slot 3 has a non-finite"):
+        ObjectFeatureSet.from_objects(3, [finite, (feature, confidence)])
 
 
 def test_image_indexes_must_be_consecutive():
@@ -281,22 +294,58 @@ def test_batched_term_beam_matches_reference_on_trained_fixture(trained_world):
         assert_terms_match_reference(model, seq, 3)
 
 
-def test_term_beams_over_many_sequences_equal_one_sequence_at_a_time():
+def record_term_blocks(monkeypatch, run=True) -> list[int]:
+    """Sequence count of every block term_beams runs; with run=False the blocks are counted, not decoded."""
+    sizes, original = [], DistillerModel._term_block
+
+    def term_block(model, seqs, search):
+        sizes.append(len(seqs))
+        return original(model, seqs, search) if run else [[] for _ in seqs]
+
+    monkeypatch.setattr(DistillerModel, "_term_block", term_block)
+    return sizes
+
+
+def test_term_beams_over_many_sequences_equal_one_sequence_at_a_time(monkeypatch):
     vocab = [END_OF_SET] + [f"t{i}" for i in range(12)]
     config = DistillerConfig(hidden_size=16, heads=2, layers=1, ff_multiple=2, num_slots=4, max_terms_per_image=4, seed=8)
     model = DistillerModel.build(vocab, config)
     model.b_out.data[1:4] += 6.0
     rng = np.random.default_rng(2)
-    seqs = [  # at least 3 rows each at beam 3, so more sequences than one block holds
+    seqs = [
         ImageSequence(f"m{k}", [make_slot(i, int(rng.integers(1, 4)), rng) for i in range(int(rng.integers(1, 5)))])
-        for k in range(TERM_BLOCK_ROWS // 3 + 2)
+        for k in range(12)
     ]
+    monkeypatch.setattr(distill, "TERM_BLOCK_BYTES", 20 * len(vocab) * 8)  # 20 rows: 1 to 6 of these sequences
+    blocks = record_term_blocks(monkeypatch)
     got = model.term_beams(seqs, beam_size=3)
+    assert len(blocks) > 2 and sum(blocks) == len(seqs)
     assert [[terms for terms, _ in beams] for beams in got] == [model.predict_terms(seq, beam_size=3) for seq in seqs]
     for beams, seq in zip(got, seqs):
         want = model.term_beams([seq], beam_size=3)[0]
         assert all(abs(a - b) <= SCORE_TOLERANCE for (_, a), (_, b) in zip(beams, want))
     assert model.term_beams([], beam_size=3) == []
+
+
+def test_term_block_bound_holds_four_published_sequences_at_beam_three(monkeypatch):
+    vocab = [END_OF_SET] + [f"t{i:04d}" for i in range(1999)]  # 2000 terms, as at the published size
+    model = DistillerModel.build(vocab, DistillerConfig(hidden_size=8, heads=2, layers=1, ff_multiple=2, num_slots=5))
+    seqs = [ImageSequence(f"p{k}", [make_slot(i, 1) for i in range(5)]) for k in range(10)]
+    blocks = record_term_blocks(monkeypatch, run=False)
+    model.term_beams(seqs, beam_size=3)
+    assert blocks == [4, 4, 2]  # 60 rows of beam 3 per block
+    assert TERM_BLOCK_BYTES == 60 * len(vocab) * 8
+    blocks.clear()
+    model.term_beams(seqs[:1], beam_size=30)  # over the bound on its own: still one block
+    assert blocks == [1]
+
+
+def test_the_fixture_term_beams_run_as_one_block(trained_world, monkeypatch):
+    model = DistillerModel.load(trained_world["distiller_model"])
+    seqs = load_feature_file(trained_world["features"])
+    blocks = record_term_blocks(monkeypatch, run=False)
+    model.term_beams(seqs, beam_size=3)
+    assert blocks == [len(seqs)] == [20]
 
 
 def test_term_beams_over_the_fixture_file_equal_one_sequence_at_a_time(trained_world):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import enrich_path, read_jsonl, reference_select, without_bridge
+from storybridge import enrich
 from storybridge import lm as lm_module
-from storybridge.enrich import EnrichmentCandidate, TermPath, build_candidates, select_best
+from storybridge.enrich import EnrichmentCandidate, TermPath, build_candidates, select_best, select_best_of_each
 from storybridge.kg import Bridge, KGTuple, RelationIndex
 from storybridge.lm import BOS, EOS, SEP, UNK, GRULanguageModel, NGramLM, linearize_groups, perplexities, perplexity
-from storybridge.pipeline import load_kg_index
+from storybridge.pipeline import load_kg_index, stage_enrich
 
 
 def base_path(groups=None, sid="s"):
@@ -161,26 +162,58 @@ def test_candidate_perplexity_floor_enforced():
         EnrichmentCandidate(base_path(), 0.5)
 
 
-def test_select_best_matches_per_candidate_rescoring_on_published_shaped_lm(monkeypatch):
-    # hidden 64 and about 2000 terms, like the published term LM; blocks smaller than the list
-    monkeypatch.setattr(lm_module, "SCORE_BLOCK_ROWS", 16)
-    rng = np.random.default_rng(21)
+def published_shaped_candidates(rng, story_count=1, cap=60, sizes=(8,)):
+    """A GRU LM of hidden 64 over about 2000 terms, like the published term LM, and per story a capped candidate list."""
     terms = [f"w{i}" for i in range(1990)]
     relations = [f"r{i}" for i in range(6)]
     model = GRULanguageModel.build(terms + relations + [BOS, EOS, SEP, UNK], hidden_size=64, seed=5)
-    groups = [list(rng.choice(terms[:40], size=8, replace=False)) for _ in range(5)]
-    index = RelationIndex()
-    for _ in range(150):
-        a, b = rng.integers(5, size=2)
-        index.add(KGTuple(str(rng.choice(groups[a])), str(rng.choice(relations)), str(rng.choice(groups[b])), "g"))
-    index.add(KGTuple(groups[0][0], "r0", "outside_vocab", "g"))
-    index.add(KGTuple("outside_vocab", "r1", groups[1][0], "g"))
-    cands = build_candidates(base_path(groups), index, cap=60)
+    lists = []
+    for k in range(story_count):
+        groups = [list(rng.choice(terms[:40], size=int(rng.choice(sizes)), replace=False)) for _ in range(5)]
+        index = RelationIndex()
+        for _ in range(150):
+            a, b = rng.integers(5, size=2)
+            index.add(KGTuple(str(rng.choice(groups[a])), str(rng.choice(relations)), str(rng.choice(groups[b])), "g"))
+        index.add(KGTuple(groups[0][0], "r0", "outside_vocab", "g"))
+        index.add(KGTuple("outside_vocab", "r1", groups[1][0], "g"))
+        lists.append(build_candidates(base_path(groups, sid=f"s{k}"), index, cap=cap))
+    return model, lists
+
+
+def test_select_best_matches_per_candidate_rescoring_on_published_shaped_lm(monkeypatch):
+    model, [cands] = published_shaped_candidates(np.random.default_rng(21))
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_BYTES", 16 * len(model.vocab) * 8)  # blocks smaller than the list
     assert len(cands) == 60
     choice = select_best(cands, model)
     best, best_ppl = reference_select(cands, model)
     assert choice.path == cands[best]
     assert choice.perplexity == pytest.approx(best_ppl, rel=1e-12)
+
+
+def test_select_best_of_one_list_is_its_perplexities_bit_for_bit():
+    # the per-path call of a single story scores exactly the rows of one perplexities call
+    model, [cands] = published_shaped_candidates(np.random.default_rng(22), cap=100, sizes=(1, 4, 8))
+    scores = perplexities(model, [path.linearized() for path in cands])
+    choice = select_best(cands, model)
+    best = int(np.argmin(scores))
+    assert choice.path is cands[best]
+    assert np.array([choice.perplexity]).view(np.uint64) == scores[best : best + 1].view(np.uint64)
+
+
+@pytest.mark.parametrize("block_rows", [7, 101])
+def test_select_best_of_each_equals_select_best_list_by_list(block_rows, monkeypatch):
+    # stated before measuring: the same candidate per list, its perplexity within 1e-12 relative
+    model, lists = published_shaped_candidates(np.random.default_rng(23), story_count=5, cap=30, sizes=(1, 3, 8))
+    lists.insert(2, lists[0][:4])  # a story whose candidates another story also scores
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_BYTES", block_rows * len(model.vocab) * 8)
+    got = select_best_of_each(lists, model)
+    want = [select_best(cands, model) for cands in lists]
+    assert [choice.path for choice in got] == [choice.path for choice in want]
+    for a, b in zip(got, want):
+        assert a.perplexity == pytest.approx(b.perplexity, rel=1e-12, abs=0)
+    assert select_best_of_each([], model) == []
+    with pytest.raises(ValueError, match="no candidates"):
+        select_best_of_each([lists[0], []], model)
 
 
 def test_bridges_with_equal_ids_tie_bitwise_and_the_earlier_wins():
@@ -216,3 +249,22 @@ def test_fixture_pipeline_selection_matches_per_candidate_rescoring(pipeline_run
         assert rec["perplexity"] == pytest.approx(best_ppl, rel=1e-12)
         bridged += chosen.bridge is not None
     assert bridged > 0
+
+
+def test_stage_enrich_scores_the_file_in_one_call_and_selects_what_select_best_selects(pipeline_run, tmp_path, monkeypatch):
+    # stated before measuring: each story's path is equal and its perplexity within 1e-12 relative
+    config, out_dir = pipeline_run["config"], pipeline_run["out_dir"]
+    model = lm_module.load_lm(config.lm_model)
+    index = load_kg_index(config)
+    calls = []
+    monkeypatch.setattr(enrich, "perplexities", lambda lm, seqs: calls.append(len(seqs)) or perplexities(lm, seqs))
+    selected = stage_enrich(config, os.path.join(out_dir, "terms.jsonl"), str(tmp_path / "paths.jsonl"))
+    bases = [TermPath.from_record(rec) for rec in read_jsonl(os.path.join(out_dir, "terms.jsonl"))]
+    candidate_lists = [build_candidates(base, index, cap=config.candidate_cap) for base in bases]
+    assert calls == [sum(len(cands) for cands in candidate_lists)] and len(bases) == 20
+    for cands, rec in zip(candidate_lists, selected):
+        choice = select_best(cands, model)
+        assert TermPath.from_record(rec) == choice.path
+        assert (rec["candidate_count"], rec["bridge_slot"]) == (len(cands), choice.path.bridge_slot)
+        assert rec["perplexity"] == pytest.approx(choice.perplexity, rel=1e-12, abs=0)
+    assert selected == read_jsonl(os.path.join(out_dir, "paths.jsonl"))

@@ -154,7 +154,7 @@ def _model_and_sequences(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_one_row_log_probs_equal_the_sequence_log_prob_rows_exactly(seed, monkeypatch):
-    monkeypatch.setattr(lm_module, "SCORE_BLOCK_ROWS", 1)
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_BYTES", 1)  # one row per block
     model, seqs = _model_and_sequences(seed)
     want = []
     for seq in seqs:

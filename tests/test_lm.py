@@ -219,9 +219,9 @@ def _random_sequences(rng, count, vocab_size=30, max_len=60):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("block_rows", [1, 4, 512])
 def test_batched_perplexities_match_per_sequence_reference(seed, block_rows, monkeypatch):
-    monkeypatch.setattr(lm_module, "SCORE_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(seed)
     model = _random_gru(seed, hidden=int(rng.integers(4, 25)))
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_BYTES", block_rows * len(model.vocab) * 8)
     seqs = _random_sequences(rng, 23) + [[BOS, EOS], [BOS, "t3", EOS]]
     got = perplexities(model, seqs)
     want = np.array([reference_perplexity(model, seq) for seq in seqs])
@@ -232,8 +232,8 @@ def test_batched_perplexities_match_per_sequence_reference(seed, block_rows, mon
 
 
 def test_sequences_with_equal_ids_share_one_float(monkeypatch):
-    monkeypatch.setattr(lm_module, "SCORE_BLOCK_ROWS", 2)
     model = _random_gru(7)
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_BYTES", 2 * len(model.vocab) * 8)  # 2-row blocks
     rng = np.random.default_rng(7)
     twin_a = [BOS, "t1", "never_seen", SEP, "t2", EOS]
     twin_b = [BOS, "t1", "also_unknown", SEP, "t2", EOS]
@@ -241,6 +241,18 @@ def test_sequences_with_equal_ids_share_one_float(monkeypatch):
     got = perplexities(model, seqs)
     assert got[5].tobytes() == got[10].tobytes()
     assert got[5] == pytest.approx(reference_perplexity(model, twin_a), rel=1e-12)
+
+
+def test_blocks_hold_sequences_of_like_lengths(monkeypatch):
+    model = _random_gru(3)
+    monkeypatch.setattr(lm_module, "SCORE_BLOCK_BYTES", 2 * len(model.vocab) * 8)  # 2-row blocks
+    widths, forward = [], model._forward
+    monkeypatch.setattr(model, "_forward", lambda ids: widths.append(ids.shape[1]) or forward(ids))
+    long_a, long_b = [BOS] + ["t1"] * 9 + [EOS], [BOS] + ["t2"] * 9 + [EOS]
+    seqs = [long_a, [BOS, "t3", EOS], long_b, [BOS, "t4", EOS]]
+    got = perplexities(model, seqs)
+    assert widths == [2, 10]  # the two short sequences share a block, padded to their own length
+    np.testing.assert_allclose(got, [reference_perplexity(model, seq) for seq in seqs], rtol=1e-12, atol=0)
 
 
 def test_perplexities_reject_short_sequences_and_accept_none():
