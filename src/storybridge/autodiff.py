@@ -3,7 +3,9 @@
 A small tape-based engine: every op returns a Tensor that remembers its
 parent tensors and a vector-Jacobian callback. ``backward`` walks the tape
 once from a scalar loss, accumulates gradients into every tensor that
-requires them, and frees the tape. All math runs in float64 so numeric
+requires them, and frees the tape. A packed parameter (``ParameterStore.pack``)
+has a ``grad_view`` into its store's flat gradient buffer, and ``backward``
+accumulates its gradient there in place. All math runs in float64 so numeric
 gradient checks are stable.
 """
 
@@ -23,12 +25,13 @@ class ShapeError(ValueError):
 class Tensor:
     """Dense float64 array, optionally tracked on the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "grad_view", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
+        self.grad_view: Array | None = None  # where backward writes this tensor's gradient, if anywhere
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
 
@@ -176,9 +179,14 @@ def _matmul_data(op: str, a: Tensor, b: Tensor) -> Array:
 
 def _matmul_vjp(g: Array, a: Tensor, b: Tensor):
     """Gradients of a @ b for g; None for an operand that is off the tape."""
-    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if _tracked(a) else None
-    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if _tracked(b) else None
+    ga = _unbroadcast(g @ _swap_last(b.data), a.shape) if _tracked(a) else None
+    gb = _unbroadcast(_swap_last(a.data) @ g, b.shape) if _tracked(b) else None
     return ga, gb
+
+
+def _swap_last(x: Array) -> Array:
+    """x with its last two axes swapped: the same view as np.swapaxes(x, -1, -2), by ``.T`` when x is 2-d."""
+    return x.T if x.ndim == 2 else np.swapaxes(x, -1, -2)
 
 
 def matmul(a, b) -> Tensor:
@@ -214,13 +222,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     if not ts:
         raise ShapeError("concat: need at least one tensor")
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
+    data = np.concatenate([t.data for t in ts], axis=axis)
 
     def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        lead = (slice(None),) * (axis % g.ndim)
+        pieces, start = [], 0
+        for t in ts:
+            stop = start + t.shape[axis]
+            pieces.append(g[lead + (slice(start, stop),)])
+            start = stop
+        return pieces
 
-    return _make(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), vjp)
+    return _make(data, tuple(ts), vjp)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -433,8 +446,8 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
 
     def vjp(g):
         ga = (g @ w2.data.T) * mask
-        gw1 = _unbroadcast(np.swapaxes(x.data, -1, -2) @ ga, w1.shape)
-        gw2 = _unbroadcast(np.swapaxes(r, -1, -2) @ g, w2.shape)
+        gw1 = _unbroadcast(_swap_last(x.data) @ ga, w1.shape)
+        gw2 = _unbroadcast(_swap_last(r) @ g, w2.shape)
         return ga @ w1.data.T, gw1, _unbroadcast(ga, b1.shape), gw2, _unbroadcast(g, b2.shape)
 
     return _make(out, (x, w1, b1, w2, b2), vjp)
@@ -554,33 +567,42 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
 
     Returns a map from every requires_grad tensor reached by the tape to its
     gradient (also stored on ``.grad``). The tape is freed as it is walked.
+
+    Each tensor's incoming pieces are summed in tape order. The sum is kept
+    in a piece as it came while there is one, then in an array this walk
+    owns: a sum it allocated, a zeroed table for row gradients, or a packed
+    parameter's ``grad_view``, whose first dense piece is copied in. Later
+    pieces add into an owned array in place, which gives the bits of
+    ``acc + piece``. A piece as it came may be shared (``add`` hands the
+    same array to both parents), so the walk never writes into one.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
     if not _tracked(loss):
         raise ValueError("backward: loss does not participate in the gradient tape")
 
+    # Tensors hash by identity, so they key the walk's sets and dicts directly.
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if (p.requires_grad or p._vjp is not None) and id(p) not in seen:
+            if (p.requires_grad or p._vjp is not None) and p not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    owned: set[int] = set()  # gradients this walk allocated itself, so it may add into them in place
+    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
+    owned: set[Tensor] = set()  # tensors whose gradient this walk may add into in place
     result: dict[Tensor, Array] = {}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is not None:
             if node.requires_grad:
                 node.grad = g
@@ -589,18 +611,27 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
                 for parent, pg in zip(node._parents, node._vjp(g)):
                     if pg is None or not (parent.requires_grad or parent._vjp is not None):
                         continue
-                    key, acc = id(parent), grads.get(id(parent))
-                    if isinstance(pg, RowGradient):
-                        if key not in owned:
-                            acc = np.zeros(parent.shape) if acc is None else acc.copy()
-                            owned.add(key)
+                    acc = grads.get(parent)
+                    rows = isinstance(pg, RowGradient)
+                    if acc is None and parent.grad_view is not None:
+                        acc = grads[parent] = parent.grad_view
+                        owned.add(parent)
+                        if not rows:
+                            np.copyto(acc, pg)
+                            continue
+                        acc.fill(0.0)
+                    if rows:
+                        if parent not in owned:
+                            acc = grads[parent] = np.zeros(parent.shape) if acc is None else acc.copy()
+                            owned.add(parent)
                         np.add.at(acc, pg.rows, pg.values)
-                        grads[key] = acc
                     elif acc is None:
-                        grads[key] = pg
+                        grads[parent] = pg
+                    elif parent in owned:
+                        acc += pg
                     else:
-                        grads[key] = acc + pg
-                        owned.add(key)
+                        grads[parent] = acc + pg
+                        owned.add(parent)
         node._parents = ()
         node._vjp = None
     return result

@@ -9,6 +9,7 @@ encoder layers, beam 3, learning rate 1e-3, penalties 20 and 5).
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 from .ioutil import InputError, canonical_dumps, read_json, sha256_text
@@ -92,7 +93,7 @@ _AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "hidden
              "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0, "epochs": 1,
              "warmup_steps": 0, "layers": 1, "decoder_layers": 1, "ff_multiple": 1, "max_terms_per_image": 1,
              "max_sentence_tokens": 1}
-_KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_KIND = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
 
 
 def _check(value, schema, key: str, where: str) -> None:
@@ -100,8 +101,8 @@ def _check(value, schema, key: str, where: str) -> None:
     label = key or "config"
     if isinstance(schema, bool) or isinstance(value, bool):
         fits = isinstance(value, bool) and isinstance(schema, bool)
-    elif isinstance(schema, float):
-        fits = isinstance(value, (int, float))
+    elif isinstance(schema, float):  # an int fits too; NaN, an infinity or an int past float range do not
+        fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     else:
         fits = isinstance(value, type(schema))
     if not fits:

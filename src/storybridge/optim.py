@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,6 +11,7 @@ from . import autodiff as ad
 from .params import ParameterStore
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator offset
+ADAM_BLOCK = 1 << 15  # floats per block of the in-place update: its slices and two temporaries stay in cache
 
 
 @dataclass
@@ -18,8 +19,8 @@ class AdamState:
     base_lr: float = 1e-3
     warmup_steps: int = 100
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None  # the moments over a store's flat buffer, made at the first step
+    v: np.ndarray | None = None
 
     def schedule(self) -> dict:
         return {
@@ -38,39 +39,56 @@ def schedule_scale(step: int, warmup_steps: int) -> float:
     return min(step / w, math.sqrt(w / step))
 
 
-def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> float:
-    """Apply one Adam update in place; returns the learning rate used.
+def adam_step(params: ParameterStore, grads: dict | None, state: AdamState) -> float:
+    """Apply one Adam update in place to the packed store (packing it first); returns the learning rate used.
 
-    grads must cover every parameter in the store; a NaN in any gradient
-    aborts with the offending parameter named.
+    grads is None to use the gradients ``backward`` left in the store's
+    ``flat_grad``, or a dict by name covering every parameter, which is
+    copied there. A non-finite gradient aborts before anything changes,
+    naming the parameter. The update runs Adam's element-wise expressions,
+    in their order, over the flat parameters, gradients and moments in
+    blocks of ADAM_BLOCK floats; element-wise, a block computes the bits
+    that one expression per parameter computes.
     """
-    missing = [name for name in params.names() if name not in grads]
-    if missing:
-        raise ValueError(f"adam_step: missing gradients for {missing}")
-    for name in params.names():
-        if np.isnan(grads[name]).any():
-            raise ValueError(f"adam_step: NaN gradient for parameter '{name}'")
+    params.pack()
+    if grads is not None:
+        missing = [name for name in params.names() if name not in grads]
+        if missing:
+            raise ValueError(f"adam_step: missing gradients for {missing}")
+        for name, tensor in params.items():
+            shape = np.shape(grads[name])
+            if shape != tensor.shape:
+                raise ValueError(f"adam_step: gradient shape {shape} != parameter '{name}' shape {tensor.shape}")
+            np.copyto(tensor.grad_view, grads[name])
+    p, g = params.flat, params.flat_grad
+    blocks = [slice(start, start + ADAM_BLOCK) for start in range(0, p.size, ADAM_BLOCK)]
+    if not all(np.isfinite(g[b]).all() for b in blocks):
+        name = next(name for name, t in params.items() if not np.isfinite(t.grad_view).all())
+        raise ValueError(f"adam_step: non-finite gradient for parameter '{name}'")
+    if state.m is None:
+        state.m, state.v = np.zeros(p.size), np.zeros(p.size)
 
     state.step_count += 1
     lr = state.base_lr * schedule_scale(state.step_count, state.warmup_steps)
     bias1 = 1.0 - BETA1**state.step_count
     bias2 = 1.0 - BETA2**state.step_count
-    for name, tensor in params.items():
-        g = grads[name]
-        if g.shape != tensor.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} != parameter '{name}' shape {tensor.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(tensor.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(tensor.data)
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + EPS)
-        tensor.data = tensor.data - lr * update
+    tmp, update = np.empty(min(p.size, ADAM_BLOCK)), np.empty(min(p.size, ADAM_BLOCK))
+    for b in blocks:
+        gb, mb, vb, pb = g[b], state.m[b], state.v[b], p[b]
+        t, u = tmp[: gb.size], update[: gb.size]
+        mb *= BETA1  # m = BETA1 * m + (1 - BETA1) * g
+        mb += np.multiply(gb, 1.0 - BETA1, out=t)
+        vb *= BETA2  # v = BETA2 * v + (1 - BETA2) * g * g
+        np.multiply(gb, 1.0 - BETA2, out=t)
+        t *= gb
+        vb += t
+        np.divide(vb, bias2, out=t)  # p -= lr * (m / bias1) / (sqrt(v / bias2) + EPS)
+        np.sqrt(t, out=t)
+        t += EPS
+        np.divide(mb, bias1, out=u)
+        u /= t
+        u *= lr
+        pb -= u
     return lr
 
 
@@ -90,22 +108,25 @@ def fit(store: ParameterStore, examples, loss_fn, train: TrainConfig, measure=No
     loss_fn(example) gives (scalar loss, weight); every example takes one
     backward pass and one Adam step. An epoch's history entry is measure()
     when given, otherwise the weight-averaged loss of the epoch. train.log
-    gets one line per epoch, naming the value ``metric``. The store trains
-    only while an epoch's examples step: it is frozen for measure() and on
-    return, and records the final Adam schedule as ``store.schedule``.
+    gets one line per epoch, naming the value ``metric``. The store is
+    packed first and stays packed. It trains only while an epoch's examples
+    step: it is frozen for measure() and on return, and records the final
+    Adam schedule as ``store.schedule``. Each call starts fresh Adam moments
+    and a fresh schedule, a fine-tuning run included.
     """
     state = AdamState(base_lr=train.learning_rate, warmup_steps=train.warmup_steps)
+    store.pack()
     history = []
     for epoch in range(train.epochs):
         total, count = 0.0, 0
         store.freeze(False)
         for example in examples:
             loss, weight = loss_fn(example)
-            ad.backward(loss)
-            adam_step(store, store.collect_grads(), state)
-            store.zero_grads()
             total += loss.item() * weight
             count += weight
+            ad.backward(loss)
+            adam_step(store, None, state)
+            store.zero_grads()
         store.freeze()
         history.append(measure() if measure else total / count)
         if train.log:

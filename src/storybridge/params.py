@@ -31,7 +31,8 @@ class ParameterStore:
     record no tape and refuses further allocation. Loaded stores, and the
     stores of built models, come back frozen. ``schedule`` is the optimizer
     schedule of the last training run (None before any); checkpoints save
-    and restore it.
+    and restore it. ``pack`` moves the parameters into one flat buffer for
+    training; ``flat`` and ``flat_grad`` are None until then.
     """
 
     def __init__(self, rng_seed: int):
@@ -41,6 +42,8 @@ class ParameterStore:
         self._claimed: set[str] = set()  # names some caller has asked for
         self.frozen = False
         self.schedule: dict | None = None
+        self.flat: np.ndarray | None = None
+        self.flat_grad: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._params)
@@ -68,8 +71,9 @@ class ParameterStore:
                 raise ValueError(f"parameter '{name}' exists with shape {t.shape}, wanted {tuple(shape)}")
             self._claimed.add(name)
             return t
-        if self.frozen:
-            raise ValueError(f"store is frozen; cannot allocate parameter '{name}'")
+        if self.frozen or self.flat is not None:
+            state = "frozen" if self.frozen else "packed"
+            raise ValueError(f"store is {state}; cannot allocate parameter '{name}'")
         shape = tuple(int(s) for s in shape)
         if init == "xavier":
             limit = math.sqrt(6.0 / (shape[0] + shape[-1]))
@@ -107,9 +111,33 @@ class ParameterStore:
             raise InputError(f"{where}: checkpoint holds parameters the model does not use: {unused}")
         return model
 
+    def pack(self) -> "ParameterStore":
+        """Move the parameters, in creation order, into one float64 buffer ``flat``; a no-op once packed.
+
+        Each Tensor stays the same object, and its ``data`` becomes a
+        C-contiguous view of ``flat`` holding the same values, so an in-place
+        update of ``flat`` updates every parameter. Each also gets a
+        ``grad_view`` of the zeroed buffer ``flat_grad`` of the same layout,
+        which ``autodiff.backward`` accumulates into.
+        """
+        if self.flat is None:
+            sizes = [t.size for t in self._params.values()]
+            self.flat, self.flat_grad = np.empty(sum(sizes)), np.zeros(sum(sizes))
+            offset = 0
+            for t, size in zip(self._params.values(), sizes):
+                view = self.flat[offset : offset + size].reshape(t.shape)
+                view[...] = t.data
+                t.data = view
+                t.grad_view = self.flat_grad[offset : offset + size].reshape(t.shape)
+                offset += size
+        return self
+
     def zero_grads(self) -> None:
+        """Forget the last backward's gradients; a packed store's ``flat_grad`` reads zero again."""
         for t in self._params.values():
             t.grad = None
+        if self.flat_grad is not None:
+            self.flat_grad.fill(0.0)
 
     def collect_grads(self) -> dict[str, np.ndarray]:
         """Gradients by name; parameters untouched by the last backward get zeros."""

@@ -7,6 +7,7 @@ analytic gradient in the package; it must never call into the tape.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import types
 
@@ -500,6 +501,81 @@ def checkpoint_payload(store, extra: dict | None = None) -> dict:
         "extra": extra or {},
         "params": {name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()} for name, t in store.items()},
     }
+
+
+# ------------------------------------------------------------ training references
+
+
+@dataclasses.dataclass
+class ReferenceAdamState:
+    """The schedule of ``optim.AdamState``, with one pair of moments per parameter name."""
+
+    base_lr: float = 1e-3
+    warmup_steps: int = 100
+    step_count: int = 0
+    m: dict = dataclasses.field(default_factory=dict)
+    v: dict = dataclasses.field(default_factory=dict)
+
+
+def reference_adam_step(params, grads: dict, state: ReferenceAdamState) -> float:
+    """One Adam update as one out-of-place expression per parameter: the oracle for ``optim.adam_step``."""
+    from storybridge.optim import BETA1, BETA2, EPS, schedule_scale
+
+    state.step_count += 1
+    lr = state.base_lr * schedule_scale(state.step_count, state.warmup_steps)
+    bias1 = 1.0 - BETA1**state.step_count
+    bias2 = 1.0 - BETA2**state.step_count
+    for name, tensor in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(tensor.data)
+            state.v[name] = np.zeros_like(tensor.data)
+        m, v = state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + EPS)
+        tensor.data = tensor.data - lr * update
+    return lr
+
+
+def reference_backward(loss) -> dict:
+    """Gradients of ``autodiff.backward``'s walk, summed out of place and never into a piece or a ``grad_view``.
+
+    Returns {tensor: gradient} for every requires_grad tensor reached and
+    frees the tape, like ``backward``; it sets no ``.grad``.
+    """
+    from storybridge.autodiff import RowGradient
+
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if (p.requires_grad or p._vjp is not None) and id(p) not in seen)
+    grads, result = {id(loss): np.ones_like(loss.data)}, {}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is not None:
+            if node.requires_grad:
+                result[node] = g
+            if node._vjp is not None:
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if pg is None or not (parent.requires_grad or parent._vjp is not None):
+                        continue
+                    acc = grads.get(id(parent))
+                    if isinstance(pg, RowGradient):
+                        acc = np.zeros(parent.shape) if acc is None else acc.copy()
+                        np.add.at(acc, pg.rows, pg.values)
+                        grads[id(parent)] = acc
+                    else:
+                        grads[id(parent)] = pg if acc is None else acc + pg
+        node._parents, node._vjp = (), None
+    return result
 
 
 # ------------------------------------------------------------ input files

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, reference_backward, rel_err
 from storybridge import autodiff as ad
 from storybridge.autodiff import ShapeError, Tensor
+from storybridge.params import ParameterStore
 
 RNG = np.random.default_rng(7)
 
@@ -205,3 +206,88 @@ def test_softmax_rows_normalize(values):
     out = ad.softmax(Tensor(values))
     assert abs(out.data.sum() - 1.0) < 1e-12
     assert (out.data > 0).all()
+
+
+# ------------------------------------------------------------ in-place accumulation
+# Each graph has an op whose VJP hands one array to two parents (add's gradient,
+# add_layernorm's shared dx, concat's slices of a gradient that add also hands on),
+# and each parent then takes more pieces, dense and by rows.
+
+LEAF_SHAPES = {"a": (3, 4), "b": (3, 4), "e": (3, 8), "gain": (4,), "bias": (4,)}
+WEIGHTS = np.random.default_rng(11).normal(size=(3, 8))
+
+
+def weighted_sum(t, scale: float = 1.0):
+    return ad.reduce_sum(ad.mul(t, Tensor(WEIGHTS[:, : t.shape[-1]] * scale)))
+
+
+def add_graph(t):
+    p = ad.tanh(t["a"])
+    s = ad.add(p, t["b"])
+    return [weighted_sum(ad.mul(s, s)), weighted_sum(p, 2.0), weighted_sum(t["b"], 3.0),
+            weighted_sum(ad.embed(t["b"], [2, 0, 2]), 0.5)]
+
+
+def add_layernorm_graph(t):
+    x = ad.tanh(t["a"])
+    y = ad.add_layernorm(x, t["b"], t["gain"], t["bias"])
+    return [weighted_sum(ad.mul(y, y)), weighted_sum(x, 2.0), weighted_sum(t["b"], 3.0), weighted_sum(t["gain"])]
+
+
+def concat_graph(t):
+    z = ad.concat([t["a"], ad.tanh(t["b"])], axis=-1)
+    w = ad.add(z, ad.tanh(t["e"]))
+    return [weighted_sum(ad.mul(w, w)), weighted_sum(t["a"], 2.0), weighted_sum(t["b"], 3.0)]
+
+
+def make_leaves(packed: bool) -> dict:
+    """Leaves of fixed values: plain tensors, or the parameters of a packed store whose flat gradient holds junk."""
+    values = {name: np.random.default_rng(i).normal(size=shape) for i, (name, shape) in enumerate(LEAF_SHAPES.items())}
+    if not packed:
+        return {name: Tensor(v, requires_grad=True) for name, v in values.items()}
+    store = ParameterStore(0)
+    for name, shape in LEAF_SHAPES.items():
+        store.param(name, shape)
+    store.pack()
+    store.flat[:] = np.concatenate([v.reshape(-1) for v in values.values()])
+    store.flat_grad.fill(7.0)  # backward must overwrite, never read, what a view held before
+    return dict(store.items())
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "packed"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["shared-first", "shared-last"])
+@pytest.mark.parametrize("graph", [add_graph, add_layernorm_graph, concat_graph], ids=["add", "add_layernorm", "concat"])
+def test_in_place_accumulation_never_writes_into_a_shared_piece(graph, reverse, packed):
+    def loss_of(leaves):
+        terms = graph(leaves)
+        if reverse:
+            terms.reverse()
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+        return loss
+
+    reference_leaves = make_leaves(False)
+    by_tensor = reference_backward(loss_of(reference_leaves))
+    want = {name: by_tensor[t] for name, t in reference_leaves.items() if t in by_tensor}
+    leaves = make_leaves(packed)
+    inputs = {name: t.data.copy() for name, t in leaves.items()}
+    weights = WEIGHTS.copy()
+    by_tensor = ad.backward(loss_of(leaves))
+    got = {name: by_tensor[t] for name, t in leaves.items() if t in by_tensor}
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        assert g.shape == want[name].shape and (g.view(np.uint64) == want[name].view(np.uint64)).all(), name
+        assert leaves[name].grad is g
+        if packed:
+            assert g is leaves[name].grad_view
+    assert all((t.data.view(np.uint64) == inputs[name].view(np.uint64)).all() for name, t in leaves.items())
+    assert (WEIGHTS == weights).all()
+
+
+def test_a_packed_parameter_keeps_the_sign_of_a_zero_gradient():
+    store = ParameterStore(0)
+    w = store.param("w", (2,))
+    store.pack()
+    ad.backward(ad.reduce_sum(ad.mul(w, Tensor([-0.0, 1.0]))))
+    assert (w.grad.view(np.uint64) == np.array([-0.0, 1.0]).view(np.uint64)).all()  # copied in, not added to +0.0

@@ -599,6 +599,36 @@ def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "field,raw",
+    [("learning_rate", "inf"), ("learning_rate", "nan"), ("learning_rate", "1e309"), ("learning_rate", "-inf"),
+     ("alpha", "nan"), ("gamma", "inf"), ("smoothing_k", "nan")],
+)
+def test_non_finite_setting_exits_two_naming_the_field(fixture_world, tmp_path, capsys, field, raw):
+    # a non-finite learning rate once trained to a checkpoint of non-finite weights that every loader refuses
+    out = str(tmp_path / "generator.json")
+    corpus = f"corpus_path={fixture_world['corpus']}"
+    code, _, err = run_cli(capsys, "train-generator", "--set", corpus, "--set", "epochs=1", "--set", f"{field}={raw}",
+                           "--out", out)
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert f"override: {field} must be a finite number" in err
+    cfg_path = tmp_path / "cfg.json"
+    json_value = {"inf": "1e999", "1e309": "1e309", "-inf": "-1e999", "nan": "NaN"}[raw]
+    cfg_path.write_text(f'{{"{field}": {json_value}, "epochs": 1}}', encoding="utf-8")
+    code, _, err = run_cli(capsys, "train-generator", "--config", str(cfg_path), "--set", corpus, "--out", out)
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert f"{cfg_path}: {field} must be a finite number" in err
+    assert not os.path.exists(out)
+
+
+def test_an_int_past_float_range_in_a_float_field_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"gamma": 1' + "0" * 400 + "}", encoding="utf-8")
+    code, _, err = run_cli(capsys, "pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_INPUT and f"{cfg_path}: gamma must be a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_hidden_size_that_heads_do_not_divide_exits_two_naming_both(pipeline_run, tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, err = run_cli(capsys, "pipeline", "--config", pipeline_run["config_path"], "--set", "hidden_size=32",

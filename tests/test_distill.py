@@ -5,7 +5,7 @@ import pytest
 
 from helpers import reference_term_beam
 from storybridge import autodiff as ad
-from storybridge import distill
+from storybridge import distill, optim
 from storybridge.autodiff import Tensor, linear
 from storybridge.distill import (
     END_OF_SET,
@@ -21,7 +21,6 @@ from storybridge.distill import (
     train_distiller,
 )
 from storybridge.optim import TrainConfig
-from storybridge.params import ParameterStore
 
 RNG = np.random.default_rng(123)
 
@@ -198,13 +197,15 @@ def test_identical_seeds_identical_loss_curves():
 
 def test_group_count_mismatch_rejected_before_any_step(monkeypatch):
     steps, lines = [], []
-    collect = ParameterStore.collect_grads
-    monkeypatch.setattr(ParameterStore, "collect_grads", lambda store: steps.append(store) or collect(store))
+    step = optim.adam_step
+    monkeypatch.setattr(optim, "adam_step", lambda *args: steps.append(args) or step(*args))
     good = (make_sequence(sid="a"), [["X_Noun"], ["Y_Noun"]])
     bad = (make_sequence(sid="b"), [["X_Noun"]])
     with pytest.raises(ValueError, match="'b': 1 gold groups for 2 image slots"):
         train_distiller([good, good, bad], SMALL, TrainConfig(epochs=2, log=lines.append))
     assert steps == [] and lines == []
+    train_distiller([good, good], SMALL, TrainConfig(epochs=1))
+    assert len(steps) == 2  # the count sees every step fit takes
 
 
 def test_checkpoint_config_round_trip(tmp_path):

@@ -354,6 +354,17 @@ def test_finetune_continues_without_loss_blowup(memorized):
     assert more[0] < 10 * history[-1]
 
 
+def test_finetuning_starts_fresh_adam_moments_and_schedule(memorized, tmp_path):
+    model, _, pairs = memorized
+    pre, tuned_path = str(tmp_path / "pre.json"), str(tmp_path / "tuned.json")
+    model.save(pre)
+    base = GeneratorModel.load(pre)
+    tuned, _ = train_generator(pairs, model=base, train=TrainConfig(epochs=3, learning_rate=2.5e-4, warmup_steps=7))
+    tuned.save(tuned_path)
+    schedule = GeneratorModel.load(tuned_path).store.schedule
+    assert schedule == {"base_lr": 2.5e-4, "warmup_steps": 7, "decay": "inverse_sqrt", "step_count": 3 * len(pairs)}
+
+
 def test_identical_seed_identical_checkpoints():
     pairs = build_training_pairs([overfit_story()], mode="generator")
     cfg = GeneratorConfig(hidden_size=16, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=2, seed=4)

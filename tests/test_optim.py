@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import ReferenceAdamState, reference_adam_step, reference_backward
 from storybridge import autodiff as ad
+from storybridge import optim
 from storybridge.autodiff import Tensor
 from storybridge.optim import AdamState, TrainConfig, adam_step, fit, schedule_scale
 from storybridge.params import ParameterStore
@@ -65,6 +67,82 @@ def test_nan_gradient_names_parameter():
     grads = {"weights.proj": np.array([1.0, np.nan])}
     with pytest.raises(ValueError, match="weights.proj"):
         adam_step(store, grads, AdamState())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_gradient_names_parameter_before_any_change(bad):
+    store = ParameterStore(0)
+    store.param("weights.bias", (3,))
+    store.param("weights.proj", (2,))
+    before = {name: t.data.copy() for name, t in store.items()}
+    grads = {"weights.bias": np.ones(3), "weights.proj": np.array([1.0, bad])}
+    state = AdamState()
+    with pytest.raises(ValueError, match="non-finite gradient for parameter 'weights.proj'"):
+        adam_step(store, grads, state)
+    assert state.step_count == 0
+    assert all((t.data == before[name]).all() for name, t in store.items())
+
+
+def adam_world(seed: int = 3):
+    """A store of a matrix used twice, a vector, an embedding table, an unused parameter and a second matrix,
+    and a loss over ids that reaches the table both by rows (a RowGradient) and whole."""
+    store = ParameterStore(seed)
+    w = store.param("w", (4, 4))
+    b = store.param("b", (4,), init="zeros")
+    table = store.param("table", (6, 4))
+    store.param("idle", (3,))
+    v = store.param("v", (4, 2))
+
+    def loss_fn(ids):
+        h = ad.tanh(ad.linear(ad.embed(table, ids), w, b))
+        out = ad.matmul(ad.tanh(ad.linear(h, w, b)), v)
+        return ad.add(ad.reduce_sum(ad.mul(out, out)), ad.scale(ad.reduce_sum(ad.mul(table, table)), 0.01)), 1
+
+    return store, loss_fn
+
+
+ADAM_EXAMPLES = [np.random.default_rng(5).integers(0, 6, size=5) for _ in range(20)]  # ids repeat within an example
+ADAM_TRAIN = TrainConfig(epochs=1, learning_rate=0.05, warmup_steps=4)
+
+
+def reference_training() -> ParameterStore:
+    """20 steps of the out-of-place backward walk and per-parameter Adam."""
+    store, loss_fn = adam_world()
+    state = ReferenceAdamState(base_lr=ADAM_TRAIN.learning_rate, warmup_steps=ADAM_TRAIN.warmup_steps)
+    for ids in ADAM_EXAMPLES:
+        grads = reference_backward(loss_fn(ids)[0])
+        reference_adam_step(store, {name: grads.get(t, np.zeros(t.shape)) for name, t in store.items()}, state)
+    return store
+
+
+def bits(store: ParameterStore) -> dict:
+    return {name: t.data.view(np.uint64).copy() for name, t in store.items()}
+
+
+@pytest.mark.parametrize("block", [optim.ADAM_BLOCK, 7])  # 7 floats: blocks end inside parameters
+def test_fit_equals_the_reference_adam_to_the_bit(monkeypatch, block):
+    monkeypatch.setattr(optim, "ADAM_BLOCK", block)
+    store, loss_fn = adam_world()
+    start = store["idle"].data.copy()
+    fit(store, ADAM_EXAMPLES, loss_fn, ADAM_TRAIN)
+    want = bits(reference_training())
+    got = bits(store)
+    assert all((got[name] == want[name]).all() for name in want)
+    assert (store["idle"].data == start).all()  # no gradient, so Adam's update is exactly zero
+    assert store.flat is not None and all(np.shares_memory(t.data, store.flat) for _, t in store.items())
+
+
+def test_adam_step_on_an_unpacked_store_with_a_dict_of_gradients_equals_the_reference():
+    store, loss_fn = adam_world()
+    state = AdamState(base_lr=ADAM_TRAIN.learning_rate, warmup_steps=ADAM_TRAIN.warmup_steps)
+    assert store.flat is None
+    for ids in ADAM_EXAMPLES:
+        ad.backward(loss_fn(ids)[0])
+        adam_step(store, store.collect_grads(), state)
+        store.zero_grads()
+    want = bits(reference_training())
+    got = bits(store)
+    assert all((got[name] == want[name]).all() for name in want)
 
 
 def test_identical_seeds_give_bit_identical_training():

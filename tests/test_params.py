@@ -44,6 +44,36 @@ def test_freezing_makes_parameters_constants_until_unfrozen():
     store.param("w2", (2,))  # an unfrozen store allocates again
 
 
+def test_pack_moves_parameters_into_one_buffer_keeping_tensors_and_values():
+    store = ParameterStore(3)
+    tensors = {name: store.param(name, shape) for name, shape in (("w", (3, 4)), ("b", (4,)), ("e", (2, 5)))}
+    before = {name: t.data.copy() for name, t in tensors.items()}
+    assert store.pack() is store and store.flat.shape == (12 + 4 + 10,)
+    flat = store.flat
+    for name, t in store.items():
+        assert t is tensors[name] and t.data.flags.c_contiguous and np.shares_memory(t.data, flat)
+        assert (t.data.view(np.uint64) == before[name].view(np.uint64)).all()
+        assert t.grad_view.shape == t.shape and np.shares_memory(t.grad_view, store.flat_grad)
+        assert not t.grad_view.any()
+    assert (flat == np.concatenate([before[name].reshape(-1) for name in ("w", "b", "e")])).all()
+    store.pack()
+    assert store.flat is flat  # packing again is a no-op
+    flat -= 1.0
+    assert (tensors["b"].data == before["b"] - 1.0).all()  # an update of the buffer is an update of each parameter
+    with pytest.raises(ValueError, match="packed"):
+        store.param("late", (2,))
+
+
+def test_zero_grads_clears_the_packed_gradient_buffer():
+    store = ParameterStore(0)
+    w = store.param("w", (2, 2))
+    store.pack()
+    store.flat_grad.fill(3.0)
+    w.grad = w.grad_view
+    store.zero_grads()
+    assert w.grad is None and not store.flat_grad.any()
+
+
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_serialization_roundtrip_is_bit_identical(tmp_path_factory, seed):
