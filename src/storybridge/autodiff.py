@@ -497,6 +497,22 @@ def attention(q, k, v, num_heads: int, mask: Array | None = None) -> Tensor:
     return _make(np.transpose(ctx, (1, 0, 2)).reshape(tq, d), (q, k, v), vjp)
 
 
+def additive_attention_values(keys: Array, query: Array, v: Array, memory: Array, mask: Array | None = None):
+    """Additive attention in plain numpy over (..., M, a) keys, (..., B, a) queries and (..., M, D) memories.
+
+    Returns (tanh(keys + query) as (..., B, M, a), weights (..., B, M), context (..., B, D)). mask is an
+    optional additive (..., 1, M) mask on the scores.
+    """
+    t = np.add(keys[..., None, :, :], query[..., :, None, :])
+    np.tanh(t, out=t)
+    z = (t @ v)[..., 0]
+    if mask is not None:
+        z += mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return t, weights, weights @ memory
+
+
 def additive_attention(keys, query, v, memory) -> Tensor:
     """Additive attention of each query row (B, a) over memory (M, D): softmax over M of tanh(keys + query) @ v.
 
@@ -506,11 +522,7 @@ def additive_attention(keys, query, v, memory) -> Tensor:
     (b, a), m = query.shape, keys.shape[0]
     if keys.shape != (m, a) or v.shape != (a, 1) or memory.ndim != 2 or memory.shape[0] != m:
         raise _shape_error("additive_attention", keys, query, v, memory)
-    t = np.add(keys.data, query.data.reshape(b, 1, a))
-    np.tanh(t, out=t)
-    z = (t @ v.data).reshape(b, m)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+    t, weights, context = additive_attention_values(keys.data, query.data, v.data, memory.data)
 
     def vjp(g):
         gw = g @ memory.data.T
@@ -521,7 +533,7 @@ def additive_attention(keys, query, v, memory) -> Tensor:
         gs = gt * (1.0 - t**2)
         return _unbroadcast(gs, keys.shape), _unbroadcast(gs, (b, 1, a)).reshape(b, a), gv, gm
 
-    return _make(weights @ memory.data, (keys, query, v, memory), vjp)
+    return _make(context, (keys, query, v, memory), vjp)
 
 
 def gru_cell(x, h, *, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, b_nx, w_hn, b_nh) -> Tensor:

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .beam import BeamPenaltyConfig, Search, beam_decode, blocks
 from .ioutil import InputError, atomic_writer, canonical_dumps
-from .layers import GRUParams, TransformerEncoder, linear
+from .layers import GRUParams, TransformerEncoder, encode_padded, linear, pad_mask
 from .optim import TrainConfig, fit
 from .params import ParameterStore
 
@@ -37,6 +37,12 @@ REPEAT_MASK = 1e19
 # with the rows, so that table is what does; each sequence's encoded objects stay live for its block
 # (README "Decoding").
 TERM_BLOCK_BYTES = 60 * 2000 * 8
+# Bytes of one additive-attention call's tanh(keys + query) table, (sequences, rows, objects, d) float64, each
+# sequence counted at the most rows and objects of its block: one five-image sequence at beam 3 over 125
+# objects at hidden 512, the table that decoding one sequence at a time makes. A term block's step attends
+# over its sequences in consecutive chunks of at most that (at least one sequence each); the quick-start
+# file's 20 sequences (hidden 32, 15 objects) make one chunk of 1.15 MB.
+TERM_ATTENTION_BYTES = 15 * 125 * 512 * 8
 
 
 @dataclass
@@ -87,8 +93,9 @@ def load_feature_file(path: str) -> list[ImageSequence]:
     """Read an object-feature container (README "File formats"), grouped by story_id.
 
     Each image keeps its TOP_K_OBJECTS most confident objects, as
-    ``ObjectFeatureSet.from_objects`` keeps them. A malformed file raises
-    InputError naming it.
+    ``ObjectFeatureSet.from_objects`` keeps them: one stable sort of its
+    confidences, then one fancy index of its rows. A malformed file raises
+    InputError naming it; a boolean is not a number there.
     """
     if not os.path.exists(path):
         raise InputError(f"input file not found: {path}")
@@ -103,9 +110,9 @@ def load_feature_file(path: str) -> list[ImageSequence]:
                              "one JSON header line, then the raw float64 rows)")
         for i, image in enumerate(images):
             n, confidences = (image.get("objects"), image.get("confidences")) if isinstance(image, dict) else (0, None)
-            if not (isinstance(n, int) and n >= 1 and isinstance(confidences, list) and len(confidences) == n
-                    and all(isinstance(c, (int, float)) for c in confidences) and np.isfinite(confidences).all()
-                    and isinstance(image.get("image_index"), int) and "story_id" in image):
+            if not (_is_int(n) and n >= 1 and isinstance(confidences, list) and len(confidences) == n
+                    and all(isinstance(c, float) or _is_int(c) for c in confidences) and np.isfinite(confidences).all()
+                    and _is_int(image.get("image_index")) and "story_id" in image):
                 raise InputError(f"{path}: header image {i} needs a story_id, an integer image_index, "
                                  "objects >= 1 and as many finite confidences")
         offsets = np.cumsum([0] + [image["objects"] * FEATURE_DIM for image in images])
@@ -117,8 +124,9 @@ def load_feature_file(path: str) -> list[ImageSequence]:
         raise InputError(f"{path}: feature values must be finite")
     grouped: dict[str, list[ObjectFeatureSet]] = {}
     for image, start, stop in zip(images, offsets, offsets[1:]):
-        rows = values[start:stop].reshape(-1, FEATURE_DIM)
-        slot = ObjectFeatureSet.from_objects(image["image_index"], zip(rows, image["confidences"]))
+        confidences = np.asarray(image["confidences"], dtype=np.float64)
+        order = np.argsort(-confidences, kind="stable")[:TOP_K_OBJECTS]
+        slot = ObjectFeatureSet(image["image_index"], values[start:stop].reshape(-1, FEATURE_DIM)[order], confidences[order])
         grouped.setdefault(str(image["story_id"]), []).append(slot)
     sequences = []
     for sid, slots in grouped.items():
@@ -127,6 +135,10 @@ def load_feature_file(path: str) -> list[ImageSequence]:
         except ValueError as exc:
             raise InputError(f"{path}: {exc}") from None
     return sequences
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_feature_file(path: str, sequences) -> None:
@@ -190,6 +202,8 @@ class DistillerModel:
             raise ValueError(
                 f"sequence has {len(seq.slots)} slots but model was built for {self.config.num_slots}"
             )
+        if any(slot.features.shape[0] == 0 for slot in seq.slots):
+            raise ValueError("all slots must hold at least one object")
         rows = []
         for slot in seq.slots:
             if slot.features.shape[1] != FEATURE_DIM:
@@ -201,8 +215,6 @@ class DistillerModel:
 
     def encode_objects(self, seq: ImageSequence) -> Tensor:
         """One encoded vector per retained object, order-free within an image."""
-        if any(slot.features.shape[0] == 0 for slot in seq.slots):
-            raise ValueError("all slots must hold at least one object")
         return self.encoder(self.input_embeddings(seq))
 
     def _context(self, h: Tensor, memory: Tensor, keys: Tensor) -> Tensor:
@@ -238,9 +250,9 @@ class DistillerModel:
         consecutive sequences as fit ``TERM_BLOCK_BYTES`` of (rows,
         vocabulary) float64 candidates, beam_size rows per image) run as one
         batched search, so each beam step is one decoder step over all their
-        live hypotheses. The additive
-        attention runs per sequence, over its own memory; the GRU cell and
-        the output layer run over all rows at once.
+        live hypotheses. The block's sequences are encoded in one padded
+        pass (``layers.encode_padded``), and each step's additive attention
+        is one call over all rows, each reading its own sequence's memory.
         """
         if len(self.vocab) <= 1:
             raise ValueError("term vocabulary holds only the end-of-set marker")
@@ -255,12 +267,23 @@ class DistillerModel:
         return [terms for block in blocks(table_bytes, TERM_BLOCK_BYTES) for terms in self._term_block(seqs[block], search)]
 
     def _term_block(self, seqs: list[ImageSequence], search: Search) -> list[list[tuple[list[str], float]]]:
-        """term_beams of the sequences by one batched search."""
-        memories = [self.encode_objects(seq) for seq in seqs]
-        keys = [linear(memory, self.attn_mem) for memory in memories]
+        """term_beams of the sequences by one batched search.
+
+        Each step lays the live rows of a chunk of sequences out as
+        (sequences, rows, objects, d), padded per sequence to the most rows
+        and objects, and masks padded objects out of the attention; a block
+        of one sequence needs no mask and computes the products of
+        ``_context`` bit for bit.
+        """
+        memories, lengths = encode_padded(self.encoder, [self.input_embeddings(seq).data for seq in seqs])
+        n, m, d = memories.shape
+        keys = (memories.reshape(n * m, d) @ self.attn_mem.data).reshape(n, m, d)
+        mask = None if (lengths == m).all() else pad_mask(lengths, m)[:, 0]  # (S, 1, M)
+        table_bytes = max(len(seq.slots) for seq in seqs) * search.penalties.beam_size * m * d * 8
+        chunks = blocks([table_bytes] * n, TERM_ATTENTION_BYTES)
         starts = [slot.image_index for seq in seqs for slot in seq.slots]
         seq_of = np.repeat(np.arange(len(seqs)), [len(seq.slots) for seq in seqs])  # each row's sequence
-        h = np.zeros((len(starts), self.config.hidden_size))  # row r: the GRU state after row r of the last call
+        h = np.zeros((len(starts), d))  # row r: the GRU state after row r of the last call
 
         def step(frontier) -> np.ndarray:
             nonlocal h, seq_of
@@ -268,12 +291,19 @@ class DistillerModel:
             seq_of = seq_of[parents]
             prev = self.term_embedding.data[tokens[:, -1]] if tokens.shape[1] else self.order_embedding.data[starts]
             h_rows = h[parents]
-            spans = np.searchsorted(seq_of, np.arange(len(seqs) + 1))  # rows are sequence by sequence
-            context = ad.concat(
-                [self._context(Tensor(h_rows[a:b]), memories[s], keys[s]) for s, (a, b) in enumerate(zip(spans, spans[1:])) if b > a],
-                axis=0,
-            )
-            logits, h_next = self._step(Tensor(prev), Tensor(h_rows), context)
+            query = h_rows @ self.attn_hidden.data + self.attn_bias.data
+            rank = np.arange(len(seq_of)) - np.searchsorted(seq_of, seq_of)  # each row's place in its sequence
+            context = np.empty_like(h_rows)
+            for chunk in chunks:  # rows are sequence by sequence, so a chunk's rows are consecutive
+                rows = slice(*np.searchsorted(seq_of, [chunk.start, chunk.stop]))
+                if rows.start == rows.stop:
+                    continue
+                s, r = seq_of[rows] - chunk.start, rank[rows]
+                padded = np.zeros((chunk.stop - chunk.start, r.max() + 1, d))
+                padded[s, r] = query[rows]
+                chunk_mask = None if mask is None else mask[chunk]
+                context[rows] = ad.additive_attention_values(keys[chunk], padded, self.attn_v.data, memories[chunk], chunk_mask)[2][s, r]
+            logits, h_next = self._step(Tensor(prev), Tensor(h_rows), Tensor(context))
             h = h_next.data
             return ad.log_softmax_values(logits.data)
 

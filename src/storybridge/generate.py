@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .beam import BeamPenaltyConfig, Search, beam_decode, blocks
 from .enrich import TermPath
-from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, linear, sinusoidal_encoding
+from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, encode_padded, linear, sinusoidal_encoding
 from .lm import BOS as PATH_BOS
 from .lm import EOS as PATH_EOS
 from .lm import SEP as GROUP_SEP
@@ -119,12 +119,13 @@ class GeneratorModel:
                 ids.append(self.token_to_id[UNK])
         return ids
 
+    def path_embeddings(self, groups) -> Tensor:
+        """The linearized path's token embeddings plus the sinusoidal position table, pre-encoder."""
+        ids = self._ids(linearize_groups(groups))
+        return ad.add(ad.embed(self.enc_embedding, ids), Tensor(sinusoidal_encoding(range(len(ids)), self.config.hidden_size)))
+
     def encode_path(self, groups) -> Tensor:
-        tokens = linearize_groups(groups)
-        ids = self._ids(tokens)
-        x = ad.embed(self.enc_embedding, ids)
-        x = ad.add(x, Tensor(sinusoidal_encoding(range(len(ids)), self.config.hidden_size)))
-        return self.encoder(x)
+        return self.encoder(self.path_embeddings(groups))
 
     def decoder_logits(self, memory: Tensor, input_ids: list[int], remaining: np.ndarray) -> Tensor:
         x = ad.embed(self.dec_embedding, input_ids)
@@ -151,10 +152,13 @@ class GeneratorModel:
         (B, V) log-probabilities. Row b extends row parents[b] of the
         previous call, so the decoder runs just the B new positions over a
         key/value cache; each row reads its own path's memory and takes its
-        position from its own path's budget.
+        position from its own path's budget. The paths are encoded in one
+        padded pass (``layers.encode_padded``), and each step reads its LDPE
+        rows from one table of every remaining length up to the largest budget.
         """
-        cache = DecoderCache(self.decoder, [self.encode_path(groups).data for groups in path_groups])
+        cache = DecoderCache(self.decoder, *encode_padded(self.encoder, [self.path_embeddings(g).data for g in path_groups]))
         budgets = np.asarray(budgets)
+        ldpe = sinusoidal_encoding(np.arange(budgets.max(initial=0) + 1), self.config.hidden_size)
         bos = self.token_to_id[BOS_STORY]
         path_of = np.arange(len(budgets))  # each row's path: at the first call, root g is path g
 
@@ -164,8 +168,7 @@ class GeneratorModel:
             path_of = path_of[parents]
             pos = tokens.shape[1]
             ids = tokens[:, -1] if pos else np.full(len(tokens), bos)
-            ldpe = sinusoidal_encoding(np.maximum(budgets - pos, 0), self.config.hidden_size)
-            h = cache.step(self.dec_embedding.data[ids] + ldpe[path_of], parents, path_of)
+            h = cache.step(self.dec_embedding.data[ids] + ldpe[np.maximum(budgets[path_of] - pos, 0)], parents, path_of)
             return ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
 
         return step

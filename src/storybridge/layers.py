@@ -4,10 +4,11 @@ Linear maps, multi-head attention, transformer encoder/decoder stacks, a GRU
 cell, and the sinusoidal positional table. Parameters live in a
 ParameterStore and are addressed by dotted names, so a stack built twice
 from the same seed is bit-identical and a loaded checkpoint slots straight
-back in. ``DecoderCache`` runs a trained decoder stack for inference in
-plain numpy, one new position per hypothesis per call, over one memory per
-decoded path, off the tape, through the same numpy forwards as the fused
-training ops.
+back in. For inference, ``encode_padded`` runs a trained encoder stack over
+a padded batch of sequences in one pass, and ``DecoderCache`` runs a trained
+decoder stack one new position per hypothesis per call over one memory per
+decoded path; both work in plain numpy, off the tape, through the same
+numpy forwards as the fused training ops.
 """
 
 from __future__ import annotations
@@ -157,35 +158,63 @@ class TransformerDecoder:
         return x
 
 
+def pad_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Additive (N, 1, 1, width) key mask: NEG_INF at each item's positions from lengths[n] on, else 0."""
+    return np.where(np.arange(width) >= lengths[:, None], NEG_INF, 0.0)[:, None, None, :]
+
+
+def encode_padded(encoder: TransformerEncoder, inputs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Run the encoder over every (T_n, D) input at once, off the tape: (outputs (N, T, D), lengths (N,)).
+
+    The inputs are padded with zero rows to the longest, T, and the padding
+    is masked out of self-attention as keys, so a real position reads only
+    its own input's positions; padded positions hold finite values that a
+    reader must mask in turn. The projections and feed-forwards run over all
+    N * T rows as one matrix. An input that needs no padding (one input, or
+    inputs of one length) runs the products of ``TransformerEncoder.__call__``
+    on its rows bit for bit; padded ones may differ in the last bits, as each
+    attention row's sum then also adds the padding's exact zeros.
+    """
+    lengths = np.array([len(x) for x in inputs])
+    n, t, d = len(inputs), int(lengths.max()), inputs[0].shape[1]
+    padded = np.zeros((n, t, d))
+    for row, x in zip(padded, inputs):
+        row[: len(x)] = x
+    mask = None if (lengths == t).all() else pad_mask(lengths, t)
+    heads, x = encoder.heads, padded.reshape(n * t, d)
+    for attn, norm1, ff, norm2 in encoder.blocks:
+        q, k, v = (attn.project(x, which, heads).reshape(n, t, heads, -1).transpose(0, 2, 1, 3) for which in "qkv")
+        ctx = ad.attention_values(q, k, v, mask)[1].transpose(0, 2, 1, 3).reshape(n * t, d)
+        x = _norm(norm1, x, ctx @ attn.kw["wo"].data + attn.kw["bo"].data)
+        x = _norm(norm2, x, ad.feed_forward_values(x, ff.w1.data, ff.b1.data, ff.w2.data, ff.b2.data)[0])
+    return x.reshape(n, t, d), lengths
+
+
 class DecoderCache:
     """Incremental numpy inference over a TransformerDecoder, no tape, over one or more memories.
 
-    The cross-attention keys and values of each memory are computed once;
-    memories of different lengths are padded to the longest, and the
-    padding is masked out of cross-attention. Each layer keeps the
-    self-attention keys and values of every position already run, one row
-    per hypothesis. ``step`` gathers those rows by parent hypothesis,
-    appends the new position and runs only the new rows, all memories'
-    rows as one batch. Attention is causal, so an emitted position never
-    changes and the result equals recomputing each whole prefix, up to
-    float reassociation.
+    The memories come padded, as ``encode_padded`` gives them, and their
+    padding is masked out of cross-attention; the cross-attention keys and
+    values of every memory are computed once, as one matrix. Each layer
+    keeps the self-attention keys and values of every position already
+    run, one row per hypothesis. ``step`` gathers those rows by parent
+    hypothesis, appends the new position and runs only the new rows, all
+    memories' rows as one batch. Attention is causal, so an emitted
+    position never changes and the result equals recomputing each whole
+    prefix, up to float reassociation.
     """
 
-    def __init__(self, decoder: TransformerDecoder, memories: list[np.ndarray]):
+    def __init__(self, decoder: TransformerDecoder, memories: np.ndarray, lengths: np.ndarray):
+        """memories (P, T, D) holds memory p in its first lengths[p] positions."""
         self.heads = decoder.heads
         self.blocks = decoder.blocks
-        lengths = np.array([len(m) for m in memories])
-        width = int(lengths.max())
-        self.cross = []  # per layer: (P, H, T, Dh) keys, values
-        for _s, _n1, cross, _n2, _ff, _n3 in self.blocks:
-            pair = []
-            for which in "kv":
-                padded = np.zeros((len(memories), width, self.heads, memories[0].shape[1] // self.heads))
-                for p, memory in enumerate(memories):
-                    padded[p, : len(memory)] = cross.project(memory, which, self.heads)
-                pair.append(np.swapaxes(padded, 1, 2))
-            self.cross.append(tuple(pair))
-        self.pad_mask = np.where(np.arange(width) >= lengths[:, None], NEG_INF, 0.0)[:, None, None, :]  # (P, 1, 1, T)
+        p, t, d = memories.shape
+        rows = memories.reshape(p * t, d)
+        self.cross = [  # per layer: (P, H, T, Dh) keys, values
+            tuple(np.swapaxes(cross.project(rows, which, self.heads).reshape(p, t, self.heads, -1), 1, 2) for which in "kv")
+            for _s, _n1, cross, _n2, _ff, _n3 in self.blocks
+        ]
+        self.pad_mask = pad_mask(lengths, t)  # (P, 1, 1, T)
         self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer: (B, H, t, Dh) keys, values
 
     def step(self, x: np.ndarray, parents, memory_of) -> np.ndarray:

@@ -146,12 +146,16 @@ class GRULanguageModel:
     def _ids(self, tokens) -> list[int]:
         return [self.token_to_id[_map_token(t, self._vocab_set)] for t in tokens]
 
-    def _forward(self, ids: np.ndarray):
-        """Next-token logits (N, V) after each column of an id matrix (N, T), one GRU step per column."""
+    def _states(self, ids: np.ndarray):
+        """The GRU state (N, d) after each column of an id matrix (N, T), one GRU step per column."""
         h = Tensor(np.zeros((ids.shape[0], self.hidden_size)))
         for j in range(ids.shape[1]):
             h = self.cell(ad.embed(self.embedding, ids[:, j]), h)
-            yield linear(h, self.w_out, self.b_out)
+            yield h
+
+    def _forward(self, ids: np.ndarray):
+        """Next-token logits (N, V) after each column of an id matrix (N, T)."""
+        return (linear(h, self.w_out, self.b_out) for h in self._states(ids))
 
     def log_probs(self, seqs) -> np.ndarray:
         """Summed log-probabilities of each sequence's tokens after the first.
@@ -160,6 +164,8 @@ class GRULanguageModel:
         the same ids (say, through <unk>) get the very same float. Distinct
         sequences, shortest first, run through the GRU cell as padded
         (rows, d) batches whose (rows, vocabulary) tables fit SCORE_BLOCK_BYTES.
+        Every step of a batch writes its logits into the batch's one table,
+        with the bits of ``_forward``'s.
         """
         first: dict[tuple, int] = {}
         owner = [first.setdefault(tuple(self._ids(seq)), len(first)) for seq in seqs]
@@ -175,9 +181,12 @@ class GRULanguageModel:
             for row, seq_ids in enumerate(block):
                 ids[row, : len(seq_ids)] = seq_ids
             gathered = np.zeros((len(block), ids.shape[1] - 1))
-            for j, logits in enumerate(self._forward(ids[:, :-1])):
+            logits = np.empty((len(block), len(self.vocab)))
+            for j, h in enumerate(self._states(ids[:, :-1])):
+                np.matmul(h.data, self.w_out.data, out=logits)
+                logits += self.b_out.data
                 live = j + 1 < lengths
-                gathered[live, j] = ad.log_softmax_at(logits.data, ids[:, j + 1])[live]
+                gathered[live, j] = ad.log_softmax_at(logits, ids[:, j + 1])[live]
             totals[rows] = gathered.sum(axis=1)
         return totals[owner]
 

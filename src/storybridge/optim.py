@@ -39,27 +39,18 @@ def schedule_scale(step: int, warmup_steps: int) -> float:
     return min(step / w, math.sqrt(w / step))
 
 
-def adam_step(params: ParameterStore, grads: dict | None, state: AdamState) -> float:
-    """Apply one Adam update in place to the packed store (packing it first); returns the learning rate used.
+def adam_step(params: ParameterStore, state: AdamState) -> float:
+    """Apply one Adam update in place to the packed store, from the gradients in its ``flat_grad``; returns the learning rate used.
 
-    grads is None to use the gradients ``backward`` left in the store's
-    ``flat_grad``, or a dict by name covering every parameter, which is
-    copied there. A non-finite gradient aborts before anything changes,
-    naming the parameter. The update runs Adam's element-wise expressions,
-    in their order, over the flat parameters, gradients and moments in
-    blocks of ADAM_BLOCK floats; element-wise, a block computes the bits
-    that one expression per parameter computes.
+    ``backward`` accumulates those gradients, so the store must be packed
+    before the backward pass. A non-finite gradient aborts before anything
+    changes, naming the parameter. The update runs Adam's element-wise
+    expressions, in their order, over the flat parameters, gradients and
+    moments in blocks of ADAM_BLOCK floats; element-wise, a block computes
+    the bits that one expression per parameter computes.
     """
-    params.pack()
-    if grads is not None:
-        missing = [name for name in params.names() if name not in grads]
-        if missing:
-            raise ValueError(f"adam_step: missing gradients for {missing}")
-        for name, tensor in params.items():
-            shape = np.shape(grads[name])
-            if shape != tensor.shape:
-                raise ValueError(f"adam_step: gradient shape {shape} != parameter '{name}' shape {tensor.shape}")
-            np.copyto(tensor.grad_view, grads[name])
+    if params.flat is None:
+        raise ValueError("adam_step: the store is not packed, so no backward pass has filled its gradients")
     p, g = params.flat, params.flat_grad
     blocks = [slice(start, start + ADAM_BLOCK) for start in range(0, p.size, ADAM_BLOCK)]
     if not all(np.isfinite(g[b]).all() for b in blocks):
@@ -125,7 +116,7 @@ def fit(store: ParameterStore, examples, loss_fn, train: TrainConfig, measure=No
             total += loss.item() * weight
             count += weight
             ad.backward(loss)
-            adam_step(store, None, state)
+            adam_step(store, state)
             store.zero_grads()
         store.freeze()
         history.append(measure() if measure else total / count)

@@ -139,13 +139,6 @@ class ParameterStore:
         if self.flat_grad is not None:
             self.flat_grad.fill(0.0)
 
-    def collect_grads(self) -> dict[str, np.ndarray]:
-        """Gradients by name; parameters untouched by the last backward get zeros."""
-        return {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in self._params.items()
-        }
-
     def save(self, path: str, extra: dict | None = None) -> None:
         """Write the checkpoint as canonical JSON, encoding one parameter's data at a time.
 

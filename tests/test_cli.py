@@ -6,6 +6,7 @@ import pytest
 
 from helpers import read_jsonl, with_second_line
 from storybridge.cli import EXIT_INPUT, EXIT_OK, main
+from storybridge.distill import FEATURE_DIM
 from storybridge.ioutil import read_json, sha256_file, write_json
 
 
@@ -437,6 +438,18 @@ def first_image(change):
     return lambda header, rows: (json.dumps({**header, "images": [change(header["images"][0]), *header["images"][1:]]}), rows)
 
 
+def first_image_one_object(**fields):
+    """An edit that keeps only the first object of the header's first image, then sets fields on that image."""
+    row_bytes = FEATURE_DIM * 8
+
+    def edit(header, rows):
+        first, rest = header["images"][0], header["images"][1:]
+        image = {**first, "objects": 1, "confidences": first["confidences"][:1], **fields}
+        return json.dumps({**header, "images": [image, *rest]}), rows[:row_bytes] + rows[first["objects"] * row_bytes :]
+
+    return edit
+
+
 JSONL_RECORD = json.dumps({"story_id": "x", "image_index": 0, "objects": [{"confidence": 1.0, "feature": [0.0] * 2048}]})
 NOT_A_CONTAINER = "not an object-feature container (format storybridge-features, version 2"
 BAD_IMAGE = "header image 0 needs a story_id, an integer image_index, objects >= 1 and as many finite confidences"
@@ -458,9 +471,13 @@ BAD_SIZE = "the float64 rows take"
         (first_image(lambda image: {**image, "objects": 0, "confidences": []}), BAD_IMAGE),
         (first_image(lambda image: {**image, "confidences": image["confidences"][1:]}), BAD_IMAGE),
         (first_image(lambda image: {**image, "image_index": 7}), "story 'vis-picnic0': image_index values must be consecutive"),
+        (first_image(lambda image: {**image, "image_index": False}), BAD_IMAGE),
+        (first_image_one_object(objects=True), BAD_IMAGE),
+        (first_image_one_object(confidences=[True]), BAD_IMAGE),
     ],
     ids=["nan feature", "infinite confidence", "truncated rows", "trailing values", "jsonl file", "wrong version",
-         "wrong format", "header not an object", "string index", "no objects", "too few confidences", "index gap"],
+         "wrong format", "header not an object", "string index", "no objects", "too few confidences", "index gap",
+         "boolean index", "boolean objects", "boolean confidence"],
 )
 def test_malformed_feature_file_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, edit, message):
     bad = edited_features(tmp_path, pipeline_run["config"].features_path, edit)

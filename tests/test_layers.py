@@ -9,6 +9,7 @@ from storybridge.layers import (
     TransformerDecoder,
     TransformerEncoder,
     causal_mask,
+    encode_padded,
     gru_cell,
     multi_head_attention,
     sinusoidal_encoding,
@@ -148,3 +149,33 @@ def test_gru_cell_rows_and_attention_shapes():
     x = Tensor(np.ones((2, 4)))
     out = multi_head_attention(x, x, x, num_heads=2, **_attention_kw(34, 4))
     assert out.shape == (2, 4)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_padded_encoder_on_one_input_is_the_tape_encoder_bit_for_bit():
+    store = ParameterStore(5)
+    enc = TransformerEncoder(store, "enc", d=16, heads=2, layers=2, d_ff=32)
+    store.freeze()
+    x = np.random.default_rng(1).normal(size=(7, 16))
+    out, lengths = encode_padded(enc, [x])
+    assert out.shape == (1, 7, 16) and lengths.tolist() == [7]
+    assert (bits(out[0]) == bits(enc(Tensor(x)).data)).all()
+
+
+def test_padded_encoder_masks_padding_out_of_each_input():
+    store = ParameterStore(6)
+    enc = TransformerEncoder(store, "enc", d=16, heads=4, layers=3, d_ff=32)
+    store.freeze()
+    rng = np.random.default_rng(2)
+    inputs = [rng.normal(size=(n, 16)) * 3 for n in (4, 1, 9, 4, 6)]
+    out, lengths = encode_padded(enc, inputs)
+    assert out.shape == (5, 9, 16) and lengths.tolist() == [4, 1, 9, 4, 6]
+    assert np.isfinite(out).all()  # padded positions too: a reader masks them, so they must not be NaN
+    for row, x in zip(out, inputs):
+        # the padding's exact zeros may regroup each attention row's sums: a declared float change
+        np.testing.assert_allclose(row[: len(x)], enc(Tensor(x)).data, rtol=1e-12, atol=1e-12)
+    same, _ = encode_padded(enc, inputs[:1] + inputs[3:4])  # equal lengths: nothing to mask
+    assert (bits(same[0]) == bits(enc(Tensor(inputs[0])).data)).all()

@@ -246,8 +246,8 @@ def test_sequences_with_equal_ids_share_one_float(monkeypatch):
 def test_blocks_hold_sequences_of_like_lengths(monkeypatch):
     model = _random_gru(3)
     monkeypatch.setattr(lm_module, "SCORE_BLOCK_BYTES", 2 * len(model.vocab) * 8)  # 2-row blocks
-    widths, forward = [], model._forward
-    monkeypatch.setattr(model, "_forward", lambda ids: widths.append(ids.shape[1]) or forward(ids))
+    widths, states = [], model._states
+    monkeypatch.setattr(model, "_states", lambda ids: widths.append(ids.shape[1]) or states(ids))
     long_a, long_b = [BOS] + ["t1"] * 9 + [EOS], [BOS] + ["t2"] * 9 + [EOS]
     seqs = [long_a, [BOS, "t3", EOS], long_b, [BOS, "t4", EOS]]
     got = perplexities(model, seqs)

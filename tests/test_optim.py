@@ -22,7 +22,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
     p = store.param("w", (3,))
     before = p.data.copy()
     state = AdamState()
-    adam_step(store, {"w": np.zeros(3)}, state)
+    adam_step(store.pack(), state)  # a freshly packed store's flat_grad is zero
     np.testing.assert_allclose(p.data, before)
     assert state.step_count == 1
 
@@ -31,7 +31,9 @@ def test_single_step_moves_against_gradient_sign():
     store = ParameterStore(0)
     p = store.param("x", (1,), init="zeros")
     state = AdamState(base_lr=0.1, warmup_steps=1)
-    adam_step(store, {"x": np.ones(1)}, state)
+    store.pack()
+    p.grad_view[...] = 1.0
+    adam_step(store, state)
     assert p.data[0] < 0.0
 
 
@@ -41,32 +43,33 @@ def test_quadratic_descent_with_optimizer_as_oracle():
     x = store.param("x", (1,), init="zeros")
     x.data[:] = 1.0
     state = AdamState(base_lr=0.02, warmup_steps=100)
+    store.pack()
     losses = []
     for _ in range(100):
         loss = ad.reduce_sum(ad.mul(x, x))
         losses.append(loss.item())
         ad.backward(loss)
-        adam_step(store, store.collect_grads(), state)
+        adam_step(store, state)
         store.zero_grads()
     assert abs(x.data[0]) < 0.5
     windows = [np.mean(losses[i : i + 10]) for i in range(0, 100, 10)]
     assert all(a >= b for a, b in zip(windows, windows[1:]))
 
 
-def test_missing_gradient_rejected():
+def test_adam_step_refuses_an_unpacked_store():
     store = ParameterStore(0)
-    store.param("a", (2,))
-    store.param("b", (2,))
-    with pytest.raises(ValueError, match="missing"):
-        adam_step(store, {"a": np.zeros(2)}, AdamState())
+    w = store.param("w", (2,))
+    ad.backward(ad.reduce_sum(ad.mul(w, w)))  # lands in w.grad only: there is no flat_grad yet
+    with pytest.raises(ValueError, match="not packed"):
+        adam_step(store, AdamState())
 
 
 def test_nan_gradient_names_parameter():
     store = ParameterStore(0)
     store.param("weights.proj", (2,))
-    grads = {"weights.proj": np.array([1.0, np.nan])}
+    store.pack()["weights.proj"].grad_view[...] = [1.0, np.nan]
     with pytest.raises(ValueError, match="weights.proj"):
-        adam_step(store, grads, AdamState())
+        adam_step(store, AdamState())
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -75,10 +78,12 @@ def test_non_finite_gradient_names_parameter_before_any_change(bad):
     store.param("weights.bias", (3,))
     store.param("weights.proj", (2,))
     before = {name: t.data.copy() for name, t in store.items()}
-    grads = {"weights.bias": np.ones(3), "weights.proj": np.array([1.0, bad])}
+    store.pack()
+    store["weights.bias"].grad_view[...] = 1.0
+    store["weights.proj"].grad_view[...] = [1.0, bad]
     state = AdamState()
     with pytest.raises(ValueError, match="non-finite gradient for parameter 'weights.proj'"):
-        adam_step(store, grads, state)
+        adam_step(store, state)
     assert state.step_count == 0
     assert all((t.data == before[name]).all() for name, t in store.items())
 
@@ -132,19 +137,6 @@ def test_fit_equals_the_reference_adam_to_the_bit(monkeypatch, block):
     assert store.flat is not None and all(np.shares_memory(t.data, store.flat) for _, t in store.items())
 
 
-def test_adam_step_on_an_unpacked_store_with_a_dict_of_gradients_equals_the_reference():
-    store, loss_fn = adam_world()
-    state = AdamState(base_lr=ADAM_TRAIN.learning_rate, warmup_steps=ADAM_TRAIN.warmup_steps)
-    assert store.flat is None
-    for ids in ADAM_EXAMPLES:
-        ad.backward(loss_fn(ids)[0])
-        adam_step(store, store.collect_grads(), state)
-        store.zero_grads()
-    want = bits(reference_training())
-    got = bits(store)
-    assert all((got[name] == want[name]).all() for name in want)
-
-
 def test_identical_seeds_give_bit_identical_training():
     def run():
         store = ParameterStore(42)
@@ -152,11 +144,12 @@ def test_identical_seeds_give_bit_identical_training():
         state = AdamState(base_lr=0.01, warmup_steps=10)
         rng = np.random.default_rng(5)
         xs = rng.normal(size=(20, 1, 4))
+        store.pack()
         for x in xs:
             out = ad.matmul(Tensor(x), w)
             loss = ad.reduce_sum(ad.mul(out, out))
             ad.backward(loss)
-            adam_step(store, store.collect_grads(), state)
+            adam_step(store, state)
             store.zero_grads()
         return w.data.copy()
 

@@ -107,16 +107,6 @@ def test_unsupported_format_version_rejected(tmp_path):
         ParameterStore.load(str(path))
 
 
-def test_collect_grads_fills_zeros():
-    store = ParameterStore(0)
-    a = store.param("a", (2,))
-    store.param("b", (3,))
-    a.grad = np.array([1.0, 2.0])
-    grads = store.collect_grads()
-    np.testing.assert_allclose(grads["a"], [1.0, 2.0])
-    np.testing.assert_allclose(grads["b"], np.zeros(3))
-
-
 # ------------------------------------------------------------ strict model loading
 
 
