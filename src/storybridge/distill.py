@@ -228,16 +228,30 @@ class DistillerModel:
         logits = linear(ad.concat([h_next, context], axis=1), self.w_out, self.b_out)
         return logits, h_next
 
-    def slot_logits(self, memory: Tensor, keys: Tensor, image_index: int, target_ids: list[int]) -> Tensor:
-        """Teacher-forced logit rows for one image's gold terms plus end-of-set; keys as for ``_context``."""
-        h = Tensor(np.zeros((1, self.config.hidden_size)))
-        prev = ad.embed(self.order_embedding, [image_index])
-        rows = []
-        for tid in target_ids:
+    def teacher_forced_loss(self, seq: ImageSequence, groups) -> tuple[Tensor, int]:
+        """Mean cross-entropy of each image's gold terms then end-of-set, and the count of those targets.
+
+        Each term position is one decoder step over every image of the
+        story, one row per image: a row starts from its image's order
+        embedding, then reads its gold terms, then end-of-set once it has
+        none left. The rows are gathered back image by image into one
+        cross-entropy; a row past its image's end is not gathered, so it
+        gets zero gradient.
+        """
+        eos = self.token_to_id[END_OF_SET]
+        targets = [[self.token_to_id[t] for t in gold] + [eos] for gold in groups]
+        memory = self.encode_objects(seq)
+        keys = linear(memory, self.attn_mem)
+        h = Tensor(np.zeros((len(targets), self.config.hidden_size)))
+        starts = ad.embed(self.order_embedding, [slot.image_index for slot in seq.slots])
+        steps = []
+        for t in range(max(map(len, targets))):
+            prev = ad.embed(self.term_embedding, [ids[min(t, len(ids)) - 1] for ids in targets]) if t else starts
             logits, h = self._step(prev, h, self._context(h, memory, keys))
-            rows.append(logits)
-            prev = ad.embed(self.term_embedding, [tid])
-        return ad.concat(rows, axis=0)
+            steps.append(logits)
+        rows = [t * len(targets) + i for i, ids in enumerate(targets) for t in range(len(ids))]  # image-major
+        flat = [tid for ids in targets for tid in ids]
+        return ad.softmax_cross_entropy(ad.embed(ad.concat(steps, axis=0), rows), flat), len(flat)
 
     def predict_terms(self, seq: ImageSequence, beam_size: int = 3) -> list[list[str]]:
         """Per-image term lists, repetition-masked beam search, vocab order ties to low id."""
@@ -343,18 +357,6 @@ def train_distiller(
         if len(groups) != len(seq.slots):
             raise ValueError(f"story {seq.story_id!r}: {len(groups)} gold groups for {len(seq.slots)} image slots")
     model = DistillerModel.build(build_term_vocab(groups for _, groups in pairs), config)
-    eos = model.token_to_id[END_OF_SET]
-
-    def loss_fn(pair):
-        seq, groups = pair
-        memory = model.encode_objects(seq)
-        keys = linear(memory, model.attn_mem)
-        all_logits, all_targets = [], []
-        for slot, gold in zip(seq.slots, groups):
-            target_ids = [model.token_to_id[t] for t in gold] + [eos]
-            all_logits.append(model.slot_logits(memory, keys, slot.image_index, target_ids))
-            all_targets.extend(target_ids)
-        return ad.softmax_cross_entropy(ad.concat(all_logits, axis=0), all_targets), len(all_targets)
-
-    history = fit(model.store, pairs, loss_fn, train or TrainConfig(), metric="token cross-entropy")
+    history = fit(model.store, pairs, lambda pair: model.teacher_forced_loss(*pair), train or TrainConfig(),
+                  metric="token cross-entropy")
     return model, history

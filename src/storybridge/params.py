@@ -54,9 +54,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 

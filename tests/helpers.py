@@ -285,6 +285,38 @@ def reference_term_beam(model, memory, image_index: int, beam_size: int, eos: in
     return [model.vocab[t] for t in best_tokens], best_score
 
 
+def slot_logits(model, memory, keys, image_index: int, target_ids):
+    """One image's teacher-forced logit rows, one decoder step per target: the first step reads the image's
+    order embedding, each later step the previous target."""
+    from storybridge import autodiff as ad
+    from storybridge.autodiff import Tensor
+
+    h = Tensor(np.zeros((1, model.config.hidden_size)))
+    prev = ad.embed(model.order_embedding, [image_index])
+    rows = []
+    for tid in target_ids:
+        logits, h = model._step(prev, h, model._context(h, memory, keys))
+        rows.append(logits)
+        prev = ad.embed(model.term_embedding, [tid])
+    return ad.concat(rows, axis=0)
+
+
+def per_image_loss(model, seq, groups):
+    """The distiller's loss with each image teacher-forced on its own: the oracle for ``teacher_forced_loss``."""
+    from storybridge import autodiff as ad
+    from storybridge.distill import END_OF_SET
+    from storybridge.layers import linear
+
+    memory = model.encode_objects(seq)
+    keys = linear(memory, model.attn_mem)
+    all_logits, all_targets = [], []
+    for slot, gold in zip(seq.slots, groups):
+        target_ids = [model.token_to_id[t] for t in gold] + [model.token_to_id[END_OF_SET]]
+        all_logits.append(slot_logits(model, memory, keys, slot.image_index, target_ids))
+        all_targets.extend(target_ids)
+    return ad.softmax_cross_entropy(ad.concat(all_logits, axis=0), all_targets), len(all_targets)
+
+
 def reference_story_beam(step, *, vocab_size, sb_id, group_count, penalties, max_sentence_tokens, excluded_ids=()):
     """The penalized story beam search one hypothesis and one token at a time.
 

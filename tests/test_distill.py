@@ -3,11 +3,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import reference_term_beam
+from helpers import per_image_loss, reference_term_beam
 from storybridge import autodiff as ad
 from storybridge import distill, optim
 from storybridge.autodiff import Tensor, linear
 from storybridge.beam import BeamPenaltyConfig, Search, beam_decode
+from storybridge.corpus import build_training_pairs, load_corpus
 from storybridge.distill import (
     END_OF_SET,
     FEATURE_DIM,
@@ -18,6 +19,7 @@ from storybridge.distill import (
     DistillerModel,
     ImageSequence,
     ObjectFeatureSet,
+    build_term_vocab,
     load_feature_file,
     save_feature_file,
     train_distiller,
@@ -182,19 +184,70 @@ def test_empty_gold_list_learns_immediate_end_of_set():
     assert model.predict_terms(seq)[1] == []
 
 
-def test_identical_seeds_identical_loss_curves():
-    gold = [["X_Noun"], ["Y_Noun"]]
+def test_identical_seeds_identical_loss_curves(tmp_path):
+    """Two trainings under one seed give the same history and byte-equal checkpoints, on uneven groups."""
     rng = np.random.default_rng(3)
-    feats = rng.normal(size=(2, 1, FEATURE_DIM))
-    seq = ImageSequence(
-        "s",
-        [ObjectFeatureSet(i, feats[i], np.array([0.9])) for i in range(2)],
-    )
-    cfg = DistillerConfig(hidden_size=12, heads=2, layers=1, ff_multiple=2, num_slots=2, seed=7)
+    pairs = [
+        (ImageSequence("a", [make_slot(0, 3, rng), make_slot(1, 1, rng), make_slot(2, 2, rng)]),
+         [[], ["X_Noun", "Y_Noun", "Z_Noun"], ["Y_Noun"]]),
+        (ImageSequence("b", [make_slot(0, 2, rng)]), [["Z_Noun", "X_Noun"]]),
+    ]
+    cfg = DistillerConfig(hidden_size=12, heads=2, layers=1, ff_multiple=2, num_slots=3, seed=7)
     tr = TrainConfig(epochs=5, learning_rate=1e-3)
-    _, h1 = train_distiller([(seq, gold)], cfg, tr)
-    _, h2 = train_distiller([(seq, gold)], cfg, tr)
-    assert h1 == h2
+    histories = []
+    for name in ("one", "two"):
+        model, history = train_distiller(pairs, cfg, tr)
+        model.save(str(tmp_path / f"{name}.json"))
+        histories.append(history)
+    assert histories[0] == histories[1]
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+ORACLE_RTOL = 1e-12  # all images in one step against one image at a time: the rows' products round differently
+
+
+def assert_loss_and_gradients_match_the_per_image_oracle(model, pairs):
+    """teacher_forced_loss against helpers.per_image_loss: the loss within ORACLE_RTOL relative, each
+    parameter's gradient within ORACLE_RTOL times the oracle's largest gradient magnitude."""
+    model.store.freeze(False)
+    for seq, groups in pairs:
+        loss, count = model.teacher_forced_loss(seq, groups)
+        got = ad.backward(loss)
+        oracle, oracle_count = per_image_loss(model, seq, groups)
+        want = ad.backward(oracle)
+        assert count == oracle_count == sum(len(gold) + 1 for gold in groups)
+        assert abs(loss.item() - oracle.item()) <= ORACLE_RTOL * abs(oracle.item())
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, param in model.store.items():
+            assert (param in got) == (param in want), name
+            if param in want:
+                assert np.abs(got[param] - want[param]).max() <= ORACLE_RTOL * scale, name
+    model.store.freeze()
+
+
+def test_teacher_forced_loss_matches_the_per_image_oracle_on_every_desk_fixture_pair(fixture_world, trained_world):
+    vision = load_corpus(fixture_world["corpus"])
+    pairs = build_training_pairs(vision, mode="distiller", features=load_feature_file(fixture_world["features"]))
+    config = DistillerConfig(hidden_size=32, heads=2, layers=2, ff_multiple=2, num_slots=5, seed=0)
+    built = DistillerModel.build(build_term_vocab(groups for _, groups in pairs), config)
+    for model in (built, DistillerModel.load(trained_world["distiller_model"])):
+        assert_loss_and_gradients_match_the_per_image_oracle(model, pairs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_teacher_forced_loss_matches_the_per_image_oracle_on_uneven_groups(seed):
+    vocab = [END_OF_SET] + [f"t{i}" for i in range(6)]
+    config = DistillerConfig(hidden_size=16, heads=2, layers=1, ff_multiple=2, num_slots=4, max_terms_per_image=4, seed=seed)
+    model = DistillerModel.build(vocab, config)
+    rng = np.random.default_rng(seed)
+    full = [str(t) for t in rng.choice(vocab[1:], config.max_terms_per_image, replace=False)]
+    pairs = [
+        # an image with only end-of-set, one at max_terms_per_image, uneven object counts
+        (ImageSequence("uneven", [make_slot(i, n, rng) for i, n in enumerate((2, 5, 1, 3))]), [[], full, ["t0"], full[:2]]),
+        (ImageSequence("one-image", [make_slot(0, 4, rng)]), [full[1:]]),
+        (ImageSequence("only-ends", [make_slot(0, 1, rng), make_slot(1, 2, rng)]), [[], []]),
+    ]
+    assert_loss_and_gradients_match_the_per_image_oracle(model, pairs)
 
 
 def test_group_count_mismatch_rejected_before_any_step(monkeypatch):
