@@ -1,7 +1,8 @@
-"""Named parameter container with seeded init and exact JSON checkpoints."""
+"""Named parameter container with seeded init, exact JSON checkpoints and their float64 companions."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -10,9 +11,11 @@ import re
 import numpy as np
 
 from .autodiff import Tensor
-from .ioutil import InputError, atomic_writer, canonical_dumps
+from .ioutil import InputError, atomic_writer, canonical_dumps, sha256_file
 
 FORMAT_VERSION = 1
+COMPANION_SUFFIX = ".f64"  # a checkpoint's float64 companion is its path plus this
+COMPANION_FORMAT = {"format": "storybridge-checkpoint-f64", "version": 1}  # the companion's header keys
 
 _CHUNK_BYTES = 1 << 18  # a checkpoint is read this many bytes at a time
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
@@ -137,32 +140,52 @@ class ParameterStore:
             self.flat_grad.fill(0.0)
 
     def save(self, path: str, extra: dict | None = None) -> None:
-        """Write the checkpoint as canonical JSON, encoding one parameter's data at a time.
+        """Write the checkpoint as canonical JSON, encoding one parameter's data at a time, then its companion.
 
-        The bytes are ``canonical_dumps`` of the whole payload: top-level keys
-        and parameter names in sorted order, each entry ``{"data": [...],
-        "shape": [...]}``.
+        The JSON's bytes are ``canonical_dumps`` of the whole payload: top-level
+        keys and parameter names in sorted order, each entry ``{"data": [...],
+        "shape": [...]}``. The float64 companion, ``path + COMPANION_SUFFIX``,
+        is written after it: one canonical JSON header line (``COMPANION_FORMAT``,
+        the sha256 of the JSON's bytes, the payload's other top-level keys, and
+        ``[name, shape]`` per parameter in the JSON's order), then each
+        parameter's raw little-endian float64 values in that order.
         """
-        head = canonical_dumps({"extra": extra or {}, "format_version": FORMAT_VERSION})
-        tail = canonical_dumps({"rng_seed": self.rng_seed, "schedule": self.schedule})
-        with atomic_writer(path) as fh:
-            fh.write(head[:-1] + ',"params":{')
-            for i, name in enumerate(sorted(self._params)):
+        meta = {"extra": extra or {}, "format_version": FORMAT_VERSION, "rng_seed": self.rng_seed, "schedule": self.schedule}
+        names = sorted(self._params)
+        digest = hashlib.sha256()
+        with atomic_writer(path, binary=True) as fh:
+
+            def write(text: str) -> None:
+                data = text.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+
+            write(canonical_dumps({k: meta[k] for k in ("extra", "format_version")})[:-1] + ',"params":{')
+            for i, name in enumerate(names):
                 t = self._params[name]
-                fh.write(f'{"," if i else ""}{canonical_dumps(name)}:{{"data":')
-                fh.write(canonical_dumps(t.data.reshape(-1).tolist()))
-                fh.write(f',"shape":{canonical_dumps(list(t.shape))}}}')
-            fh.write("}," + tail[1:])
+                write(f'{"," if i else ""}{canonical_dumps(name)}:{{"data":')
+                write(canonical_dumps(t.data.reshape(-1).tolist()))
+                write(f',"shape":{canonical_dumps(list(t.shape))}}}')
+            write("}," + canonical_dumps({k: meta[k] for k in ("rng_seed", "schedule")})[1:])
+        shapes = [[name, list(self._params[name].shape)] for name in names]
+        header = {**COMPANION_FORMAT, **meta, "json_sha256": digest.hexdigest(), "params": shapes}
+        with atomic_writer(path + COMPANION_SUFFIX, binary=True) as fh:
+            fh.write((canonical_dumps(header) + "\n").encode("utf-8"))
+            for name in names:
+                fh.write(np.ascontiguousarray(self._params[name].data, dtype="<f8").reshape(-1).data)
 
     @classmethod
     def load(cls, path: str, kind: str | None = None) -> tuple["ParameterStore", dict]:
         """A frozen store and the checkpoint's ``extra`` from a file; every value must be finite.
 
-        A file that is not a checkpoint of this format, or whose
-        ``extra.kind`` is not ``kind`` (when given), raises InputError naming
-        ``path``.
+        The values come from the float64 companion when ``read_companion``
+        accepts it, and from parsing the JSON otherwise; both give the same
+        store, and every check below applies to both. A file that is not a
+        checkpoint of this format, or whose ``extra.kind`` is not ``kind``
+        (when given), raises InputError naming ``path``; a non-finite value
+        names the file it was read from.
         """
-        payload = read_checkpoint(path)
+        payload, source = read_companion(path) or (read_checkpoint(path), path)
         if not isinstance(payload, dict):
             raise InputError(f"{path}: not a checkpoint (top level is not a JSON object)")
         version = payload.get("format_version")
@@ -186,9 +209,46 @@ class ParameterStore:
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"{path}: malformed parameter '{name}' ({exc})") from None
             if not np.isfinite(data).all():
-                raise InputError(f"{path}: parameter '{name}' holds non-finite values")
+                raise InputError(f"{source}: parameter '{name}' holds non-finite values")
             store._params[name] = Tensor(data)
         return store.freeze(), extra
+
+
+def read_companion(path: str) -> tuple[dict, str] | None:
+    """The payload of the JSON checkpoint at path, read from its float64 companion, and the companion's path.
+
+    The payload has ``read_checkpoint``'s shape, each parameter's ``data`` one
+    ``np.fromfile`` of its own values. It is None, and the JSON must be
+    parsed, unless the companion exists, its header line is a JSON object of
+    ``COMPANION_FORMAT`` with names in strictly sorted order and shapes of
+    non-negative integers, the rest of the file is exactly the float64 values
+    those shapes need, and its ``json_sha256`` is the digest of path's bytes.
+    """
+    companion = path + COMPANION_SUFFIX
+    if not (os.path.isfile(path) and os.path.isfile(companion)):
+        return None
+    with open(companion, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:  # not JSON, or not UTF-8
+            return None
+        entries = header.get("params") if isinstance(header, dict) else None
+        if not (isinstance(entries, list) and all(_is_shape_entry(e) for e in entries)
+                and all(a[0] < b[0] for a, b in zip(entries, entries[1:]))
+                and all(header.get(k) == v for k, v in COMPANION_FORMAT.items())):
+            return None
+        counts = [math.prod(shape) for _, shape in entries]
+        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * sum(counts) or header.get("json_sha256") != sha256_file(path):
+            return None
+        params = {name: {"data": np.fromfile(fh, dtype="<f8", count=n), "shape": shape} for (name, shape), n in zip(entries, counts)}
+    skip = {*COMPANION_FORMAT, "json_sha256"}
+    return {**{k: v for k, v in header.items() if k not in skip}, "params": params}, companion
+
+
+def _is_shape_entry(entry) -> bool:
+    """Whether a companion header entry is ``[name, shape]``: a string and a list of non-negative integers."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str) and isinstance(entry[1], list)
+            and all(type(n) is int and n >= 0 for n in entry[1]))
 
 
 def read_checkpoint(path: str) -> dict:

@@ -1,7 +1,9 @@
-"""The streaming checkpoint reader and the streamed save: same values and bytes as json, less memory."""
+"""The checkpoint readers and the streamed save: the float64 companion and the streaming JSON reader
+give the values and bytes json gives, with less memory."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -14,11 +16,13 @@ from hypothesis import strategies as st
 
 import storybridge.params as params
 from helpers import checkpoint_payload
-from storybridge.cli import EXIT_INPUT, main
+from storybridge.cli import EXIT_INPUT, EXIT_OK, main
+from storybridge.distill import DistillerModel
 from storybridge.enrich import TermPath
 from storybridge.generate import GeneratorConfig, GeneratorModel
 from storybridge.ioutil import InputError, canonical_dumps, write_jsonl
-from storybridge.params import ParameterStore, read_checkpoint
+from storybridge.lm import load_lm
+from storybridge.params import COMPANION_SUFFIX, ParameterStore, read_checkpoint
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.1125369292536007e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16, 0.1, -1.5]
@@ -183,18 +187,39 @@ BAD_CHECKPOINTS = {
     "data-nested-in-entry": lambda t: t.replace('"dec.b_out":{', '"dec.b_out":{"inner":{"data":[1.0]},', 1),
     "duplicate-data": lambda t: t.replace('"dec.b_out":{', '"dec.b_out":{"data":[1.0],', 1),
     "not-utf8": lambda t: t.replace('"extra":{', '"extra":{"\udcff":1,', 1),
+    # an edited JSON no longer has the digest its companion names, so it is parsed and its own error raised
+    "kind-tampered": lambda t: t.replace('"kind":"generator"', '"kind":"distiller"', 1),
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+def with_first_value(companion: bytes, value: float) -> bytes:
+    """A companion's bytes with the first float64 after its header line replaced by value."""
+    start = companion.index(b"\n") + 1
+    return companion[:start] + np.array([value], dtype="<f8").tobytes() + companion[start + 8 :]
+
+
+BAD_COMPANIONS = {  # the JSON is left as saved, so the digest still binds the companion
+    "companion-NaN": lambda b: with_first_value(b, float("nan")),
+    "companion-Infinity": lambda b: with_first_value(b, float("-inf")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS) + list(BAD_COMPANIONS))
 def test_malformed_checkpoint_exits_two_naming_the_file(tmp_path, capsys, case):
     path = tiny_generator_checkpoint(tmp_path)
-    with open(path, encoding="utf-8") as fh:
-        text = BAD_CHECKPOINTS[case](fh.read())
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8", "surrogateescape"))
-    with pytest.raises(InputError, match="generator.json"):
+    if case in BAD_COMPANIONS:
+        where = path + COMPANION_SUFFIX
+        with open(where, "rb") as fh:
+            data = BAD_COMPANIONS[case](fh.read())
+    else:
+        where = path
+        with open(path, encoding="utf-8") as fh:
+            data = BAD_CHECKPOINTS[case](fh.read()).encode("utf-8", "surrogateescape")
+    with open(where, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(InputError, match="generator.json") as exc:
         GeneratorModel.load(path)
+    assert str(exc.value).startswith(where + ":")
     paths = str(tmp_path / "paths.jsonl")
     write_jsonl(paths, [TermPath.from_groups([["w"]], story_id="s").to_record()])
     code = main([
@@ -203,7 +228,7 @@ def test_malformed_checkpoint_exits_two_naming_the_file(tmp_path, capsys, case):
     ])
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
-    assert path in err and "Traceback" not in err
+    assert where in err and "Traceback" not in err
 
 
 def test_non_finite_data_names_non_finite_values(tmp_path):
@@ -220,6 +245,7 @@ def test_non_finite_data_names_non_finite_values(tmp_path):
 MEMORY_PROBE = textwrap.dedent(
     """
     import sys
+    import tracemalloc
     from storybridge.params import ParameterStore
 
     def status_kib(field):
@@ -229,25 +255,106 @@ MEMORY_PROBE = textwrap.dedent(
     before = status_kib("VmRSS")
     store, _ = ParameterStore.load(sys.argv[1])
     print((status_kib("VmHWM") - before) * 1024)
+    if sys.argv[2] == "traced":  # the bytes allocated during a second load that are freed before it returns
+        del store
+        tracemalloc.start()
+        store, _ = ParameterStore.load(sys.argv[1])
+        current, peak = tracemalloc.get_traced_memory()
+        print(peak - current)
     """
 )
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_loading_costs_little_more_memory_than_the_weights(tmp_path):
+@pytest.mark.parametrize("route", ["json", "companion"])
+def test_loading_costs_little_more_memory_than_the_weights(tmp_path, route):
     # json.load held the whole text twice (bytes and str) plus a Python float per
     # weight: about eight times the float64 bytes. Streaming holds the arrays and a
-    # chunk. The peak is the child's VmHWM, not ru_maxrss: a spawned child's
-    # ru_maxrss starts at the RSS of the process that spawned it.
+    # chunk. The companion holds the arrays, each read once into its own
+    # allocation and checked with its own finite mask, so what it frees before
+    # returning is at most one parameter's mask and a hashing chunk; one buffer for
+    # all values, or one mask over them, would be far more. The peak is the child's
+    # VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts at the RSS of the
+    # process that spawned it. numpy reports its arrays to tracemalloc.
     rng = np.random.default_rng(0)
     store = ParameterStore(0)
     for i in range(40):
         store.param(f"p{i:02d}", (50_000,), init="zeros").data[:] = rng.uniform(-0.05, 0.05, 50_000)
     path = str(tmp_path / "big.json")
     store.save(path)
+    if route == "json":
+        os.remove(path + COMPANION_SUFFIX)
     weight_bytes = 40 * 50_000 * 8
     src = os.path.dirname(os.path.dirname(os.path.abspath(params.__file__)))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", MEMORY_PROBE, path], env=env, capture_output=True, text=True, check=True)
-    growth = int(out.stdout.strip())
-    assert growth < 2.5 * weight_bytes, f"peak RSS grew {growth / 2**20:.0f} MB for {weight_bytes / 2**20:.0f} MB of weights"
+    mode = "traced" if route == "companion" else "rss"
+    out = subprocess.run([sys.executable, "-c", MEMORY_PROBE, path, mode], env=env, capture_output=True, text=True, check=True)
+    growth, *transient = (int(line) for line in out.stdout.split())
+    bound = 1.3 if route == "companion" else 2.5
+    assert growth < bound * weight_bytes, f"peak RSS grew {growth / 2**20:.1f} MB for {weight_bytes / 2**20:.0f} MB of weights"
+    if transient:
+        assert transient[0] < weight_bytes / 20, f"the load freed {transient[0] / 2**20:.2f} MB before returning"
+
+
+# ------------------------------------------------------------ the float64 companion
+
+
+@pytest.fixture(scope="module")
+def four_kinds(trained_world, tmp_path_factory):
+    """Checkpoints of the four kinds, each saved with its companion: the session's three and an n-gram term LM."""
+    from storybridge.corpus import build_training_pairs, load_corpus
+    from storybridge.lm import LMConfig, train_lm
+
+    stories = load_corpus(trained_world["corpus"]) + load_corpus(trained_world["text_corpus"])
+    ngram = str(tmp_path_factory.mktemp("ngram") / "ngram_lm.json")
+    train_lm(build_training_pairs(stories, mode="lm"), LMConfig(kind="ngram"))[0].save(ngram)
+    return {
+        "distiller": (trained_world["distiller_model"], DistillerModel.load),
+        "generator": (trained_world["generator_model"], GeneratorModel.load),
+        "gru_lm": (trained_world["lm_model"], load_lm),
+        "ngram": (ngram, load_lm),
+    }
+
+
+def moved_pair(path: str, to_dir) -> str:
+    """Copy a checkpoint and its companion into another directory, as a move leaves them; the copy's path."""
+    os.makedirs(to_dir, exist_ok=True)
+    moved = os.path.join(str(to_dir), os.path.basename(path))
+    for suffix in ("", COMPANION_SUFFIX):
+        shutil.copyfile(path + suffix, moved + suffix)
+    return moved
+
+
+def json_parse_forbidden():
+    return mock.patch.object(params, "read_checkpoint", side_effect=AssertionError("the JSON was parsed"))
+
+
+@pytest.mark.parametrize("kind", ["distiller", "generator", "gru_lm", "ngram"])
+def test_companion_route_loads_what_the_json_route_loads(four_kinds, tmp_path, kind):
+    saved, load_model = four_kinds[kind]
+    path = moved_pair(saved, tmp_path / "elsewhere")  # the header holds no path, so a moved pair keeps its route
+    with json_parse_forbidden():
+        fast, fast_extra = ParameterStore.load(path)
+        load_model(path)  # the model builds on the companion's store
+    os.remove(path + COMPANION_SUFFIX)
+    slow, slow_extra = ParameterStore.load(path)
+    assert fast_extra == slow_extra and fast_extra["kind"] == kind
+    assert (fast.rng_seed, fast.schedule) == (slow.rng_seed, slow.schedule)
+    assert [(name, t.shape) for name, t in fast.items()] == [(name, t.shape) for name, t in slow.items()]
+    for name, t in slow.items():
+        assert_bits_equal(fast[name].data, t.data)
+    assert len(slow) > 0 or kind == "ngram"
+
+
+def test_finetuning_from_either_route_writes_the_same_checkpoint(trained_world, tmp_path, capsys):
+    pre = moved_pair(trained_world["generator_model"], tmp_path / "pre")
+    args = ["train-generator", "--set", f"corpus_path={trained_world['corpus']}", "--set", "epochs=1", "--finetune-from", pre]
+    fast, slow = str(tmp_path / "fast.json"), str(tmp_path / "slow.json")
+    with json_parse_forbidden():
+        assert main([*args, "--out", fast]) == EXIT_OK
+    os.remove(pre + COMPANION_SUFFIX)
+    assert main([*args, "--out", slow]) == EXIT_OK
+    capsys.readouterr()
+    for suffix in ("", COMPANION_SUFFIX):
+        with open(fast + suffix, "rb") as a, open(slow + suffix, "rb") as b:
+            assert a.read() == b.read()

@@ -1,13 +1,18 @@
+import contextlib
 import json
 import os
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import storybridge.params
 from helpers import read_jsonl, with_second_line
 from storybridge.cli import EXIT_INPUT, EXIT_OK, main
 from storybridge.distill import FEATURE_DIM
 from storybridge.ioutil import read_json, sha256_file, write_json
+from storybridge.params import COMPANION_SUFFIX
 
 
 def run_cli(capsys, *argv):
@@ -305,17 +310,27 @@ def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys, monkeypatch):
         json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": {"kind": "gru_lm"}}),
         json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": []}),
         json.dumps({"format_version": 7, "rng_seed": 0, "params": {}, "extra": {"kind": "generator"}}),
+        "distiller_model",  # a checkpoint of another kind with its companion: the kind check runs on the companion route
     ],
-    ids=["not-json", "json-list", "no-kind", "wrong-kind", "extra-not-object", "wrong-version"],
+    ids=["not-json", "json-list", "no-kind", "wrong-kind", "extra-not-object", "wrong-version", "wrong-kind-companion"],
 )
 def test_bad_generator_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, content):
     broken = str(tmp_path / "broken.json")
-    with open(broken, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    route = contextlib.nullcontext()
+    if content == "distiller_model":
+        for suffix in ("", COMPANION_SUFFIX):
+            shutil.copyfile(pipeline_run["world"][content] + suffix, broken + suffix)
+        route = mock.patch.object(storybridge.params, "read_checkpoint", side_effect=AssertionError("the JSON was parsed"))
+    else:
+        with open(broken, "w", encoding="utf-8") as fh:
+            fh.write(content)
     paths = os.path.join(pipeline_run["out_dir"], "paths.jsonl")
-    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "generate", paths, f"generator_model={broken}")
+    with route:
+        code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "generate", paths, f"generator_model={broken}")
     assert code == EXIT_INPUT
     assert broken in err and "Traceback" not in err
+    if content == "distiller_model":
+        assert f"{broken}: not a generator checkpoint" in err
 
 
 @pytest.mark.parametrize(

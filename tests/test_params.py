@@ -1,11 +1,16 @@
+import json
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import storybridge.params as params_module
 from helpers import checkpoint_payload
-from storybridge.ioutil import InputError
-from storybridge.params import ParameterStore
+from storybridge.ioutil import InputError, canonical_dumps
+from storybridge.params import COMPANION_SUFFIX, ParameterStore
 
 
 def test_param_allocation_and_lookup():
@@ -74,9 +79,37 @@ def test_zero_grads_clears_the_packed_gradient_buffer():
     assert w.grad is None and not store.flat_grad.any()
 
 
+def edit_json(path: str) -> None:
+    """Rewrite the JSON with its first value of "b" set to 7.0; the companion still names the old digest."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["params"]["b"]["data"][0] = 7.0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_dumps(payload))
+
+
+def rewrite(path: str, edit) -> None:
+    with open(path, "rb") as fh:
+        data = edit(fh.read())
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+# each fault but "none" makes load parse the JSON
+COMPANION_FAULTS = {
+    "none": lambda path: None,
+    "json-edited-after-save": edit_json,
+    "companion-missing": lambda path: os.remove(path + COMPANION_SUFFIX),
+    "companion-one-byte-short": lambda path: rewrite(path + COMPANION_SUFFIX, lambda b: b[:-1]),
+    "companion-one-value-long": lambda path: rewrite(path + COMPANION_SUFFIX, lambda b: b + bytes(8)),
+    "companion-header-unparsable": lambda path: rewrite(path + COMPANION_SUFFIX, lambda b: b"{not json" + b[b.index(b"\n"):]),
+}
+
+
+@pytest.mark.parametrize("fault", list(COMPANION_FAULTS))
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_serialization_roundtrip_is_bit_identical(tmp_path_factory, seed):
+def test_serialization_roundtrip_is_bit_identical(tmp_path_factory, seed, fault):
     store = ParameterStore(seed)
     store.param("a", (3, 2))
     store.param("b", (4,), init="zeros")
@@ -84,13 +117,18 @@ def test_serialization_roundtrip_is_bit_identical(tmp_path_factory, seed):
     path = str(tmp_path_factory.mktemp("ckpt") / "model.json")
     store.schedule = {"base_lr": 1e-3}
     store.save(path, extra={"vocab": ["x", "y"]})
-    loaded, extra = ParameterStore.load(path)
+    COMPANION_FAULTS[fault](path)
+    if fault == "json-edited-after-save":
+        store["b"].data[0] = 7.0  # the JSON's values load, not the stale companion's
+    with mock.patch.object(params_module, "read_checkpoint", wraps=params_module.read_checkpoint) as parse:
+        loaded, extra = ParameterStore.load(path)
+    assert parse.called == (fault != "none")
     assert loaded.rng_seed == seed
     assert loaded.schedule == {"base_lr": 1e-3}
     assert extra == {"vocab": ["x", "y"]}
     assert [name for name, _ in loaded.items()] == [name for name, _ in store.items()]
     for name, t in store.items():
-        assert (loaded[name].data == t.data).all()
+        assert (loaded[name].data.view(np.uint64) == t.data.view(np.uint64)).all()
         assert loaded[name].data.shape == t.data.shape
 
 
@@ -100,8 +138,6 @@ def test_unsupported_format_version_rejected(tmp_path):
     path = tmp_path / "ckpt.json"
     payload = checkpoint_payload(store)
     payload["format_version"] = 99
-    import json
-
     path.write_text(json.dumps(payload))
     with pytest.raises(InputError, match="ckpt.json: unsupported checkpoint format_version 99"):
         ParameterStore.load(str(path))
@@ -132,8 +168,6 @@ def tiny_models():
 
 
 def corrupt_checkpoint(tmp_path, kind, edit):
-    import json
-
     model, load, name = tiny_models()[kind]
     path = tmp_path / f"{kind}.json"
     model.save(str(path))
