@@ -217,7 +217,7 @@ def test_malformed_checkpoint_exits_two_naming_the_file(tmp_path, capsys, case):
             data = BAD_CHECKPOINTS[case](fh.read()).encode("utf-8", "surrogateescape")
     with open(where, "wb") as fh:
         fh.write(data)
-    with pytest.raises(InputError, match="generator.json") as exc:
+    with pytest.raises(InputError) as exc:
         GeneratorModel.load(path)
     assert str(exc.value).startswith(where + ":")
     paths = str(tmp_path / "paths.jsonl")
