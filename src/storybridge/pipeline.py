@@ -21,6 +21,7 @@ from .kg import RelationIndex, load_tuples
 from .lm import LMConfig, load_lm, train_lm
 from .metrics import bleu_n, distinct_n
 from .optim import TrainConfig
+from .params import COMPANION_SUFFIX
 
 MANIFEST_VERSION = 1
 STAGES = ("distill", "enrich", "generate")
@@ -232,6 +233,8 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
         paths_path = terms_path
     if "generate" in config.stages:
         inputs.append(config.generator_model)
+    # a checkpoint's values load from its float64 companion, so the manifest names those bytes too
+    inputs += [p + COMPANION_SUFFIX for p in (config.distiller_model, config.lm_model, config.generator_model) if p and p in inputs]
     # hashed before any stage runs, so the manifest names the bytes the stages read;
     # empty or missing paths are left for the stages to report
     digests = {p: sha256_file(p) for p in inputs if p and os.path.exists(p)}

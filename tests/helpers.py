@@ -535,6 +535,17 @@ def checkpoint_payload(store, extra: dict | None = None) -> dict:
     }
 
 
+def store_holding(arrays: dict, rng_seed: int = 5, schedule: dict | None = None):
+    """A ParameterStore holding exactly these arrays, by name, with this seed and schedule."""
+    from storybridge.params import ParameterStore
+
+    store = ParameterStore(rng_seed)
+    for name, values in arrays.items():
+        store.param(name, np.shape(values), init="zeros").data[...] = values
+    store.schedule = schedule
+    return store
+
+
 # ------------------------------------------------------------ training references
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import os
 import shutil
@@ -12,7 +11,9 @@ from helpers import read_jsonl, with_second_line
 from storybridge.cli import EXIT_INPUT, EXIT_OK, main
 from storybridge.distill import FEATURE_DIM
 from storybridge.ioutil import read_json, sha256_file, write_json
-from storybridge.params import COMPANION_SUFFIX
+from storybridge.params import COMPANION_SUFFIX, ParameterStore
+
+NO_COMPANION = "checkpoint has no float64 companion"
 
 
 def run_cli(capsys, *argv):
@@ -50,8 +51,8 @@ def test_single_stage_pipeline_runs_match_the_full_run(pipeline_run, tmp_path, c
 
     # each manifest hashes exactly the files its stage read
     read = {
-        "enrich": [terms, world["kg_scene"], world["kg_textrel"], world["lm_model"]],
-        "generate": [paths, world["generator_model"]],
+        "enrich": [terms, world["kg_scene"], world["kg_textrel"], world["lm_model"], world["lm_model"] + COMPANION_SUFFIX],
+        "generate": [paths, world["generator_model"], world["generator_model"] + COMPANION_SUFFIX],
     }
     for stage, inputs in read.items():
         manifest = read_json(str(tmp_path / stage / "manifest.json"))
@@ -79,7 +80,7 @@ def test_enrich_with_a_checkpoint_that_is_no_term_lm_exits_two_naming_it(pipelin
     write_json(old_ngram, {"kind": "ngram", "order": 2, "smoothing_k": 1.0, "vocab": ["<unk>"], "counts": [],
                            "context_counts": []})
     cases = [
-        (old_ngram, "unsupported checkpoint format_version None"),
+        (old_ngram, NO_COMPANION),
         (pipeline_run["world"]["distiller_model"], "not a term LM checkpoint (kind 'distiller')"),
     ]
     for i, (lm_path, message) in enumerate(cases):
@@ -278,10 +279,10 @@ def test_story_with_more_images_than_the_distiller_slots_exits_two(pipeline_run,
 
 def test_distiller_checkpoint_of_an_earlier_version_exits_two_naming_the_file(pipeline_run, tmp_path, capsys):
     # checkpoints of earlier versions record the attention width, which is now always hidden_size
-    checkpoint = read_json(pipeline_run["config"].distiller_model)
-    checkpoint["extra"]["config"]["attention_size"] = 0
+    store, extra = ParameterStore.load(pipeline_run["config"].distiller_model)
+    extra["config"]["attention_size"] = 0
     old = str(tmp_path / "distiller.json")
-    write_json(old, checkpoint)
+    store.save(old, extra=extra)
     out_dir = tmp_path / "out"
     code, out, err = run_stage(capsys, pipeline_run, out_dir, "distill", "", f"distiller_model={old}")
     assert code == EXIT_INPUT and out == "" and "Traceback" not in err
@@ -301,55 +302,90 @@ def test_runtime_failure_exits_one(pipeline_run, tmp_path, capsys, monkeypatch):
     assert "RuntimeError: decoder blew up" in err
 
 
+def json_only(text: str):
+    """A writer of a checkpoint JSON without its float64 companion, as versions before the companion left them."""
+
+    def write(path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    return write
+
+
+def saved_pair(extra, version: int = 1):
+    """A writer of a consistent checkpoint pair with no parameters, this extra and this format_version."""
+
+    def write(path: str) -> None:
+        with mock.patch.object(storybridge.params, "FORMAT_VERSION", version):
+            ParameterStore(0).save(path, extra=extra)
+
+    return write
+
+
 @pytest.mark.parametrize(
-    "content",
+    "write,message",
     [
-        "{not json",
-        json.dumps([1, 2]),
-        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}}),
-        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": {"kind": "gru_lm"}}),
-        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": []}),
-        json.dumps({"format_version": 7, "rng_seed": 0, "params": {}, "extra": {"kind": "generator"}}),
-        "distiller_model",  # a checkpoint of another kind with its companion: the kind check runs on the companion route
+        (json_only("{not json"), NO_COMPANION),
+        (json_only(json.dumps([1, 2])), NO_COMPANION),
+        (saved_pair({}), "not a generator checkpoint"),
+        (saved_pair({"kind": "gru_lm"}), "not a generator checkpoint"),
+        (saved_pair([1]), "checkpoint needs an 'extra' object"),
+        (saved_pair({"kind": "generator"}, version=7), "unsupported checkpoint format_version 7"),
+        ("distiller_model", "not a generator checkpoint"),  # a checkpoint of another kind, with its companion
     ],
     ids=["not-json", "json-list", "no-kind", "wrong-kind", "extra-not-object", "wrong-version", "wrong-kind-companion"],
 )
-def test_bad_generator_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, content):
+def test_bad_generator_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, write, message):
     broken = str(tmp_path / "broken.json")
-    route = contextlib.nullcontext()
-    if content == "distiller_model":
+    if write == "distiller_model":
         for suffix in ("", COMPANION_SUFFIX):
-            shutil.copyfile(pipeline_run["world"][content] + suffix, broken + suffix)
-        route = mock.patch.object(storybridge.params, "read_checkpoint", side_effect=AssertionError("the JSON was parsed"))
+            shutil.copyfile(pipeline_run["world"][write] + suffix, broken + suffix)
     else:
-        with open(broken, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        write(broken)
     paths = os.path.join(pipeline_run["out_dir"], "paths.jsonl")
-    with route:
-        code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "generate", paths, f"generator_model={broken}")
+    code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "generate", paths, f"generator_model={broken}")
     assert code == EXIT_INPUT
-    assert broken in err and "Traceback" not in err
-    if content == "distiller_model":
-        assert f"{broken}: not a generator checkpoint" in err
+    assert f"{broken}: {message}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
-    "content",
+    "write,message",
     [
-        "{not json",
-        json.dumps({"format_version": 1, "rng_seed": 0, "params": {}, "extra": {"kind": "generator"}}),
-        json.dumps({"kind": "ngram", "order": 2}),
+        (json_only("{not json"), NO_COMPANION),
+        (saved_pair({"kind": "generator"}), "not a term LM checkpoint (kind 'generator')"),
+        (saved_pair({"kind": "ngram", "order": 2}), "checkpoint does not fit the model"),
     ],
     ids=["not-json", "wrong-kind", "ngram-missing-counts"],
 )
-def test_bad_lm_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, content):
+def test_bad_lm_checkpoint_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, write, message):
     broken = str(tmp_path / "broken_lm.json")
-    with open(broken, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    write(broken)
     terms = os.path.join(pipeline_run["out_dir"], "terms.jsonl")
     code, _, err = run_stage(capsys, pipeline_run, tmp_path / "out", "enrich", terms, f"lm_model={broken}")
     assert code == EXIT_INPUT
-    assert broken in err
+    assert f"{broken}: {message}" in err
+
+
+def test_replay_after_a_companion_value_changed_exits_two_naming_it(pipeline_run, tmp_path, capsys):
+    # a checkpoint's values load from its companion, so the manifest must bind the companion's bytes too
+    generator = str(tmp_path / "models" / "generator.json")
+    os.makedirs(os.path.dirname(generator))
+    for suffix in ("", COMPANION_SUFFIX):
+        shutil.copyfile(pipeline_run["world"]["generator_model"] + suffix, generator + suffix)
+    paths = os.path.join(pipeline_run["out_dir"], "paths.jsonl")
+    code, _, _ = run_stage(capsys, pipeline_run, tmp_path / "run", "generate", paths, f"generator_model={generator}")
+    assert code == EXIT_OK
+    companion = generator + COMPANION_SUFFIX
+    with open(companion, "r+b") as fh:  # negate the first value: still finite, and the JSON is untouched
+        fh.readline()
+        value = np.frombuffer(fh.read(8), dtype="<f8")
+        fh.seek(-8, os.SEEK_CUR)
+        fh.write((-value).tobytes())
+    again = tmp_path / "again"
+    code, out, err = run_cli(capsys, "pipeline", "--from-manifest", str(tmp_path / "run" / "manifest.json"), "--out-dir", str(again))
+    assert code == EXIT_INPUT and out == ""
+    assert f"manifest input changed since the recorded run: {companion}" in err
+    assert not (again / "stories.jsonl").exists() and not (again / "manifest.json").exists()
 
 
 def test_enrich_bad_term_path_exits_two_naming_the_line(pipeline_run, tmp_path, capsys):

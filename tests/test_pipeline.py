@@ -14,6 +14,7 @@ from storybridge.config import RunConfig, apply_overrides
 from storybridge.corpus import StoryRecord, load_corpus, save_corpus
 from storybridge.distill import DistillerModel, ImageSequence, load_feature_file, save_feature_file
 from storybridge.ioutil import InputError, sha256_file, write_jsonl
+from storybridge.params import COMPANION_SUFFIX
 from storybridge.pipeline import (
     evaluate_stories,
     rerun_from_manifest,
@@ -94,6 +95,7 @@ def test_manifest_records_hashes_of_all_inputs(pipeline_run):
         config.generator_model,
         config.kg[0]["path"],
         config.kg[1]["path"],
+        *(model + COMPANION_SUFFIX for model in (config.distiller_model, config.lm_model, config.generator_model)),
     ):
         assert manifest["inputs"][path] == sha256_file(path)
     assert set(manifest["outputs"]) == {"terms.jsonl", "paths.jsonl", "stories.jsonl"}
