@@ -59,6 +59,41 @@ def test_float64_bit_patterns_round_trip(tmp_path_factory, values, split):
         assert fh.read() == text
 
 
+# layout: the name -> values map of a store; names sort by code point in the JSON and the companion header alike
+LAYOUTS = {
+    "scalar": {"s": np.array(2.5)},
+    "empty-vector": {"e": np.zeros(0)},
+    "zero-row-matrix": {"m": np.zeros((0, 3)), "n": [1.0]},
+    "three-d": {"t": np.arange(24.0).reshape(2, 3, 4) - 11.5},
+    "escaped-names": {'quote"d': [1.0], "back\\slash": [-0.0], "new\nline": [5e-324], "tab\t": [-1.5]},
+    "unicode-names": {"\u00e9": [1.0], "\u65e5\u672c": [2.0], "\U0001f600": [3.0], "z": [4.0]},
+    "no-parameters": {},
+    "many-parameters": {f"p{i}": [float(i)] * (i % 3) for i in range(300)},
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_store_layouts_round_trip_through_both_files(tmp_path, layout):
+    store = store_holding(LAYOUTS[layout])
+    path = str(tmp_path / "model.json")
+    store.save(path, extra={"kind": "layout"})
+    loaded, extra = ParameterStore.load(path)
+    assert extra == {"kind": "layout"} and list(dict(loaded.items())) == sorted(LAYOUTS[layout])
+    for name, t in store.items():
+        assert_bits_equal(loaded[name].data, t.data)
+    with open(path, encoding="utf-8") as fh:
+        exported = json.load(fh)
+    assert list(exported["params"]) == sorted(LAYOUTS[layout])
+    for name, t in store.items():
+        assert exported["params"][name]["shape"] == list(t.shape)
+        assert_bits_equal(exported["params"][name]["data"], t.data.reshape(-1))
+    again = str(tmp_path / "again.json")
+    loaded.save(again, extra=extra)
+    for suffix in ("", COMPANION_SUFFIX):
+        with open(path + suffix, "rb") as a, open(again + suffix, "rb") as b:
+            assert a.read() == b.read()
+
+
 def tiny_generator_checkpoint(tmp_path) -> str:
     vocab = ["<bos>", "<eos>", "<sb>", "<unk>", "<s>", "</s>", "<sep>", "w"]
     model = GeneratorModel.build(vocab, GeneratorConfig(hidden_size=4, heads=2, encoder_layers=1, decoder_layers=1, ff_multiple=1))
@@ -96,8 +131,45 @@ def with_first_value(value: float):
     return apply
 
 
+def with_last_value(value: float):
+    """An edit of a companion's bytes that replaces its last float64, the last parameter's last value, by value."""
+    return lambda companion: companion[:-8] + np.array([value], dtype="<f8").tobytes()
+
+
 def in_companion(edit):
     return lambda path: rewrite(path + COMPANION_SUFFIX, edit)
+
+
+def resaved(edit):
+    """An edit of the pair at path that loads it, lets edit(store) change the store's metadata, and saves it again.
+
+    The result is a consistent pair, so the fault is caught by the check for that field, not by the digest.
+    """
+
+    def apply(path: str) -> None:
+        store, extra = ParameterStore.load(path)
+        edit(store)
+        store.save(path, extra=extra)
+
+    return apply
+
+
+def json_value_changed(exported: bytes) -> bytes:
+    """A valid checkpoint JSON, canonically written, whose first parameter's first value is one more than exported's."""
+    payload = json.loads(exported)
+    payload["params"][min(payload["params"])]["data"][0] += 1.0
+    return canonical_dumps(payload).encode("utf-8")
+
+
+def json_of_another_save(path: str) -> None:
+    """Put the JSON of another store's save in place of path's, leaving path's companion as it was."""
+    other = path + ".other.json"
+    store_holding({"w": [1.0]}).save(other, extra={"kind": "generator"})
+    shutil.copyfile(other, path)
+
+
+def set_first_shape(shape):
+    return with_header(lambda h: h["params"][0].__setitem__(1, shape))
 
 
 # fault: (edit of the saved pair at path, the suffix of the file the error names, a piece of its message)
@@ -118,6 +190,43 @@ COMPANION_FAULTS = {
                                COMPANION_SUFFIX, "json_sha256 does not match"),
     "companion-NaN": (in_companion(with_first_value(float("nan"))), COMPANION_SUFFIX, "holds non-finite values"),
     "companion-Infinity": (in_companion(with_first_value(float("-inf"))), COMPANION_SUFFIX, "holds non-finite values"),
+    "companion-last-value-NaN": (in_companion(with_last_value(float("nan"))), COMPANION_SUFFIX, "holds non-finite values"),
+    # the header line
+    "companion-empty": (in_companion(lambda b: b""), COMPANION_SUFFIX, "header line is not JSON"),
+    "companion-header-not-utf8": (in_companion(lambda b: b'{"format":"\xff"}' + b[b.index(b"\n") :]), COMPANION_SUFFIX,
+                                  "header line is not JSON"),
+    "companion-header-a-list": (in_companion(lambda b: b"[1,2]" + b[b.index(b"\n") :]), COMPANION_SUFFIX,
+                                "not a storybridge-checkpoint-f64 version 1 file"),
+    "companion-format-missing": (in_companion(with_header(lambda h: h.pop("format"))), COMPANION_SUFFIX,
+                                 "not a storybridge-checkpoint-f64 version 1 file"),
+    "companion-version-2": (in_companion(with_header(lambda h: h.update(version=2))), COMPANION_SUFFIX,
+                            "not a storybridge-checkpoint-f64 version 1 file"),
+    # the header's [name, shape] entries
+    "companion-params-missing": (in_companion(with_header(lambda h: h.pop("params"))), COMPANION_SUFFIX, "sorted name order"),
+    "companion-params-an-object": (in_companion(with_header(lambda h: h.update(params=dict(h["params"])))), COMPANION_SUFFIX,
+                                   "sorted name order"),
+    "companion-entry-not-a-pair": (in_companion(with_header(lambda h: h["params"][0].append(0))), COMPANION_SUFFIX,
+                                   "sorted name order"),
+    "companion-name-not-a-string": (in_companion(with_header(lambda h: h["params"][0].__setitem__(0, 7))), COMPANION_SUFFIX,
+                                    "sorted name order"),
+    "companion-duplicate-names": (in_companion(with_header(lambda h: h["params"][1].__setitem__(0, h["params"][0][0]))),
+                                  COMPANION_SUFFIX, "sorted name order"),
+    "companion-shape-not-a-list": (in_companion(set_first_shape(4)), COMPANION_SUFFIX, "non-negative integers"),
+    "companion-shape-of-floats": (in_companion(with_header(lambda h: h["params"][0].__setitem__(1, [float(n) for n in h["params"][0][1]]))),
+                                  COMPANION_SUFFIX, "non-negative integers"),
+    "companion-shape-of-bools": (in_companion(with_header(lambda h: h["params"][0].__setitem__(1, [True for _ in h["params"][0][1]]))),
+                                 COMPANION_SUFFIX, "non-negative integers"),
+    "companion-shape-grown": (in_companion(with_header(lambda h: h["params"][0][1].__setitem__(0, h["params"][0][1][0] + 1))),
+                              COMPANION_SUFFIX, "bytes of values where its shapes need"),
+    # consistent pairs whose metadata load refuses: the message names the checkpoint
+    "schedule-a-list": (resaved(lambda store: setattr(store, "schedule", [1])), "", "'schedule' must be an object or null"),
+    "rng-seed-not-a-number": (resaved(lambda store: setattr(store, "rng_seed", "seven")), "", "has no usable rng_seed"),
+    "rng-seed-null": (resaved(lambda store: setattr(store, "rng_seed", None)), "", "has no usable rng_seed"),
+    # the digest binds every byte of the JSON to its companion
+    "json-one-byte-appended": (lambda path: rewrite(path, lambda b: b + b" "), COMPANION_SUFFIX, "json_sha256 does not match"),
+    "json-truncated": (lambda path: rewrite(path, lambda b: b[:-1]), COMPANION_SUFFIX, "json_sha256 does not match"),
+    "json-value-changed": (lambda path: rewrite(path, json_value_changed), COMPANION_SUFFIX, "json_sha256 does not match"),
+    "json-of-another-save": (json_of_another_save, COMPANION_SUFFIX, "json_sha256 does not match"),
 }
 
 
@@ -141,6 +250,13 @@ def test_malformed_checkpoint_exits_two_naming_the_file(tmp_path, capsys, fault)
     assert code == EXIT_INPUT and out == ""
     assert f"{where}: " in err and message in err and "Traceback" not in err
     assert not (out_dir / "stories.jsonl").exists() and not (out_dir / "manifest.json").exists()
+
+
+def test_companion_without_its_json_exits_two_naming_the_json(tmp_path):
+    path = tiny_generator_checkpoint(tmp_path)
+    os.remove(path)  # the companion alone: its digest has nothing to bind to
+    with pytest.raises(InputError, match=f"input file not found: {path}$"):
+        GeneratorModel.load(path)
 
 
 MEMORY_PROBE = textwrap.dedent(
@@ -234,6 +350,16 @@ def test_loaded_store_equals_json_load_of_the_exported_json(four_kinds, tmp_path
     for name, entry in exported["params"].items():
         assert_bits_equal(store[name].data.reshape(-1), entry["data"])
     assert len(store) > 0 or kind == "ngram"
+
+
+@pytest.mark.parametrize("kind", ["distiller", "generator", "gru_lm", "ngram"])
+def test_json_only_checkpoint_of_each_kind_exits_two_naming_it(four_kinds, tmp_path, kind):
+    saved, load_model = four_kinds[kind]
+    path = moved_pair(saved, tmp_path / "json-only")
+    os.remove(path + COMPANION_SUFFIX)  # as versions before the companion left a checkpoint
+    with pytest.raises(InputError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: checkpoint has no float64 companion {path}{COMPANION_SUFFIX}")
 
 
 def test_finetuning_from_a_moved_pair_writes_the_same_checkpoint(trained_world, tmp_path, capsys):
