@@ -39,6 +39,9 @@ SENTENCE_BOUNDARY = "<sb>"
 # counted at its longest story. It bounds the rows of a block by the decoder's size: four
 # five-group paths at the published size (hidden 512, 4 layers), which keeps a block's peak RSS
 # within 10% of one path at a time, and every quick-start path at the desk size (README "Decoding").
+# It does not count the decoder's folded cross-attention tables, 2·D·H·T·8 bytes per layer per path
+# at the block's longest path T: they are fixed when the block starts, not grown by its steps, and
+# take about 1.4 MB per published five-group path (T about 21) against its 4.2 MiB counted here.
 STORY_BLOCK_CACHE_BYTES = 18 * 2**20
 
 

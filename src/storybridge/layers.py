@@ -8,7 +8,9 @@ back in. For inference, ``encode_padded`` runs a trained encoder stack over
 a padded batch of sequences in one pass, and ``DecoderCache`` runs a trained
 decoder stack one new position per hypothesis per call over one memory per
 decoded path; both work in plain numpy, off the tape, through the same
-numpy forwards as the fused training ops.
+numpy forwards as the fused training ops. A decoder step reads cross-attention
+from folded per-path tables and runs its self-attention products over at
+least ``GEMM_MIN_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ from .autodiff import ShapeError, Tensor, gru_cell, linear
 from .params import ParameterStore
 
 NEG_INF = -1e30
+# OpenBLAS on SkylakeX cores (numpy's wheels) runs a dgemm with M·N·K <= 1e6 on its small-matrix kernel,
+# which reads a cold (512, 512) float64 weight at about 3.4 GB/s where the packed kernel reads 6-8 GB/s.
+# A (rows, 512) @ (512, 512) product leaves that kernel from 4 rows on (4·512·512 > 1e6), so a decoder
+# step runs its self-attention products over at least this many rows, the extra rows zeros that are
+# sliced off. One row is a gemv and stays one row. This follows the BLAS, not a setting.
+GEMM_MIN_ROWS = 4
 
 
 def multi_head_attention(
@@ -75,14 +83,6 @@ class AttentionParams:
         """Rows x (N, D) through the named projection ("q", "k" or "v"), as (N, H, D/H)."""
         y = x @ self.kw[f"w{which}"].data + self.kw[f"b{which}"].data
         return y.reshape(x.shape[0], num_heads, -1)
-
-    def attend(self, q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Queries (B, H, 1, Dh) over keys/values (.., H, T, Dh) by ad.attention_values, projected; (B, D).
-
-        mask is an optional additive (.., 1, 1, T) mask on the scores.
-        """
-        ctx = ad.attention_values(q, keys, values, mask)[1]
-        return ctx.reshape(q.shape[0], -1) @ self.kw["wo"].data + self.kw["bo"].data
 
 
 class FeedForwardParams:
@@ -194,50 +194,76 @@ class DecoderCache:
     """Incremental numpy inference over a TransformerDecoder, no tape, over one or more memories.
 
     The memories come padded, as ``encode_padded`` gives them, and their
-    padding is masked out of cross-attention; the cross-attention keys and
-    values of every memory are computed once, as one matrix. Each layer
-    keeps the self-attention keys and values of every position already
-    run, one row per hypothesis. ``step`` gathers those rows by parent
-    hypothesis, appends the new position and runs only the new rows, all
-    memories' rows as one batch. Attention is causal, so an emitted
-    position never changes and the result equals recomputing each whole
-    prefix, up to float reassociation.
+    padding is masked out of cross-attention. Cross-attention is folded
+    into per-memory tables, built once per layer: with head h's keys K_h
+    and values V_h, A = Wq_h·K_hᵀ and U = V_h·Wo_h, heads side by side as
+    (D, H·T) and (H·T, D), and c = bq_h·K_hᵀ. A step computes
+    softmax((x·A + c)/√Dh + padding mask)·U + bo, one product per memory,
+    without reading ``wq`` or ``wo``. Each layer keeps the self-attention
+    keys and values of every position already run, one row per hypothesis.
+    ``step`` gathers those rows by parent hypothesis, appends the new
+    position and runs only the new rows, all memories' rows as one batch;
+    its self-attention products run over at least ``GEMM_MIN_ROWS`` rows,
+    zero rows sliced off before the cache. Attention is causal, so an
+    emitted position never changes and the result equals recomputing each
+    whole prefix, up to float reassociation.
     """
 
     def __init__(self, decoder: TransformerDecoder, memories: np.ndarray, lengths: np.ndarray):
         """memories (P, T, D) holds memory p in its first lengths[p] positions."""
-        self.heads = decoder.heads
+        self.heads = h = decoder.heads
         self.blocks = decoder.blocks
         p, t, d = memories.shape
         rows = memories.reshape(p * t, d)
-        self.cross = [  # per layer: (P, H, T, Dh) keys, values
-            tuple(np.swapaxes(cross.project(rows, which, self.heads).reshape(p, t, self.heads, -1), 1, 2) for which in "kv")
-            for _s, _n1, cross, _n2, _ff, _n3 in self.blocks
-        ]
-        self.pad_mask = pad_mask(lengths, t)  # (P, 1, 1, T)
+        self.cross = []  # per layer: (P, D, H*T) A, (P, H*T) bias row, (P, H*T, D) U; the keys and values are dropped
+        for _s, _n1, cross, _n2, _ff, _n3 in self.blocks:
+            keys, values = (cross.project(rows, which, h).reshape(p, t, h, -1).transpose(0, 2, 1, 3) for which in "kv")
+            keys_t = np.swapaxes(keys, -1, -2)  # (P, H, Dh, T)
+            a = cross.kw["wq"].data.reshape(d, h, -1).transpose(1, 0, 2) @ keys_t  # (P, H, D, T)
+            bias = cross.kw["bq"].data.reshape(h, 1, -1) @ keys_t  # (P, H, 1, T)
+            u = values @ cross.kw["wo"].data.reshape(h, -1, d)  # (P, H, T, D)
+            self.cross.append((a.transpose(0, 2, 1, 3).reshape(p, d, h * t), bias.reshape(p, h * t), u.reshape(p, h * t, d)))
+        self.pad_mask = pad_mask(lengths, t)[:, 0]  # (P, 1, T)
         self.past: list[tuple[np.ndarray, np.ndarray]] = []  # per layer: (B, H, t, Dh) keys, values
 
     def step(self, x: np.ndarray, parents, memory_of) -> np.ndarray:
         """Run new rows x (B, D); row b extends cached hypothesis parents[b] and reads memory memory_of[b]. Returns (B, D)."""
-        parents = np.asarray(parents, dtype=np.int64)
-        mask = self.pad_mask[memory_of]
+        parents, memory_of = np.asarray(parents, dtype=np.int64), np.asarray(memory_of, dtype=np.int64)
+        (b, d), (p, _one, t), h = x.shape, self.pad_mask.shape, self.heads
+        counts = np.bincount(memory_of, minlength=p)  # each row's slot among its memory's rows: a (P, rows, ..) batch
+        slot = np.empty(b, dtype=np.int64)
+        slot[np.argsort(memory_of, kind="stable")] = np.arange(b) - np.repeat(np.cumsum(counts) - counts, counts)
+        grouped, weights = (np.zeros((p, counts.max(initial=0), width)) for width in (d, h * t))
+        mask, scale = self.pad_mask[memory_of], 1.0 / np.sqrt(d // h)
         first = not self.past
         for i, (self_attn, norm1, cross, norm2, ff, norm3) in enumerate(self.blocks):
-            q, k, v = (self_attn.project(x, which, self.heads)[:, :, None, :] for which in "qkv")
+            rows = _gemm_rows(x)
+            q, k, v = (self_attn.project(rows, which, h)[:b, :, None, :] for which in "qkv")
             if first:
                 self.past.append((k, v))
             else:  # replaced layer by layer, so no more than one layer's keys and values are held twice
                 self.past[i] = tuple(np.concatenate([old[parents], new], axis=2) for old, new in zip(self.past[i], (k, v)))
-            x = _norm(norm1, x, self_attn.attend(q, *self.past[i]))
-            q = cross.project(x, "q", self.heads)[:, :, None, :]
-            keys, values = (a[memory_of] for a in self.cross[i])
-            x = _norm(norm2, x, cross.attend(q, keys, values, mask))
+            ctx = ad.attention_values(q, *self.past[i])[1].reshape(b, d)
+            x = _norm(norm1, x, (_gemm_rows(ctx) @ self_attn.kw["wo"].data)[:b] + self_attn.kw["bo"].data)
+            a, bias, u = self.cross[i]
+            grouped[memory_of, slot] = x
+            scores = ((grouped @ a)[memory_of, slot] + bias[memory_of]).reshape(b, h, t) * scale + mask
+            scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights[memory_of, slot] = (scores / scores.sum(axis=-1, keepdims=True)).reshape(b, h * t)
+            x = _norm(norm2, x, (weights @ u)[memory_of, slot] + cross.kw["bo"].data)
             x = _norm(norm3, x, ad.feed_forward_values(x, ff.w1.data, ff.b1.data, ff.w2.data, ff.b2.data)[0])
         return x
 
 
 def _norm(norm: NormParams, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return ad.layernorm_values(x + residual, norm.g.data, norm.b.data)[0]
+
+
+def _gemm_rows(x: np.ndarray) -> np.ndarray:
+    """x (B, D), with zero rows appended up to GEMM_MIN_ROWS when 1 < B < GEMM_MIN_ROWS; a product's row b is row b."""
+    if 1 < len(x) < GEMM_MIN_ROWS:
+        return np.concatenate([x, np.zeros((GEMM_MIN_ROWS - len(x), x.shape[1]))])
+    return x
 
 
 class GRUParams:

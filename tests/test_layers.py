@@ -5,6 +5,7 @@ from helpers import numeric_grad, rel_err
 from storybridge import autodiff as ad
 from storybridge.autodiff import ShapeError, Tensor
 from storybridge.layers import (
+    DecoderCache,
     GRUParams,
     TransformerDecoder,
     TransformerEncoder,
@@ -179,3 +180,74 @@ def test_padded_encoder_masks_padding_out_of_each_input():
         np.testing.assert_allclose(row[: len(x)], enc(Tensor(x)).data, rtol=1e-12, atol=1e-12)
     same, _ = encode_padded(enc, inputs[:1] + inputs[3:4])  # equal lengths: nothing to mask
     assert (bits(same[0]) == bits(enc(Tensor(inputs[0])).data)).all()
+
+
+def random_decoder(seed):
+    """A small decoder whose biases and norm parameters are random too, so every folded table term is exercised."""
+    store = ParameterStore(seed)
+    dec = TransformerDecoder(store, "dec", d=16, heads=2, layers=2, d_ff=32)
+    rng = np.random.default_rng(seed)
+    for name, t in store.items():
+        if t.data.ndim == 1:
+            t.data[:] = rng.normal(scale=0.5, size=t.data.shape) + (1.0 if name.endswith(".g") else 0.0)
+    store.freeze()
+    return dec
+
+
+def padded_memories(rng, lengths):
+    memories = np.zeros((len(lengths), max(lengths), 16))
+    for m, n in zip(memories, lengths):
+        m[:n] = rng.normal(size=(n, 16)) * 2
+    return memories
+
+
+@pytest.mark.parametrize("lengths", [[6], [5, 2, 8]], ids=["one-memory", "three-unequal-memories"])
+def test_decoder_cache_steps_equal_the_tape_decoder_over_each_whole_prefix(lengths):
+    dec = random_decoder(7)
+    rng = np.random.default_rng(len(lengths))
+    memories, p, t = padded_memories(rng, lengths), len(lengths), max(lengths)
+    cache = DecoderCache(dec, memories, np.array(lengths))
+    for layer in cache.cross:  # the folded tables only: the cross keys and values are not kept
+        assert [a.shape for a in layer] == [(p, 16, 2 * t), (p, 2 * t), (p, 2 * t, 16)]
+    prefixes, memory_of = [np.zeros((0, 16))] * p, np.arange(p)  # root b reads memory b
+    for step, rows in enumerate([p, 2, 3, 4, 7, 3, 1, 2, 4]):  # frontiers of 1, 2, 3, 4 and 7 rows
+        parents = np.arange(p) if step == 0 else rng.integers(0, len(prefixes), size=rows)  # reordered, with repeats
+        prefixes, memory_of = [prefixes[j] for j in parents], memory_of[parents]
+        x = rng.normal(size=(rows, 16))
+        prefixes = [np.vstack([pre, row]) for pre, row in zip(prefixes, x)]
+        out = cache.step(x, parents, memory_of)
+        for row, pre, m in zip(out, prefixes, memory_of):
+            want = dec(Tensor(pre), Tensor(memories[m, : lengths[m]])).data[-1]
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_each_row_of_a_small_step_equals_that_row_stepped_alone():
+    dec = random_decoder(11)
+    lengths = [4, 7, 3]
+    memories = padded_memories(np.random.default_rng(3), lengths)
+    history = [(np.random.default_rng(20 + k).normal(size=(3, 16)), [0, 1, 2] if k == 0 else [2, 0, 1]) for k in range(3)]
+
+    def assert_caches_live_rows(cache, rows, positions):  # no padding row enters the keys and values
+        for keys, values in cache.past:
+            assert keys.shape == values.shape == (rows, dec.heads, positions, 8)
+
+    def replayed():
+        cache, mem = DecoderCache(dec, memories, np.array(lengths)), np.arange(3)
+        for k, (x, parents) in enumerate(history):
+            mem = mem[parents]
+            cache.step(x, parents, mem)
+            assert_caches_live_rows(cache, 3, k + 1)
+        return cache, mem
+
+    for parents in ([1, 1], [2, 0, 2]):
+        cache, mem = replayed()
+        x = np.random.default_rng(len(parents)).normal(size=(len(parents), 16))
+        out = cache.step(x, parents, mem[parents])
+        assert_caches_live_rows(cache, len(parents), len(history) + 1)
+        for b, parent in enumerate(parents):
+            alone, mem_alone = replayed()
+            row = alone.step(x[b : b + 1], [parent], mem_alone[[parent]])
+            assert np.abs(out[b] - row[0]).max() <= 1e-12 * np.abs(row).max()
+            for (keys, values), (keys_alone, values_alone) in zip(cache.past, alone.past):
+                assert np.abs(keys[b] - keys_alone[0]).max() <= 1e-12 * np.abs(keys_alone).max()
+                assert np.abs(values[b] - values_alone[0]).max() <= 1e-12 * np.abs(values_alone).max()
