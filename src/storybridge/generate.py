@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .beam import BeamPenaltyConfig, Search, beam_decode, blocks
 from .enrich import TermPath
-from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, encode_padded, linear, sinusoidal_encoding
+from .layers import DecoderCache, TransformerDecoder, TransformerEncoder, encode_padded, linear, sinusoidal_encoding, slab_product
 from .lm import BOS as PATH_BOS
 from .lm import EOS as PATH_EOS
 from .lm import SEP as GROUP_SEP
@@ -172,7 +172,7 @@ class GeneratorModel:
             pos = tokens.shape[1]
             ids = tokens[:, -1] if pos else np.full(len(tokens), bos)
             h = cache.step(self.dec_embedding.data[ids] + ldpe[np.maximum(budgets[path_of] - pos, 0)], parents, path_of)
-            return ad.log_softmax_values(h @ self.w_out.data + self.b_out.data)
+            return ad.log_softmax_values(slab_product(h, self.w_out.data) + self.b_out.data)
 
         return step
 

@@ -9,8 +9,8 @@ a padded batch of sequences in one pass, and ``DecoderCache`` runs a trained
 decoder stack one new position per hypothesis per call over one memory per
 decoded path; both work in plain numpy, off the tape, through the same
 numpy forwards as the fused training ops. A decoder step reads cross-attention
-from folded per-path tables and runs its self-attention products over at
-least ``GEMM_MIN_ROWS`` rows.
+from folded per-path tables and runs its weight products through
+``slab_product``.
 """
 
 from __future__ import annotations
@@ -22,12 +22,15 @@ from .autodiff import ShapeError, Tensor, gru_cell, linear
 from .params import ParameterStore
 
 NEG_INF = -1e30
-# OpenBLAS on SkylakeX cores (numpy's wheels) runs a dgemm with M·N·K <= 1e6 on its small-matrix kernel,
-# which reads a cold (512, 512) float64 weight at about 3.4 GB/s where the packed kernel reads 6-8 GB/s.
-# A (rows, 512) @ (512, 512) product leaves that kernel from 4 rows on (4·512·512 > 1e6), so a decoder
-# step runs its self-attention products over at least this many rows, the extra rows zeros that are
-# sliced off. One row is a gemv and stays one row. This follows the BLAS, not a setting.
-GEMM_MIN_ROWS = 4
+# OpenBLAS on SkylakeX cores (numpy's wheels) reads a cold float64 weight slowly in a product of a few
+# rows: a (512, 512) one at 4-5 GB/s with 3 rows and 7-9 GB/s with 4 to 10, where a gemv reads 18-20 GB/s.
+# Summed over K-slabs of SLAB_ROWS weight rows, the same product reads it at 11-17 GB/s with 2 to 6 rows.
+# Past 6 rows w_out (512, 5000) reads slower in slabs, and from about 12 rows every decoder weight does
+# (README "Decoding -> Decoder step"). Weights under SLAB_MIN_BYTES are read from cache, so their
+# products stay plain, bit for bit. These follow the BLAS, not settings.
+SLAB_ROWS = 32
+SLAB_MAX_ROWS = 6
+SLAB_MIN_BYTES = 2**20
 
 
 def multi_head_attention(
@@ -203,8 +206,8 @@ class DecoderCache:
     keys and values of every position already run, one row per hypothesis.
     ``step`` gathers those rows by parent hypothesis, appends the new
     position and runs only the new rows, all memories' rows as one batch;
-    its self-attention products run over at least ``GEMM_MIN_ROWS`` rows,
-    zero rows sliced off before the cache. Attention is causal, so an
+    its self-attention and feed-forward products run through
+    ``slab_product``. Attention is causal, so an
     emitted position never changes and the result equals recomputing each
     whole prefix, up to float reassociation.
     """
@@ -237,21 +240,23 @@ class DecoderCache:
         mask, scale = self.pad_mask[memory_of], 1.0 / np.sqrt(d // h)
         first = not self.past
         for i, (self_attn, norm1, cross, norm2, ff, norm3) in enumerate(self.blocks):
-            rows = _gemm_rows(x)
-            q, k, v = (self_attn.project(rows, which, h)[:b, :, None, :] for which in "qkv")
+            kw = self_attn.kw
+            q, k, v = ((slab_product(x, kw[f"w{n}"].data) + kw[f"b{n}"].data).reshape(b, h, 1, -1) for n in "qkv")
             if first:
                 self.past.append((k, v))
             else:  # replaced layer by layer, so no more than one layer's keys and values are held twice
                 self.past[i] = tuple(np.concatenate([old[parents], new], axis=2) for old, new in zip(self.past[i], (k, v)))
             ctx = ad.attention_values(q, *self.past[i])[1].reshape(b, d)
-            x = _norm(norm1, x, (_gemm_rows(ctx) @ self_attn.kw["wo"].data)[:b] + self_attn.kw["bo"].data)
+            x = _norm(norm1, x, slab_product(ctx, kw["wo"].data) + kw["bo"].data)
             a, bias, u = self.cross[i]
             grouped[memory_of, slot] = x
             scores = ((grouped @ a)[memory_of, slot] + bias[memory_of]).reshape(b, h, t) * scale + mask
             scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
             weights[memory_of, slot] = (scores / scores.sum(axis=-1, keepdims=True)).reshape(b, h * t)
             x = _norm(norm2, x, (weights @ u)[memory_of, slot] + cross.kw["bo"].data)
-            x = _norm(norm3, x, ad.feed_forward_values(x, ff.w1.data, ff.b1.data, ff.w2.data, ff.b2.data)[0])
+            hidden = slab_product(x, ff.w1.data) + ff.b1.data
+            hidden *= hidden > 0  # relu as feed_forward_values computes it
+            x = _norm(norm3, x, slab_product(hidden, ff.w2.data) + ff.b2.data)
         return x
 
 
@@ -259,11 +264,14 @@ def _norm(norm: NormParams, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return ad.layernorm_values(x + residual, norm.g.data, norm.b.data)[0]
 
 
-def _gemm_rows(x: np.ndarray) -> np.ndarray:
-    """x (B, D), with zero rows appended up to GEMM_MIN_ROWS when 1 < B < GEMM_MIN_ROWS; a product's row b is row b."""
-    if 1 < len(x) < GEMM_MIN_ROWS:
-        return np.concatenate([x, np.zeros((GEMM_MIN_ROWS - len(x), x.shape[1]))])
-    return x
+def slab_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (B, K) @ w (K, N), as a sum over K-slabs of SLAB_ROWS weight rows when 1 < B <= SLAB_MAX_ROWS, w holds
+    at least SLAB_MIN_BYTES and K is a multiple of SLAB_ROWS; otherwise ``x @ w`` itself, bit for bit."""
+    b, k = x.shape
+    if not (1 < b <= SLAB_MAX_ROWS and w.nbytes >= SLAB_MIN_BYTES and k % SLAB_ROWS == 0):
+        return x @ w
+    slabs = k // SLAB_ROWS  # one (B, SLAB_ROWS) @ (SLAB_ROWS, N) product per slab, in one batched call
+    return np.matmul(x.reshape(b, slabs, SLAB_ROWS).swapaxes(0, 1), w.reshape(slabs, SLAB_ROWS, -1)).sum(axis=0)
 
 
 class GRUParams:

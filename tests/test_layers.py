@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import numeric_grad, rel_err
 from storybridge import autodiff as ad
+from storybridge import layers
 from storybridge.autodiff import ShapeError, Tensor
 from storybridge.layers import (
     DecoderCache,
@@ -14,6 +17,7 @@ from storybridge.layers import (
     gru_cell,
     multi_head_attention,
     sinusoidal_encoding,
+    slab_product,
 )
 from storybridge.params import ParameterStore
 
@@ -201,8 +205,17 @@ def padded_memories(rng, lengths):
     return memories
 
 
+@pytest.fixture(params=["plain", "slabs"])
+def product_route(request, monkeypatch):
+    """With "slabs", every weight product of a d = 16 decoder's step of 2 to SLAB_MAX_ROWS rows takes the slab route."""
+    if request.param == "slabs":
+        monkeypatch.setattr(layers, "SLAB_ROWS", 4)  # d = 16 in 4 slabs, d_ff = 32 in 8
+        monkeypatch.setattr(layers, "SLAB_MIN_BYTES", 0)
+    return request.param
+
+
 @pytest.mark.parametrize("lengths", [[6], [5, 2, 8]], ids=["one-memory", "three-unequal-memories"])
-def test_decoder_cache_steps_equal_the_tape_decoder_over_each_whole_prefix(lengths):
+def test_decoder_cache_steps_equal_the_tape_decoder_over_each_whole_prefix(lengths, product_route):
     dec = random_decoder(7)
     rng = np.random.default_rng(len(lengths))
     memories, p, t = padded_memories(rng, lengths), len(lengths), max(lengths)
@@ -221,7 +234,7 @@ def test_decoder_cache_steps_equal_the_tape_decoder_over_each_whole_prefix(lengt
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_each_row_of_a_small_step_equals_that_row_stepped_alone():
+def test_each_row_of_a_small_step_equals_that_row_stepped_alone(product_route):
     dec = random_decoder(11)
     lengths = [4, 7, 3]
     memories = padded_memories(np.random.default_rng(3), lengths)
@@ -251,3 +264,47 @@ def test_each_row_of_a_small_step_equals_that_row_stepped_alone():
             for (keys, values), (keys_alone, values_alone) in zip(cache.past, alone.past):
                 assert np.abs(keys[b] - keys_alone[0]).max() <= 1e-12 * np.abs(keys_alone).max()
                 assert np.abs(values[b] - values_alone[0]).max() <= 1e-12 * np.abs(values_alone).max()
+
+
+PUBLISHED_WEIGHTS = [(512, 512), (512, 2048), (2048, 512), (512, 5000)]  # attention, ff w1, ff w2, w_out
+
+
+@pytest.mark.parametrize("shape", PUBLISHED_WEIGHTS, ids=lambda shape: "x".join(map(str, shape)))
+def test_slab_product_equals_the_plain_product_on_each_published_weight(shape):
+    rng = np.random.default_rng(shape[1])
+    w = rng.normal(size=shape)
+    assert w.nbytes >= layers.SLAB_MIN_BYTES and shape[0] % layers.SLAB_ROWS == 0  # on the slab route
+    for rows in range(2, layers.SLAB_MAX_ROWS + 1):
+        x = rng.normal(size=(rows, shape[0]))
+        want = x @ w
+        got = slab_product(x, w)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_slab_product_off_the_slab_route_is_the_plain_product_bit_for_bit():
+    rng = np.random.default_rng(4)
+    published = rng.normal(size=(512, 512))
+    desk = rng.normal(size=(64, 64))  # under the byte floor
+    ragged = rng.normal(size=(528, 512))  # K not a multiple of SLAB_ROWS: no slabs
+    assert desk.nbytes < layers.SLAB_MIN_BYTES <= ragged.nbytes and 528 % layers.SLAB_ROWS
+    # one row (a gemv), rows past SLAB_MAX_ROWS (a 4-path block's 12, the term beam's 15), a desk or ragged weight
+    over = [(published, rows) for rows in (1, layers.SLAB_MAX_ROWS + 1, 12, 15)]
+    for w, rows in over + [(desk, 3), (ragged, 3)]:
+        x = rng.normal(size=(rows, len(w)))
+        assert (bits(slab_product(x, w)) == bits(x @ w)).all()
+
+
+def test_a_slab_product_allocates_only_its_partials_and_its_output():
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(512, 5000))  # w_out at the published size
+    x = rng.normal(size=(layers.SLAB_MAX_ROWS, 512))
+    slab_product(x, w)
+    tracemalloc.start()
+    try:
+        out = slab_product(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    partials = 512 // layers.SLAB_ROWS * out.nbytes  # (S, B, N): one (B, N) product per slab, summed into out
+    assert partials + out.nbytes <= peak <= partials + out.nbytes + 2**16  # about 21% of w's 20.5 MB
