@@ -92,8 +92,9 @@ _SCHEMA = {**RunConfig().to_dict(), "stages": [""], "kg": [{"path": "", "source"
 _AT_LEAST = {"beam_size": 1, "alpha": 0, "gamma": 0, "candidate_cap": 1, "hidden_size": 1, "heads": 1,
              "lm_hidden_size": 1, "ngram_order": 1, "learning_rate": 0, "smoothing_k": 0, "epochs": 1,
              "warmup_steps": 0, "layers": 1, "decoder_layers": 1, "ff_multiple": 1, "max_terms_per_image": 1,
-             "max_sentence_tokens": 1}
-_KIND = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
+             "max_sentence_tokens": 1, "seed": 0}
+_KIND = {bool: "true or false", int: "an integer within int64", float: "a finite number", str: "a string", list: "a list",
+         dict: "an object"}
 
 
 def _check(value, schema, key: str, where: str) -> None:
@@ -103,6 +104,8 @@ def _check(value, schema, key: str, where: str) -> None:
         fits = isinstance(value, bool) and isinstance(schema, bool)
     elif isinstance(schema, float):  # an int fits too; NaN, an infinity or an int past float range do not
         fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    elif isinstance(schema, int):  # the runs hold integer settings in int64 arrays
+        fits = isinstance(value, int) and -(2**63) <= value < 2**63
     else:
         fits = isinstance(value, type(schema))
     if not fits:

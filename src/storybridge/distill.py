@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -67,12 +68,13 @@ class ObjectFeatureSet:
             confs.append(float(confidence))
         if not feats:
             raise ValueError(f"image slot {image_index} has no objects")
-        order = np.argsort(-np.asarray(confs), kind="stable")[:TOP_K_OBJECTS]
-        return cls(
-            image_index=image_index,
-            features=np.stack([feats[i] for i in order]),
-            confidences=np.asarray([confs[i] for i in order]),
-        )
+        return cls.strongest(image_index, np.stack(feats), np.asarray(confs))
+
+    @classmethod
+    def strongest(cls, image_index: int, features: np.ndarray, confidences: np.ndarray) -> "ObjectFeatureSet":
+        """The slot of the TOP_K_OBJECTS most confident rows: one stable sort of the confidences, one fancy index."""
+        order = np.argsort(-confidences, kind="stable")[:TOP_K_OBJECTS]
+        return cls(image_index, features[order], confidences[order])
 
 
 @dataclass
@@ -92,10 +94,9 @@ class ImageSequence:
 def load_feature_file(path: str) -> list[ImageSequence]:
     """Read an object-feature container (README "File formats"), grouped by story_id.
 
-    Each image keeps its TOP_K_OBJECTS most confident objects, as
-    ``ObjectFeatureSet.from_objects`` keeps them: one stable sort of its
-    confidences, then one fancy index of its rows. A malformed file raises
-    InputError naming it; a boolean is not a number there.
+    Each image keeps its TOP_K_OBJECTS most confident objects
+    (``ObjectFeatureSet.strongest``). A malformed file raises InputError
+    naming it; a boolean is not a number there.
     """
     if not os.path.exists(path):
         raise InputError(f"input file not found: {path}")
@@ -111,7 +112,7 @@ def load_feature_file(path: str) -> list[ImageSequence]:
         for i, image in enumerate(images):
             n, confidences = (image.get("objects"), image.get("confidences")) if isinstance(image, dict) else (0, None)
             if not (_is_int(n) and n >= 1 and isinstance(confidences, list) and len(confidences) == n
-                    and all(isinstance(c, float) or _is_int(c) for c in confidences) and np.isfinite(confidences).all()
+                    and all((isinstance(c, float) or _is_int(c)) and abs(c) <= sys.float_info.max for c in confidences)
                     and _is_int(image.get("image_index")) and "story_id" in image):
                 raise InputError(f"{path}: header image {i} needs a story_id, an integer image_index, "
                                  "objects >= 1 and as many finite confidences")
@@ -125,8 +126,7 @@ def load_feature_file(path: str) -> list[ImageSequence]:
     grouped: dict[str, list[ObjectFeatureSet]] = {}
     for image, start, stop in zip(images, offsets, offsets[1:]):
         confidences = np.asarray(image["confidences"], dtype=np.float64)
-        order = np.argsort(-confidences, kind="stable")[:TOP_K_OBJECTS]
-        slot = ObjectFeatureSet(image["image_index"], values[start:stop].reshape(-1, FEATURE_DIM)[order], confidences[order])
+        slot = ObjectFeatureSet.strongest(image["image_index"], values[start:stop].reshape(-1, FEATURE_DIM), confidences)
         grouped.setdefault(str(image["story_id"]), []).append(slot)
     sequences = []
     for sid, slots in grouped.items():
@@ -271,12 +271,8 @@ class DistillerModel:
         if len(self.vocab) <= 1:
             raise ValueError("term vocabulary holds only the end-of-set marker")
         seqs = list(seqs)
-        search = Search(
-            group_count=1,
-            penalties=BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size),
-            max_sentence_tokens=self.config.max_terms_per_image,
-            run_until_empty=True,
-        )
+        search = Search(BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size), self.config.max_terms_per_image,
+                        run_until_empty=True)
         table_bytes = [len(seq.slots) * beam_size * len(self.vocab) * 8 for seq in seqs]
         return [terms for block in blocks(table_bytes, TERM_BLOCK_BYTES) for terms in self._term_block(seqs[block], search)]
 
@@ -321,7 +317,7 @@ class DistillerModel:
             h = h_next.data
             return ad.log_softmax_values(logits.data)
 
-        results = iter(beam_decode(step, [search] * len(starts), vocab_size=len(self.vocab), sb_id=self.token_to_id[END_OF_SET]))
+        results = iter(beam_decode(step, search, [1] * len(starts), vocab_size=len(self.vocab), sb_id=self.token_to_id[END_OF_SET]))
         return [[([self.vocab[t] for t in ids[:-1]], score) for ids, score, _truncated in islice(results, len(seq.slots))] for seq in seqs]
 
     def save(self, path: str) -> None:

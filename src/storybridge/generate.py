@@ -224,7 +224,8 @@ def decode_stories(paths, model: GeneratorModel, penalties: BeamPenaltyConfig | 
         budgets = [len(g) * (model.sentence_budget + 1) + 1 for g in groups]  # boundaries and end marker included
         results = beam_decode(
             model.step_log_probs_fn(groups, budgets),
-            [Search(len(g), penalties, config.max_sentence_tokens) for g in groups],
+            Search(penalties, config.max_sentence_tokens),
+            [len(g) for g in groups],
             vocab_size=len(model.vocab),
             sb_id=model.token_to_id[SENTENCE_BOUNDARY],
             excluded_ids=excluded,

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .beam import blocks
 from .ioutil import InputError
 from .layers import GRUParams, linear
 from .optim import TrainConfig, fit
@@ -172,9 +173,8 @@ class GRULanguageModel:
         distinct = list(first)
         order = sorted(range(len(distinct)), key=lambda i: len(distinct[i]))  # blocks of like lengths pad little
         totals = np.empty(len(distinct))
-        block_rows = max(1, SCORE_BLOCK_BYTES // (8 * len(self.vocab)))
-        for lo in range(0, len(order), block_rows):
-            rows = order[lo : lo + block_rows]
+        for span in blocks([8 * len(self.vocab)] * len(order), SCORE_BLOCK_BYTES):
+            rows = order[span]
             block = [distinct[i] for i in rows]
             lengths = np.array([len(ids) for ids in block])
             ids = np.zeros((len(block), lengths.max()), dtype=np.int64)

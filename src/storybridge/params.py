@@ -213,10 +213,10 @@ class ParameterStore:
                 raise InputError(f"{path}: checkpoint 'schedule' must be an object or null")
             if kind is not None and extra.get("kind") != kind:
                 raise InputError(f"{path}: not a {kind} checkpoint")
-            try:
-                store = cls(header["rng_seed"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}: checkpoint has no usable rng_seed ({exc})") from None
+            seed = header.get("rng_seed")
+            if not (type(seed) is int and seed >= 0):
+                raise InputError(f"{path}: checkpoint has no usable rng_seed (got {seed!r})")
+            store = cls(seed)
             if header.get("json_sha256") != sha256_file(path):
                 raise InputError(f"{companion}: written for other bytes than {path} holds now (json_sha256 does not match)")
             store.schedule = schedule

@@ -446,11 +446,12 @@ def per_search_decode(step_log_probs, **settings):
             return finished.value
 
 
-def decode_one(step_log_probs, *, vocab_size, sb_id, excluded_ids=(), **search):
+def decode_one(step_log_probs, *, vocab_size, sb_id, group_count, excluded_ids=(), **search):
     """beam_decode with one search whose settings are given as keywords; returns its (token ids, score, truncated)."""
     from storybridge.beam import Search, beam_decode
 
-    return beam_decode(step_log_probs, [Search(**search)], vocab_size=vocab_size, sb_id=sb_id, excluded_ids=excluded_ids)[0]
+    return beam_decode(step_log_probs, Search(**search), [group_count], vocab_size=vocab_size, sb_id=sb_id,
+                       excluded_ids=excluded_ids)[0]
 
 
 # ------------------------------------------------------------ LM scoring references

@@ -222,6 +222,8 @@ COMPANION_FAULTS = {
     "schedule-a-list": (resaved(lambda store: setattr(store, "schedule", [1])), "", "'schedule' must be an object or null"),
     "rng-seed-not-a-number": (resaved(lambda store: setattr(store, "rng_seed", "seven")), "", "has no usable rng_seed"),
     "rng-seed-null": (resaved(lambda store: setattr(store, "rng_seed", None)), "", "has no usable rng_seed"),
+    "rng-seed-a-fraction": (resaved(lambda store: setattr(store, "rng_seed", 1.5)), "", "has no usable rng_seed"),
+    "rng-seed-a-boolean": (resaved(lambda store: setattr(store, "rng_seed", True)), "", "has no usable rng_seed"),
     # the digest binds every byte of the JSON to its companion
     "json-one-byte-appended": (lambda path: rewrite(path, lambda b: b + b" "), COMPANION_SUFFIX, "json_sha256 does not match"),
     "json-truncated": (lambda path: rewrite(path, lambda b: b[:-1]), COMPANION_SUFFIX, "json_sha256 does not match"),

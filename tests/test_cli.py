@@ -525,10 +525,14 @@ BAD_SIZE = "the float64 rows take"
         (first_image(lambda image: {**image, "image_index": False}), BAD_IMAGE),
         (first_image_one_object(objects=True), BAD_IMAGE),
         (first_image_one_object(confidences=[True]), BAD_IMAGE),
+        # JSON integers past float range, which no float64 holds
+        (first_image(lambda image: {**image, "confidences": [10**400, *image["confidences"][1:]]}), BAD_IMAGE),
+        (first_image(lambda image: {**image, "confidences": [-(10**400), *image["confidences"][1:]]}), BAD_IMAGE),
     ],
     ids=["nan feature", "infinite confidence", "truncated rows", "trailing values", "jsonl file", "wrong version",
          "wrong format", "header not an object", "string index", "no objects", "too few confidences", "index gap",
-         "boolean index", "boolean objects", "boolean confidence"],
+         "boolean index", "boolean objects", "boolean confidence", "confidence past float range",
+         "negative confidence past float range"],
 )
 def test_malformed_feature_file_exits_two_naming_the_file(pipeline_run, tmp_path, capsys, edit, message):
     bad = edited_features(tmp_path, pipeline_run["config"].features_path, edit)
@@ -629,8 +633,9 @@ def test_dedicated_flag_is_shorthand_for_set(command, flag, field, value, other)
         (["pipeline", "--set", "beam_size=3.5"], "beam_size"),
         (["pipeline", "--set", "alpha=high"], "alpha"),
         (["pipeline", "--set", "kg=scene.tsv"], "kg[0]"),
+        (["pipeline", "--set", f"beam_size={10**20}"], "beam_size"),  # past int64
     ],
-    ids=["set-epochs", "cap", "beam", "alpha", "set-kg"],
+    ids=["set-epochs", "cap", "beam", "alpha", "set-kg", "beam-past-int64"],
 )
 def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, *argv)
@@ -644,13 +649,13 @@ def test_unparsable_setting_exits_two_naming_the_key(capsys, argv, key):
         ("beam_size", 0), ("alpha", -1), ("gamma", -0.5), ("candidate_cap", 0), ("ngram_order", 0),
         ("lm_hidden_size", 0), ("heads", 0), ("hidden_size", 0), ("learning_rate", -1), ("smoothing_k", -1),
         ("epochs", -1), ("warmup_steps", -5), ("layers", 0), ("decoder_layers", 0), ("ff_multiple", 0),
-        ("max_terms_per_image", 0), ("max_sentence_tokens", 0),
+        ("max_terms_per_image", 0), ("max_sentence_tokens", 0), ("seed", -1),
     )] + [("hidden_size", 33, "must be even"),  # each sine of the position tables is paired with a cosine
           ("lm_kind", "lstm", "must be gru or ngram")],
     ids=[
         "beam", "alpha", "gamma", "cap", "ngram-order", "lm-hidden-size", "heads", "hidden-size", "learning-rate",
         "smoothing-k", "epochs", "warmup-steps", "layers", "decoder-layers", "ff-multiple", "max-terms-per-image",
-        "max-sentence-tokens", "odd-hidden-size", "lm-kind",
+        "max-sentence-tokens", "seed", "odd-hidden-size", "lm-kind",
     ],
 )
 def test_out_of_range_setting_exits_two_naming_the_field(pipeline_run, tmp_path, capsys, field, value, rule):

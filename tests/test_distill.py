@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -316,6 +317,21 @@ def test_feature_file_keeps_the_top_k_objects_by_stable_confidence_order(tmp_pat
     assert np.array_equal(slot.features, features[order]) and np.array_equal(slot.confidences, confidences[order])
 
 
+def test_feature_file_ranks_integer_confidences_within_float_range(tmp_path):
+    # finite numbers, as 1e300 is: integers past int64 load as the nearest float64
+    path = str(tmp_path / "features.bin")
+    features = RNG.normal(size=(3, FEATURE_DIM))
+    save_feature_file(path, [ImageSequence("s", [ObjectFeatureSet(0, features, np.zeros(3))])])
+    with open(path, "rb") as fh:
+        header, rows = json.loads(fh.readline()), fh.read()
+    header["images"][0]["confidences"] = [-(2**70), 10**300, 2**63]
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n" + rows)
+    [[slot]] = [seq.slots for seq in load_feature_file(path)]
+    assert slot.confidences.tolist() == [1e300, float(2**63), -float(2**70)]
+    assert np.array_equal(slot.features, features[[1, 2, 0]])
+
+
 SCORE_TOLERANCE = 1e-9  # one decoder matmul over every image's rows rounds differently from one over a single row
 
 
@@ -369,9 +385,9 @@ def tape_term_beams(model, seq, beam_size):
         h = h_next.data
         return ad.log_softmax_values(logits.data)
 
-    search = Search(1, BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size),
+    search = Search(BeamPenaltyConfig(alpha=REPEAT_MASK, gamma=0.0, beam_size=beam_size),
                     model.config.max_terms_per_image, run_until_empty=True)
-    results = beam_decode(step, [search] * len(starts), vocab_size=len(model.vocab), sb_id=model.token_to_id[END_OF_SET])
+    results = beam_decode(step, search, [1] * len(starts), vocab_size=len(model.vocab), sb_id=model.token_to_id[END_OF_SET])
     return [([model.vocab[t] for t in ids[:-1]], score) for ids, score, _truncated in results]
 
 

@@ -484,11 +484,11 @@ def test_batched_beam_equals_per_hypothesis_reference(step):
 
 @pytest.mark.parametrize("step", [hashed_step, tied_step], ids=["hashed", "tied"])
 def test_lockstep_searches_equal_separate_decodes(step):
-    # each search has its own step, settings and stop rule, so they finish at different beam steps
+    # one call per setting; its searches differ in group count and step, so they finish at different beam steps
+    group_counts = [1, 2, 3]
     settings = [
-        dict(group_count=groups, penalties=BeamPenaltyConfig(alpha=alpha, gamma=gamma, beam_size=beam),
-             max_sentence_tokens=cap, run_until_empty=until_empty)
-        for groups in (1, 2, 3)
+        dict(penalties=BeamPenaltyConfig(alpha=alpha, gamma=gamma, beam_size=beam), max_sentence_tokens=cap,
+             run_until_empty=until_empty)
         for beam in (1, 3, 5)
         for alpha, gamma in ((20.0, 5.0), (0.0, 0.0))
         for cap in (2, 5)
@@ -498,57 +498,67 @@ def test_lockstep_searches_equal_separate_decodes(step):
     def search_step(g):
         return lambda prefix: step((200 + g,) + prefix)
 
-    calls, rows = [], []
-    owners = None  # each row's search, followed from the roots through parents
+    for kw in settings:
+        calls, rows, steps = [], [], []
+        owners = None  # each row's search, followed from the roots through parents
 
-    def lockstep_step(frontier):
-        nonlocal owners
-        parents, tokens = frontier
-        owners = parents if owners is None else owners[parents]  # the roots are rows 0..G-1
-        calls.append(owners.tolist())
-        return np.stack([search_step(g)(tuple(p)) for g, p in zip(owners.tolist(), tokens.tolist())])
+        def lockstep_step(frontier):
+            nonlocal owners
+            parents, tokens = frontier
+            owners = parents if owners is None else owners[parents]  # the roots are rows 0..G-1
+            calls.append(owners.tolist())
+            return np.stack([search_step(g)(tuple(p)) for g, p in zip(owners.tolist(), tokens.tolist())])
 
-    got = beam_decode(lockstep_step, [Search(**kw) for kw in settings], vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
-    steps = []
-    for g, kw in enumerate(settings):
-        sizes = []
+        got = beam_decode(lockstep_step, Search(**kw), group_counts, vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
+        for g, groups in enumerate(group_counts):
+            sizes = []
 
-        def counted(frontier, g=g, sizes=sizes):
-            sizes.append(len(frontier[1]))
-            return batched(search_step(g))(frontier)
+            def counted(frontier, g=g, sizes=sizes):
+                sizes.append(len(frontier[1]))
+                return batched(search_step(g))(frontier)
 
-        assert got[g] == per_search_decode(counted, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw), kw
-        steps.append(len(sizes))
-        rows.append(sum(sizes))
-    assert len(set(steps)) > 1
-    assert len(calls) == max(steps)  # the longest search, not the sum over searches
-    for g in range(len(settings)):  # each search took part in exactly its own steps, with its own rows
-        assert sum(1 for call in calls if g in call) == steps[g]
-        assert sum(call.count(g) for call in calls) == rows[g]
+            want = per_search_decode(counted, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), group_count=groups, **kw)
+            assert got[g] == want, (groups, kw)
+            steps.append(len(sizes))
+            rows.append(sum(sizes))
+        assert len(set(steps)) > 1, kw
+        assert len(calls) == max(steps)  # the longest search, not the sum over searches
+        for g in range(len(group_counts)):  # each search took part in exactly its own steps, with its own rows
+            assert sum(1 for call in calls if g in call) == steps[g]
+            assert sum(call.count(g) for call in calls) == rows[g]
+
+
+def random_settings(rng, count: int, alphas, gammas) -> list[tuple[int, dict]]:
+    """count draws of (group count, one search's settings)."""
+    return [
+        (int(rng.integers(1, 4)),
+         dict(max_sentence_tokens=int(rng.integers(1, 6)),
+              penalties=BeamPenaltyConfig(alpha=float(rng.choice(alphas)), gamma=float(rng.choice(gammas)),
+                                          beam_size=int(rng.integers(1, 6))),
+              run_until_empty=bool(rng.integers(2))))
+        for _ in range(count)
+    ]
 
 
 def test_lockstep_parents_trace_each_row_to_the_row_it_extends():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        settings = [
-            dict(group_count=int(rng.integers(1, 4)), max_sentence_tokens=int(rng.integers(1, 6)),
-                 penalties=BeamPenaltyConfig(alpha=float(rng.choice([0.0, 20.0])), gamma=float(rng.choice([0.0, 5.0])),
-                                             beam_size=int(rng.integers(1, 6))),
-                 run_until_empty=bool(rng.integers(2)))
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        frontiers = []
+        drawn = random_settings(rng, int(rng.integers(1, 6)), [0.0, 20.0], [0.0, 5.0])
+        group_counts = [groups for groups, _ in drawn]
+        for _, kw in drawn:  # each drawn setting runs once, over every drawn group count
+            frontiers = []
+            traced = routed(tied_step)
 
-        def step(frontier):
-            frontiers.append(frontier)
-            return np.stack([tied_step(tuple(p)) for p in frontier[1].tolist()])
+            def step(frontier):
+                frontiers.append(frontier)
+                return traced(frontier)
 
-        beam_decode(step, [Search(**kw) for kw in settings], vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
-        parents, tokens = frontiers[0]
-        assert parents.tolist() == list(range(len(settings))) and tokens.shape == (len(settings), 0)
-        for (_, previous), (parents, tokens) in zip(frontiers, frontiers[1:]):
-            assert len(parents) == len(tokens) and tokens.shape[1] == previous.shape[1] + 1
-            np.testing.assert_array_equal(tokens[:, :-1], previous[parents])
+            beam_decode(step, Search(**kw), group_counts, vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
+            parents, tokens = frontiers[0]
+            assert parents.tolist() == list(range(len(drawn))) and tokens.shape == (len(drawn), 0)
+            for (_, previous), (parents, tokens) in zip(frontiers, frontiers[1:]):
+                assert len(parents) == len(tokens) and tokens.shape[1] == previous.shape[1] + 1
+                np.testing.assert_array_equal(tokens[:, :-1], previous[parents])
 
 
 def masked_step(prefix):
@@ -579,18 +589,14 @@ def routed(step):
 def test_batched_search_equals_independent_reference_searches(step):
     rng = np.random.default_rng(17)
     for _ in range(12):
-        settings = [
-            dict(group_count=int(rng.integers(1, 4)), max_sentence_tokens=int(rng.integers(1, 6)),
-                 penalties=BeamPenaltyConfig(alpha=float(rng.choice([0.0, 1.0, 20.0, 1e19])),
-                                             gamma=float(rng.choice([0.0, 3.0, 5.0])), beam_size=int(rng.integers(1, 6))),
-                 run_until_empty=bool(rng.integers(2)))
-            for _ in range(int(rng.integers(1, 9)))
-        ]
-        got = beam_decode(routed(step), [Search(**kw) for kw in settings], vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
-        for g, kw in enumerate(settings):
-            own = batched(lambda prefix, g=g: step((200 + g,) + prefix))
-            want = per_search_decode(own, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), **kw)
-            assert got[g] == want, kw  # tokens, the score's bits and the truncation flag
+        drawn = random_settings(rng, int(rng.integers(1, 9)), [0.0, 1.0, 20.0, 1e19], [0.0, 3.0, 5.0])
+        group_counts = [groups for groups, _ in drawn]
+        for _, kw in drawn:  # each drawn setting runs once, over every drawn group count
+            got = beam_decode(routed(step), Search(**kw), group_counts, vocab_size=V, sb_id=SB, excluded_ids=(EXC,))
+            for g, groups in enumerate(group_counts):
+                own = batched(lambda prefix, g=g: step((200 + g,) + prefix))
+                want = per_search_decode(own, vocab_size=V, sb_id=SB, excluded_ids=(EXC,), group_count=groups, **kw)
+                assert got[g] == want, (groups, kw)  # tokens, the score's bits and the truncation flag
 
 
 def test_grouped_top_k_equals_one_top_k_per_search():
@@ -601,17 +607,17 @@ def test_grouped_top_k_equals_one_top_k_per_search():
         table = rng.integers(-3, 1, size=(owner.size, int(rng.integers(1, 8)))).astype(float)  # many exact ties
         table[rng.random(table.shape) < 0.3] = -np.inf
         table[rng.random(table.shape) < 0.05] = np.nan
-        k = rng.integers(1, 7, size=sizes.size)
-        want_rows, want_cols = [], []
-        for g, first in enumerate(np.cumsum(sizes) - sizes):
-            rows, cols = one_search_top_k(table[first : first + sizes[g]], int(k[g]))
-            want_rows += (rows + first).tolist()
-            want_cols += cols.tolist()
-        rows, cols = top_k(table, k, owner)
-        assert rows.tolist() == want_rows and cols.tolist() == want_cols
-        rows, cols = top_k(table, int(k[0]))
-        want = one_search_top_k(table, int(k[0]))
-        assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+        for k in np.unique(rng.integers(1, 7, size=sizes.size)).tolist():  # one call per drawn k, over all searches
+            want_rows, want_cols = [], []
+            for g, first in enumerate(np.cumsum(sizes) - sizes):
+                rows, cols = one_search_top_k(table[first : first + sizes[g]], k)
+                want_rows += (rows + first).tolist()
+                want_cols += cols.tolist()
+            rows, cols = top_k(table, k, owner)
+            assert rows.tolist() == want_rows and cols.tolist() == want_cols
+            rows, cols = top_k(table, k)
+            want = one_search_top_k(table, k)
+            assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
 
 
 def test_blocks_split_items_by_their_sizes():
