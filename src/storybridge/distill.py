@@ -98,7 +98,7 @@ def load_feature_file(path: str) -> list[ImageSequence]:
     (``ObjectFeatureSet.strongest``). A malformed file raises InputError
     naming it; a boolean is not a number there.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise InputError(f"input file not found: {path}")
     with open(path, "rb") as fh:
         try:

@@ -120,7 +120,7 @@ def load_tuples(path: str, source: str, *, two_hop_ok: bool = True, into: Relati
 
     Duplicate lines collapse. Malformed lines fail with their line number.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise InputError(f"knowledge-graph file not found: {path}")
     index = into if into is not None else RelationIndex()
     with open(path, "r", encoding="utf-8") as fh:

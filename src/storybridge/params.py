@@ -6,11 +6,13 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .autodiff import Tensor
-from .ioutil import InputError, atomic_writer, canonical_dumps, sha256_file
+from .ioutil import THREADED_HASH_MIN_BYTES, InputError, atomic_writer, canonical_dumps, sha256_file
 
 FORMAT_VERSION = 1
 COMPANION_SUFFIX = ".f64"  # a checkpoint's float64 companion is its path plus this
@@ -178,10 +180,16 @@ class ParameterStore:
         integers, the rest of the file exactly the float64 values those shapes
         need, read with one ``np.fromfile`` per parameter, and its
         ``json_sha256`` the digest of path's bytes. The JSON is hashed, never
-        parsed. A missing or malformed companion, a pair whose digest does not
-        match, or a non-finite value raises InputError naming the companion;
-        a checkpoint of another format version, or whose ``extra.kind`` is not
-        ``kind`` (when given), raises InputError naming ``path``.
+        parsed: once the header's checks pass, a JSON of at least
+        ``THREADED_HASH_MIN_BYTES`` is hashed on a worker thread while this
+        thread reads and checks the values (a smaller one after them), and the
+        load joins the worker before it returns or raises, so no thread
+        outlives the call.
+        A missing or malformed companion, a pair whose digest does not match,
+        or a non-finite value (reported only if the digest matches) raises
+        InputError naming the companion; a checkpoint of another format
+        version, or whose ``extra.kind`` is not ``kind`` (when given), raises
+        InputError naming ``path``.
         """
         if not os.path.isfile(path):
             raise InputError(f"input file not found: {path}")
@@ -217,14 +225,25 @@ class ParameterStore:
             if not (type(seed) is int and seed >= 0):
                 raise InputError(f"{path}: checkpoint has no usable rng_seed (got {seed!r})")
             store = cls(seed)
-            if header.get("json_sha256") != sha256_file(path):
-                raise InputError(f"{companion}: written for other bytes than {path} holds now (json_sha256 does not match)")
             store.schedule = schedule
-            for (name, shape), n in zip(entries, counts):
-                data = np.fromfile(fh, dtype="<f8", count=n).reshape(shape)
-                if not np.isfinite(data).all():
-                    raise InputError(f"{companion}: parameter '{name}' holds non-finite values")
-                store._params[name] = Tensor(data)
+            # a large JSON hashes on a worker thread beside the reads (hashlib and np.fromfile
+            # release the GIL); leaving the block joins it, so no thread outlives the load
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                if os.path.getsize(path) >= THREADED_HASH_MIN_BYTES:
+                    json_sha256 = pool.submit(sha256_file, path).result
+                else:
+                    json_sha256 = partial(sha256_file, path)
+                non_finite = None
+                for (name, shape), n in zip(entries, counts):
+                    data = np.fromfile(fh, dtype="<f8", count=n).reshape(shape)
+                    if not np.isfinite(data).all():
+                        non_finite = name
+                        break
+                    store._params[name] = Tensor(data)
+                if header.get("json_sha256") != json_sha256():
+                    raise InputError(f"{companion}: written for other bytes than {path} holds now (json_sha256 does not match)")
+                if non_finite is not None:
+                    raise InputError(f"{companion}: parameter '{non_finite}' holds non-finite values")
         return store.freeze(), extra
 
 

@@ -10,13 +10,14 @@ clock or unseeded randomness.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 from .config import RunConfig
 from .corpus import build_training_pairs, load_corpus
 from .distill import DistillerConfig, DistillerModel, load_feature_file, train_distiller
 from .enrich import TermPath, build_candidates, check_base_path, select_best_of_each
 from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, UnknownWordsError, decode_stories, train_generator
-from .ioutil import InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
+from .ioutil import THREADED_HASH_MIN_BYTES, InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
 from .lm import LMConfig, load_lm, train_lm
 from .metrics import bleu_n, distinct_n
@@ -30,7 +31,7 @@ STAGES = ("distill", "enrich", "generate")
 def _require(path: str, stage: str, role: str) -> str:
     if not path:
         raise InputError(f"stage '{stage}' needs a {role}, but none is configured")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise InputError(f"stage '{stage}' needs a {role}, missing file: {path}")
     return path
 
@@ -208,36 +209,53 @@ def stage_generate(config: RunConfig, paths_path: str, out_path: str) -> list[di
     return out
 
 
-def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
-    """Execute the configured stages and write outputs plus a manifest."""
+def _sha256_files(paths: list[str]) -> dict[str, str]:
+    """The sha256 of each distinct path, in first-seen order; from ``THREADED_HASH_MIN_BYTES`` in all on a thread pool."""
+    paths = list(dict.fromkeys(paths))
+    if sum(map(os.path.getsize, paths)) < THREADED_HASH_MIN_BYTES:
+        return {p: sha256_file(p) for p in paths}
+    with ThreadPoolExecutor(max_workers=min(len(paths), os.cpu_count() or 1)) as pool:
+        return dict(zip(paths, pool.map(sha256_file, paths)))
+
+
+def run_pipeline(config: RunConfig, out_dir: str | None = None, *, recorded_inputs: dict | None = None) -> dict:
+    """Execute the configured stages and write outputs plus a manifest.
+
+    Every input is hashed (``_sha256_files``) before any stage runs or
+    anything is written, so the manifest names the bytes the stages read, in
+    the order they read them. ``recorded_inputs`` (path -> sha256, a replayed
+    manifest's inputs) are checked in the same pass: the first, in recorded
+    order, that is not a file or hashes otherwise raises InputError.
+    """
     out_dir = out_dir or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    inputs = [config.features_path, config.distiller_model] if "distill" in config.stages else [config.terms_path]
+    if "enrich" in config.stages:
+        inputs += [entry.get("path", "") for entry in config.kg] + [config.lm_model]
+    if "generate" in config.stages:
+        inputs.append(config.generator_model)
+    # a checkpoint's values load from its float64 companion, so the manifest names those bytes too
+    inputs += [p + COMPANION_SUFFIX for p in (config.distiller_model, config.lm_model, config.generator_model) if p and p in inputs]
+    # empty paths and paths that are not files are left for the stages to report
+    recorded = recorded_inputs or {}
+    digests = _sha256_files([p for p in [*inputs, *recorded] if p and os.path.isfile(p)])
+    for path, digest in recorded.items():
+        if path not in digests:
+            raise InputError(f"manifest input missing: {path}")
+        if digests[path] != digest:
+            raise InputError(f"manifest input changed since the recorded run: {path}")
+
     unknown = [s for s in config.stages if s not in STAGES]
     if unknown:
         raise InputError(f"unknown pipeline stages {unknown}; valid stages are {list(STAGES)}")
     if not config.stages:
         raise InputError("no pipeline stages enabled")
-
-    inputs: list[str] = []
     if "distill" in config.stages:
-        inputs += [config.features_path, config.distiller_model]
         terms_path = os.path.join(out_dir, "terms.jsonl")
     else:
         reader = "enrich" if "enrich" in config.stages else "generate"  # the first stage that reads the file
         terms_path = _require(config.terms_path, reader, "term-path file (terms_path)")
-        inputs.append(terms_path)
-    if "enrich" in config.stages:
-        inputs += [entry.get("path", "") for entry in config.kg] + [config.lm_model]
-        paths_path = os.path.join(out_dir, "paths.jsonl")
-    else:
-        paths_path = terms_path
-    if "generate" in config.stages:
-        inputs.append(config.generator_model)
-    # a checkpoint's values load from its float64 companion, so the manifest names those bytes too
-    inputs += [p + COMPANION_SUFFIX for p in (config.distiller_model, config.lm_model, config.generator_model) if p and p in inputs]
-    # hashed before any stage runs, so the manifest names the bytes the stages read;
-    # empty or missing paths are left for the stages to report
-    digests = {p: sha256_file(p) for p in inputs if p and os.path.exists(p)}
+    paths_path = os.path.join(out_dir, "paths.jsonl") if "enrich" in config.stages else terms_path
+    os.makedirs(out_dir, exist_ok=True)
 
     outputs: list[str] = []
     if "distill" in config.stages:
@@ -255,8 +273,8 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None) -> dict:
         "format_version": MANIFEST_VERSION,
         "config": config.to_dict(),
         "config_hash": config.hash(),
-        "inputs": digests,
-        "outputs": {os.path.basename(p): sha256_file(p) for p in outputs},
+        "inputs": {p: digests[p] for p in inputs if p in digests},
+        "outputs": {os.path.basename(p): digest for p, digest in _sha256_files(outputs).items()},
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
@@ -273,12 +291,7 @@ def rerun_from_manifest(manifest_path: str, out_dir: str | None = None) -> dict:
     inputs = manifest.get("inputs", {})
     if not isinstance(inputs, dict) or not all(isinstance(digest, str) for digest in inputs.values()):
         raise InputError(f"{manifest_path}: manifest 'inputs' must map each input path to its sha256 digest")
-    for path, digest in inputs.items():
-        if not os.path.exists(path):
-            raise InputError(f"manifest input missing: {path}")
-        if sha256_file(path) != digest:
-            raise InputError(f"manifest input changed since the recorded run: {path}")
-    return run_pipeline(config, out_dir=out_dir)
+    return run_pipeline(config, out_dir=out_dir, recorded_inputs=inputs)
 
 
 def evaluate_stories(candidates_path: str, references_path: str) -> dict:

@@ -4,10 +4,12 @@ pair exits 2 naming the file at fault."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import storybridge.params as params
 from helpers import checkpoint_payload, store_holding
+from storybridge import ioutil
 from storybridge.cli import EXIT_INPUT, EXIT_OK, main
 from storybridge.distill import DistillerModel
 from storybridge.enrich import TermPath
@@ -168,6 +171,11 @@ def json_of_another_save(path: str) -> None:
     shutil.copyfile(other, path)
 
 
+def both(first, second):
+    """An edit of the pair at path that applies first, then second."""
+    return lambda path: (first(path), second(path))
+
+
 def set_first_shape(shape):
     return with_header(lambda h: h["params"][0].__setitem__(1, shape))
 
@@ -229,6 +237,10 @@ COMPANION_FAULTS = {
     "json-truncated": (lambda path: rewrite(path, lambda b: b[:-1]), COMPANION_SUFFIX, "json_sha256 does not match"),
     "json-value-changed": (lambda path: rewrite(path, json_value_changed), COMPANION_SUFFIX, "json_sha256 does not match"),
     "json-of-another-save": (json_of_another_save, COMPANION_SUFFIX, "json_sha256 does not match"),
+    # both faults at once: the stale digest is reported, though it is taken beside the reads that meet the NaN
+    "json-edited-and-companion-NaN": (both(lambda path: rewrite(path, lambda b: b.replace(b'"kind":"generator"', b'"kind":"distiller"', 1)),
+                                           in_companion(with_first_value(float("nan")))),
+                                      COMPANION_SUFFIX, "json_sha256 does not match"),
 }
 
 
@@ -252,6 +264,30 @@ def test_malformed_checkpoint_exits_two_naming_the_file(tmp_path, capsys, fault)
     assert code == EXIT_INPUT and out == ""
     assert f"{where}: " in err and message in err and "Traceback" not in err
     assert not (out_dir / "stories.jsonl").exists() and not (out_dir / "manifest.json").exists()
+
+
+def test_a_large_json_hashes_on_a_worker_thread_that_no_load_leaves_behind(tmp_path, monkeypatch):
+    hashed_on = []
+
+    def sha256_file(path):
+        hashed_on.append(threading.current_thread() is threading.main_thread())
+        return ioutil.sha256_file(path)
+
+    monkeypatch.setattr(params, "sha256_file", sha256_file)
+    path = tiny_generator_checkpoint(tmp_path)
+    ParameterStore.load(path)
+    assert hashed_on == [True]  # a small JSON hashes on the calling thread
+    # from here on every JSON counts as large; the faults keep their messages and their order
+    monkeypatch.setattr(params, "THREADED_HASH_MIN_BYTES", 0)
+    before = threading.active_count()
+    ParameterStore.load(path)
+    assert hashed_on == [True, False] and threading.active_count() == before
+    for i, (fault, (edit, _suffix, message)) in enumerate(COMPANION_FAULTS.items()):
+        path = tiny_generator_checkpoint(tmp_path / str(i))
+        edit(path)
+        with pytest.raises(InputError, match=re.escape(message)):
+            GeneratorModel.load(path)
+        assert threading.active_count() == before, fault
 
 
 def test_companion_without_its_json_exits_two_naming_the_json(tmp_path):

@@ -600,6 +600,66 @@ def test_malformed_manifest_exits_two_naming_it(pipeline_run, tmp_path, capsys, 
     assert not os.path.exists(out_dir)
 
 
+def with_first_kg(pipeline_run, tmp_path, path) -> str:
+    """A copy of the pipeline_run config whose first knowledge-graph file is path."""
+    config = read_json(pipeline_run["config_path"])
+    copy = str(tmp_path / "kg_config.json")
+    write_json(copy, {**config, "kg": [{**config["kg"][0], "path": path}, *config["kg"][1:]]})
+    return copy
+
+
+def with_input(pipeline_run, tmp_path, path) -> str:
+    """A copy of the pipeline_run manifest that also records path as an input."""
+    manifest = read_json(os.path.join(pipeline_run["out_dir"], "manifest.json"))
+    copy = str(tmp_path / "manifest.json")
+    write_json(copy, {**manifest, "inputs": {**manifest["inputs"], path: "0" * 64}})
+    return copy
+
+
+def pipeline_with(stage, *settings):
+    """The argv of a one-stage pipeline run over the pipeline_run config with settings, each a function of (run, directory)."""
+    return lambda run, tmp_path, d: ["pipeline", "--config", run["config_path"], "--set", f"stages={stage}",
+                                     *(arg for setting in settings for arg in ("--set", setting(run, d)))]
+
+
+# input kind: (argv given the pipeline_run fixture, tmp_path and a directory; the message that names the directory)
+DIRECTORY_INPUTS = {
+    "features_path": (pipeline_with("distill", lambda run, d: f"features_path={d}"),
+                      "stage 'distill' needs a object-feature file (features_path), missing file: {}"),
+    "kg-path": (lambda run, tmp_path, d: ["pipeline", "--config", with_first_kg(run, tmp_path, d), "--set", "stages=enrich",
+                                          "--set", f"terms_path={os.path.join(run['out_dir'], 'terms.jsonl')}"],
+                "stage 'enrich' needs a knowledge-graph tuple file, missing file: {}"),
+    "terms_path": (pipeline_with("generate", lambda run, d: f"terms_path={d}"),
+                   "stage 'generate' needs a term-path file (terms_path), missing file: {}"),
+    "generator_model": (pipeline_with("generate", lambda run, d: f"terms_path={os.path.join(run['out_dir'], 'paths.jsonl')}",
+                                      lambda run, d: f"generator_model={d}"),
+                        "stage 'generate' needs a generator checkpoint (generator_model), missing file: {}"),
+    "text_corpus_path": (lambda run, tmp_path, d: ["train-lm", "--set", f"corpus_path={run['world']['corpus']}",
+                                                   "--set", f"text_corpus_path={d}", "--set", f"lm_model={tmp_path / 'lm.json'}"],
+                         "input file not found: {}"),
+    "eval-candidates": (lambda run, tmp_path, d: ["eval", "--candidates", d, "--references", run["world"]["corpus"]],
+                        "input file not found: {}"),
+    "from-manifest": (lambda run, tmp_path, d: ["pipeline", "--from-manifest", d], "input file not found: {}"),
+    "manifest-input": (lambda run, tmp_path, d: ["pipeline", "--from-manifest", with_input(run, tmp_path, d)],
+                       "manifest input missing: {}"),
+}
+
+
+@pytest.mark.parametrize("kind", list(DIRECTORY_INPUTS))
+def test_a_directory_given_as_an_input_exits_two_naming_it(pipeline_run, tmp_path, capsys, kind):
+    argv, message = DIRECTORY_INPUTS[kind]
+    directory = str(tmp_path / "not_a_file")
+    os.makedirs(directory)
+    out_dir = tmp_path / "out"
+    argv = argv(pipeline_run, tmp_path, directory)
+    code, out, err = run_cli(capsys, *argv, *(["--out-dir", str(out_dir)] if argv[0] == "pipeline" else []))
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert message.format(directory) in err
+    assert not (out_dir / "manifest.json").exists()
+    if "--from-manifest" in argv:  # a replay writes nothing before its inputs check out
+        assert not out_dir.exists()
+
+
 # ------------------------------------------------------------ settings: one override path
 
 DEDICATED_FLAGS = [

@@ -1,9 +1,12 @@
 import os
+import re
 
 import pytest
 
 from storybridge import ioutil
-from storybridge.ioutil import write_json, write_jsonl
+from storybridge.distill import load_feature_file
+from storybridge.ioutil import InputError, read_json, read_jsonl_lines, write_json, write_jsonl
+from storybridge.kg import load_tuples
 from storybridge.lm import NGramLM
 from storybridge.params import ParameterStore
 
@@ -84,3 +87,11 @@ def test_atomic_writer_replaces_whole_file(tmp_path):
         assert open(path).read() == "first version, long\n"  # untouched until the block completes
     assert open(path).read() == "second\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("read", [read_jsonl_lines, read_json, load_feature_file, lambda path: load_tuples(path, "kg"),
+                                  ParameterStore.load],
+                         ids=["jsonl", "json", "features", "kg", "checkpoint"])
+def test_a_directory_is_not_an_input_file(tmp_path, read):
+    with pytest.raises(InputError, match=f"not found: {re.escape(str(tmp_path))}$"):
+        read(str(tmp_path))

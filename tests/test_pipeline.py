@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -112,6 +113,25 @@ def test_manifest_rejects_tampered_inputs(pipeline_run, tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(InputError, match="changed since"):
         rerun_from_manifest(tampered, out_dir=str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_replay_hashes_each_input_and_output_once(pipeline_run, tmp_path, monkeypatch, threaded):
+    from storybridge import pipeline
+
+    if threaded:  # every file set counts as large, so the files hash on a thread pool
+        monkeypatch.setattr(pipeline, "THREADED_HASH_MIN_BYTES", 0)
+    calls = collections.Counter()
+
+    def counted(path):
+        calls[path] += 1
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", counted)
+    rerun = tmp_path / "rerun"
+    manifest = rerun_from_manifest(os.path.join(pipeline_run["out_dir"], "manifest.json"), out_dir=str(rerun))
+    assert sha256_file(str(rerun / "manifest.json")) == sha256_file(os.path.join(pipeline_run["out_dir"], "manifest.json"))
+    assert calls == collections.Counter([*manifest["inputs"], *(str(rerun / name) for name in manifest["outputs"])])
 
 
 def test_manifest_records_inputs_as_they_were_before_the_run(pipeline_run, tmp_path, monkeypatch):
