@@ -80,11 +80,6 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-# Bytes from which hashing on worker threads pays: a smaller digest takes under about 25 ms,
-# and desk-size pipeline runs (a few MB of inputs) ran slower with threads on a shared 2-core host.
-THREADED_HASH_MIN_BYTES = 32 << 20
-
-
 def sha256_file(path: str) -> str:
     """Hex sha256 of a file's bytes, read into one reused 256 KiB buffer."""
     h = hashlib.sha256()

@@ -12,10 +12,13 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tensor
-from .ioutil import THREADED_HASH_MIN_BYTES, InputError, atomic_writer, canonical_dumps, sha256_file
+from .ioutil import InputError, atomic_writer, canonical_dumps, sha256_file
 
 FORMAT_VERSION = 1
 COMPANION_SUFFIX = ".f64"  # a checkpoint's float64 companion is its path plus this
+# JSON bytes from which a load hashes on a worker thread: a smaller digest takes under about 25 ms,
+# and desk-size pipeline rounds (three loads of a few MB each) ran slower with a thread per load
+THREADED_HASH_MIN_BYTES = 32 << 20
 COMPANION_FORMAT = {"format": "storybridge-checkpoint-f64", "version": 1}  # the companion's header keys
 
 

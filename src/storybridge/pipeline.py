@@ -10,14 +10,13 @@ clock or unseeded randomness.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import RunConfig
 from .corpus import build_training_pairs, load_corpus
 from .distill import DistillerConfig, DistillerModel, load_feature_file, train_distiller
 from .enrich import TermPath, build_candidates, check_base_path, select_best_of_each
 from .generate import BeamPenaltyConfig, GeneratorConfig, GeneratorModel, UnknownWordsError, decode_stories, train_generator
-from .ioutil import THREADED_HASH_MIN_BYTES, InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
+from .ioutil import InputError, read_json, read_jsonl_lines, sha256_file, write_json, write_jsonl
 from .kg import RelationIndex, load_tuples
 from .lm import LMConfig, load_lm, train_lm
 from .metrics import bleu_n, distinct_n
@@ -209,52 +208,49 @@ def stage_generate(config: RunConfig, paths_path: str, out_path: str) -> list[di
     return out
 
 
-def _sha256_files(paths: list[str]) -> dict[str, str]:
-    """The sha256 of each distinct path, in first-seen order; from ``THREADED_HASH_MIN_BYTES`` in all on a thread pool."""
-    paths = list(dict.fromkeys(paths))
-    if sum(map(os.path.getsize, paths)) < THREADED_HASH_MIN_BYTES:
-        return {p: sha256_file(p) for p in paths}
-    with ThreadPoolExecutor(max_workers=min(len(paths), os.cpu_count() or 1)) as pool:
-        return dict(zip(paths, pool.map(sha256_file, paths)))
-
-
 def run_pipeline(config: RunConfig, out_dir: str | None = None, *, recorded_inputs: dict | None = None) -> dict:
     """Execute the configured stages and write outputs plus a manifest.
 
-    Every input is hashed (``_sha256_files``) before any stage runs or
-    anything is written, so the manifest names the bytes the stages read, in
-    the order they read them. ``recorded_inputs`` (path -> sha256, a replayed
-    manifest's inputs) are checked in the same pass: the first, in recorded
-    order, that is not a file or hashes otherwise raises InputError.
+    Every input is hashed before any stage runs or anything is written, so
+    the manifest names the bytes the stages read, in the order they read
+    them; the stage list and ``terms_path`` are checked before that.
+    ``recorded_inputs`` (path -> sha256, a replayed manifest's inputs) are
+    checked in the same pass, in recorded order: one that is not a file, or
+    that hashes otherwise, raises InputError.
     """
     out_dir = out_dir or config.out_dir
-    inputs = [config.features_path, config.distiller_model] if "distill" in config.stages else [config.terms_path]
-    if "enrich" in config.stages:
-        inputs += [entry.get("path", "") for entry in config.kg] + [config.lm_model]
-    if "generate" in config.stages:
-        inputs.append(config.generator_model)
-    # a checkpoint's values load from its float64 companion, so the manifest names those bytes too
-    inputs += [p + COMPANION_SUFFIX for p in (config.distiller_model, config.lm_model, config.generator_model) if p and p in inputs]
-    # empty paths and paths that are not files are left for the stages to report
     recorded = recorded_inputs or {}
-    digests = _sha256_files([p for p in [*inputs, *recorded] if p and os.path.isfile(p)])
-    for path, digest in recorded.items():
-        if path not in digests:
+    for path in recorded:
+        if not os.path.isfile(path):
             raise InputError(f"manifest input missing: {path}")
-        if digests[path] != digest:
-            raise InputError(f"manifest input changed since the recorded run: {path}")
-
     unknown = [s for s in config.stages if s not in STAGES]
     if unknown:
         raise InputError(f"unknown pipeline stages {unknown}; valid stages are {list(STAGES)}")
     if not config.stages:
         raise InputError("no pipeline stages enabled")
+
+    inputs: list[str] = []
     if "distill" in config.stages:
+        inputs += [config.features_path, config.distiller_model]
         terms_path = os.path.join(out_dir, "terms.jsonl")
     else:
         reader = "enrich" if "enrich" in config.stages else "generate"  # the first stage that reads the file
         terms_path = _require(config.terms_path, reader, "term-path file (terms_path)")
-    paths_path = os.path.join(out_dir, "paths.jsonl") if "enrich" in config.stages else terms_path
+        inputs.append(terms_path)
+    if "enrich" in config.stages:
+        inputs += [entry.get("path", "") for entry in config.kg] + [config.lm_model]
+        paths_path = os.path.join(out_dir, "paths.jsonl")
+    else:
+        paths_path = terms_path
+    if "generate" in config.stages:
+        inputs.append(config.generator_model)
+    # a checkpoint's values load from its float64 companion, so the manifest names those bytes too
+    inputs += [p + COMPANION_SUFFIX for p in (config.distiller_model, config.lm_model, config.generator_model) if p and p in inputs]
+    # empty paths and paths that are not files are left for the stages to report
+    digests = {p: sha256_file(p) for p in dict.fromkeys([*inputs, *recorded]) if p and os.path.isfile(p)}
+    for path, digest in recorded.items():
+        if digests[path] != digest:
+            raise InputError(f"manifest input changed since the recorded run: {path}")
     os.makedirs(out_dir, exist_ok=True)
 
     outputs: list[str] = []
@@ -274,7 +270,7 @@ def run_pipeline(config: RunConfig, out_dir: str | None = None, *, recorded_inpu
         "config": config.to_dict(),
         "config_hash": config.hash(),
         "inputs": {p: digests[p] for p in inputs if p in digests},
-        "outputs": {os.path.basename(p): digest for p, digest in _sha256_files(outputs).items()},
+        "outputs": {os.path.basename(p): sha256_file(p) for p in outputs},
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest

@@ -115,12 +115,9 @@ def test_manifest_rejects_tampered_inputs(pipeline_run, tmp_path):
         rerun_from_manifest(tampered, out_dir=str(tmp_path / "out"))
 
 
-@pytest.mark.parametrize("threaded", [False, True])
-def test_replay_hashes_each_input_and_output_once(pipeline_run, tmp_path, monkeypatch, threaded):
+def test_replay_hashes_each_input_and_output_once(pipeline_run, tmp_path, monkeypatch):
     from storybridge import pipeline
 
-    if threaded:  # every file set counts as large, so the files hash on a thread pool
-        monkeypatch.setattr(pipeline, "THREADED_HASH_MIN_BYTES", 0)
     calls = collections.Counter()
 
     def counted(path):
@@ -215,11 +212,19 @@ def test_missing_term_path_names_the_first_stage_that_reads_it(pipeline_run, tmp
         run_pipeline(config)
 
 
-def test_unknown_stage_rejected(pipeline_run, tmp_path):
+@pytest.mark.parametrize("stages, message", [(["distill", "polish"], "polish"), ([], "no pipeline stages enabled")])
+def test_unknown_stage_rejected(pipeline_run, tmp_path, monkeypatch, stages, message):
+    from storybridge import pipeline
+
+    def sha256_file(path):
+        raise AssertionError(f"hashed {path} before the stage list was checked")
+
+    monkeypatch.setattr(pipeline, "sha256_file", sha256_file)
     config = pipeline_config(pipeline_run["world"], str(tmp_path / "s"))
-    config.stages = ["distill", "polish"]
-    with pytest.raises(InputError, match="polish"):
+    config.stages = stages
+    with pytest.raises(InputError, match=message):
         run_pipeline(config)
+    assert not (tmp_path / "s").exists()
 
 
 def test_stage_generate_flags_missing_model(pipeline_run, tmp_path):
